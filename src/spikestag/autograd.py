@@ -97,9 +97,6 @@ class Tensor:
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad, dtype=dtype)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -243,13 +240,6 @@ def mul(a, b) -> Tensor:
             b._accum_own(_unbroadcast(g * ad, bd.shape))
 
     return _result(data, (a, b), bw, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accum_own(-g)
-
-    return _result(-a.data, (a,), bw, "neg")
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -1,14 +1,32 @@
 """Bit-exact checkpoint format.
 
-Layout: magic bytes "STAG", format version u32 little-endian, tensor count
-u32, then per tensor: name length u16, UTF-8 name, rank u8, dims as u32s,
-raw float32 little-endian values in row-major order.  Model configuration
-scalars and normalization statistics ride along as named tensors.
+Format v2, the one `save_model` writes (integers little-endian):
+
+    magic         4 bytes   b"STAG"
+    version       u32       2
+    header_len    u32       byte length of the header
+    header        UTF-8 JSON {"config": {<every ModelConfig field>},
+                              "ssa_scale": <float or null>}
+    tensor_count  u32
+    tensors       per tensor: name length u16, UTF-8 name, rank u8, dims as
+                  u32s, raw float32 values in row-major order
+
+The tensors are the model parameters, plus `norm/mean` and `norm/std` when
+the model carries normalization statistics.  The header is
+`dataclasses.asdict(config)`, so config ints and floats round-trip exactly.
+
+Format v1 is still read.  It has the same magic, version 1, then the tensor
+records directly; the config rode along as one-element float32 tensors
+`config/<field>` (ablation as its 1-based index into ABLATIONS,
+minute_covariate as 0/1) and the attention gain as `calib/ssa_scale`.  Its
+config ints above 2**24 and most of its floats come back rounded to float32.
 """
 
 from __future__ import annotations
 
+import json
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -16,102 +34,127 @@ from .errors import CheckpointFormatError
 from .model import ABLATIONS, ForecastModel, ModelConfig
 
 MAGIC = b"STAG"
-VERSION = 1
-
-_CONFIG_FIELDS = [
-    ("n_nodes", int), ("t_in", int), ("horizon", int), ("emb_dim", int),
-    ("k1", int), ("k2", int), ("d1", int), ("d2", int), ("h_dim", int),
-    ("d_k", int), ("ts", int), ("beta", float), ("u_th", float),
-    ("u_reset", float), ("alpha", float), ("lam", float), ("lr", float),
-    ("epochs", int), ("seed", int), ("batch_size", int), ("stride", int),
-    ("max_batches", int),
-]
+VERSION = 2
 
 
-def write_tensors(path, tensors: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for d in data.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(data.tobytes(order="C"))
+def _write_records(fh, tensors: dict) -> None:
+    fh.write(struct.pack("<I", len(tensors)))
+    for name, arr in tensors.items():
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<B", data.ndim))
+        for d in data.shape:
+            fh.write(struct.pack("<I", d))
+        fh.write(data.tobytes(order="C"))
 
 
-def read_tensors(path) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    off = 4
-    try:
-        version, count = struct.unpack_from("<II", blob, off)
-        off += 8
-        if version != VERSION:
-            raise CheckpointFormatError(f"unsupported format version {version}")
-        tensors = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-            off += 4 * rank
-            n = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
-            off += 4 * n
-            tensors[name] = arr.copy()
-    except (struct.error, ValueError) as exc:
-        raise CheckpointFormatError(f"truncated or corrupt checkpoint: {exc}")
+def _read_records(blob: bytes, off: int) -> dict:
+    (count,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    tensors = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        off += 2
+        name = blob[off:off + nlen].decode("utf-8")
+        off += nlen
+        (rank,) = struct.unpack_from("<B", blob, off)
+        off += 1
+        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
+        off += 4 * rank
+        n = int(np.prod(dims)) if rank else 1
+        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
+        off += 4 * n
+        tensors[name] = arr.copy()
     return tensors
 
 
 def save_model(path, model: ForecastModel) -> None:
+    header = json.dumps({"config": asdict(model.config), "ssa_scale": model.ssa_scale})
     tensors = {name: p.data for name, p in model.parameters().items()}
-    cfg = model.config
-    for fname, _ in _CONFIG_FIELDS:
-        tensors[f"config/{fname}"] = np.asarray([float(getattr(cfg, fname))], dtype=np.float32)
-    tensors["config/ablation"] = np.asarray(
-        [float(ABLATIONS.index(cfg.ablation) + 1)], dtype=np.float32)
-    tensors["config/minute_covariate"] = np.asarray(
-        [1.0 if cfg.minute_covariate else 0.0], dtype=np.float32)
-    if model.ssa_scale is not None:
-        tensors["calib/ssa_scale"] = np.asarray([model.ssa_scale], dtype=np.float32)
     if model.norm_mean is not None:
         tensors["norm/mean"] = model.norm_mean
         tensors["norm/std"] = model.norm_std
-    write_tensors(path, tensors)
+    encoded = header.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(encoded)) + encoded)
+        _write_records(fh, tensors)
+
+
+def _config_from_header(header) -> tuple:
+    """(ModelConfig, ssa_scale) from a v2 header; keys and value types must match."""
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    values = header.get("config") if isinstance(header, dict) else None
+    if (not isinstance(values, dict) or values.keys() != kinds.keys()
+            or header.keys() != {"config", "ssa_scale"}):
+        raise CheckpointFormatError(
+            "header must hold 'ssa_scale' and a 'config' of exactly the ModelConfig fields")
+    for name, kind in kinds.items():
+        v = values[name]
+        if type(v) is not kind and not (kind is float and type(v) is int):
+            raise CheckpointFormatError(f"header config field {name} must be {kind.__name__}, "
+                                        f"got {v!r}")
+    scale = header["ssa_scale"]
+    if scale is not None and type(scale) is not float:
+        raise CheckpointFormatError(f"header ssa_scale must be a float or null, got {scale!r}")
+    return ModelConfig(**values), scale
+
+
+def _config_from_v1(tensors: dict) -> tuple:
+    """(ModelConfig, ssa_scale) from the `config/*` and `calib/*` tensors of v1."""
+    values = {}
+    for f in fields(ModelConfig):
+        key = f"config/{f.name}"
+        if key not in tensors:
+            raise CheckpointFormatError(f"missing config tensor '{key}'")
+        v, kind = tensors[key][0], type(f.default)
+        if kind is str:  # the one string field, ablation, was stored as its index
+            values[f.name] = ABLATIONS[int(v) - 1]
+        elif kind is bool:
+            values[f.name] = bool(v > 0.5)
+        else:
+            values[f.name] = kind(v)
+    scale = tensors.get("calib/ssa_scale")
+    return ModelConfig(**values), None if scale is None else float(scale[0])
+
+
+def _parse(blob: bytes) -> tuple:
+    """(ModelConfig, ssa_scale, tensors) from a v1 or v2 checkpoint."""
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version == 1:
+        tensors = _read_records(blob, 8)
+        return (*_config_from_v1(tensors), tensors)
+    if version != VERSION:
+        raise CheckpointFormatError(f"unsupported format version {version}")
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    end = 12 + header_len
+    config, scale = _config_from_header(json.loads(blob[12:end].decode("utf-8")))
+    return config, scale, _read_records(blob, end)
 
 
 def load_model(path) -> ForecastModel:
-    tensors = read_tensors(path)
-    kwargs = {}
-    for fname, cast in _CONFIG_FIELDS:
-        key = f"config/{fname}"
-        if key not in tensors:
-            raise CheckpointFormatError(f"missing config tensor '{key}'")
-        kwargs[fname] = cast(tensors[key][0])
-    kwargs["ablation"] = ABLATIONS[int(tensors["config/ablation"][0]) - 1]
-    kwargs["minute_covariate"] = bool(tensors["config/minute_covariate"][0] > 0.5)
-    model = ForecastModel(ModelConfig(**kwargs))
-    params = model.parameters()
-    for name, p in params.items():
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != MAGIC:
+        raise CheckpointFormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
+    try:
+        config, ssa_scale, tensors = _parse(blob)
+        config.validate()
+    except CheckpointFormatError:
+        raise
+    except (struct.error, ValueError, IndexError) as exc:
+        raise CheckpointFormatError(f"truncated or corrupt checkpoint: {exc}") from exc
+    model = ForecastModel(config)
+    for name, p in model.parameters().items():
         if name not in tensors:
             raise CheckpointFormatError(f"missing parameter tensor '{name}'")
         if tuple(tensors[name].shape) != tuple(p.data.shape):
             raise CheckpointFormatError(
                 f"parameter '{name}' has shape {tensors[name].shape}, expected {p.data.shape}")
         p.data = tensors[name].astype(np.float32)
-    if "calib/ssa_scale" in tensors:
-        model.ssa_scale = float(tensors["calib/ssa_scale"][0])
+    if ssa_scale is not None:
+        model.ssa_scale = ssa_scale
     if "norm/mean" in tensors:
         model.set_norm_stats(tensors["norm/mean"], tensors["norm/std"])
     return model

@@ -1,9 +1,25 @@
 """Command-line front end.
 
-Subcommands: train, eval, predict, ablate, sweep-ts, energy.  Configuration
-comes from flags plus an optional key=value config file; flags override the
-file, unknown keys are rejected, and the resolved configuration is echoed
-into the output directory for reproducibility.
+Subcommands and the flags each takes:
+
+    train      model flags, --config, --data, --synth-steps, --out
+    ablate     as train, plus --seeds
+    sweep-ts   as train, plus --ts-values
+    eval       CHECKPOINT, --data, --synth-steps
+    predict    CHECKPOINT OUT_FILE, --data, --synth-steps
+    energy     CHECKPOINT, --data, --synth-steps, --out, --batch, --e-mac, --e-ac
+
+The model flags and the config-file keys are derived from the fields of
+`ModelConfig`: one flag per field, spelled `--<field-name>` with dashes
+except `--nodes` (n_nodes) and `--input-len` (t_in), and one `key = value`
+line per field name in the file given by `--config`.  minute_covariate has
+no flag; training sets it from the data's sample rate.  A flag given on the
+command line overrides the file, the file overrides the defaults, and an
+unknown key is an error.  `train`, `ablate` and `sweep-ts` write the resolved
+configuration to `run_config.txt` in the output directory, in exactly the
+form `--config` accepts; run extras such as the data source go on `#` comment
+lines.  `eval`, `predict` and `energy` take their configuration from the
+checkpoint.
 """
 
 from __future__ import annotations
@@ -12,7 +28,7 @@ import argparse
 import csv
 import statistics
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,70 +39,61 @@ from .energy import OpCounter, estimate_energy, write_report_csv, write_report_t
 from .errors import ContractError
 from .model import ABLATIONS, ForecastModel, ModelConfig, evaluate, train
 
-_CONFIG_TYPES = {name: type(getattr(ModelConfig(), name)) for name in asdict(ModelConfig())}
 
-_FLAG_ALIASES = {
-    "nodes": "n_nodes",
-    "input_len": "t_in",
-    "horizon": "horizon",
-}
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    defaults = ModelConfig()
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value config file; flags override it")
+# one caster per ModelConfig field type, shared by flags and config-file values
+_CASTERS = {int: int, float: float, str: str, bool: _parse_bool}
+
+
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", type=str, default="synthetic",
                    help="dataset CSV path, or 'synthetic'")
     p.add_argument("--synth-steps", type=int, default=2000,
                    help="length of the synthetic series")
+
+
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, --out, the data flags and one flag per ModelConfig field.
+
+    Field flags default to SUPPRESS, so only the flags actually given appear
+    in the parsed namespace and override the config file.
+    """
+    p.add_argument("--config", type=str, default=None,
+                   help="key=value config file; flags override it")
+    _add_data_flags(p)
     p.add_argument("--out", type=str, default="runs/latest", help="output directory")
-    p.add_argument("--nodes", type=int, default=defaults.n_nodes, help="node count (synthetic)")
-    p.add_argument("--input-len", type=int, default=defaults.t_in, help="input window length T")
-    p.add_argument("--horizon", type=int, default=defaults.horizon, help="forecast horizon L")
-    p.add_argument("--emb-dim", type=int, default=defaults.emb_dim, help="node embedding width")
-    p.add_argument("--k1", type=int, default=defaults.k1, help="local sample budget")
-    p.add_argument("--k2", type=int, default=defaults.k2, help="semi-global sample budget")
-    p.add_argument("--d1", type=int, default=defaults.d1, help="hop-1 width")
-    p.add_argument("--d2", type=int, default=defaults.d2, help="hop-2 width")
-    p.add_argument("--h-dim", type=int, default=defaults.h_dim, help="LSTM hidden width")
-    p.add_argument("--d-k", type=int, default=defaults.d_k, help="attention key width")
-    p.add_argument("--ts", type=int, default=defaults.ts, help="SNN sub-steps per series step")
-    p.add_argument("--beta", type=float, default=defaults.beta, help="membrane decay")
-    p.add_argument("--u-th", type=float, default=defaults.u_th, help="firing threshold")
-    p.add_argument("--u-reset", type=float, default=defaults.u_reset, help="reset potential")
-    p.add_argument("--alpha", type=float, default=defaults.alpha, help="surrogate sharpness")
-    p.add_argument("--lam", type=float, default=defaults.lam, help="self-loop weight")
-    p.add_argument("--lr", type=float, default=defaults.lr, help="learning rate")
-    p.add_argument("--epochs", type=int, default=defaults.epochs, help="training epochs")
-    p.add_argument("--seed", type=int, default=defaults.seed, help="RNG seed")
-    p.add_argument("--ablation", type=str, default=defaults.ablation, choices=ABLATIONS,
-                   help="architecture variant")
-    p.add_argument("--batch-size", type=int, default=defaults.batch_size, help="batch size")
-    p.add_argument("--stride", type=int, default=defaults.stride, help="window stride")
-    p.add_argument("--max-batches", type=int, default=defaults.max_batches,
-                   help="cap on train batches per epoch (0 = all)")
+    for f in fields(ModelConfig):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if flag is not None:
+            p.add_argument(flag, dest=f.name, type=_CASTERS[type(f.default)],
+                           default=argparse.SUPPRESS,
+                           help=f"{f.metadata['help']} (default: {f.default})")
 
 
 def _read_config_file(path: str) -> dict:
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not sep:
             raise ContractError(f"{path}:{lineno}: expected key=value")
-        key, val = (s.strip() for s in line.split("=", 1))
-        key = _FLAG_ALIASES.get(key, key)
-        if key not in _CONFIG_TYPES:
+        if key not in kinds:
             raise ContractError(f"{path}:{lineno}: unknown config key '{key}'")
-        caster = _CONFIG_TYPES[key]
-        if caster is bool:
-            values[key] = val.lower() in ("1", "true", "yes")
-        elif caster is str:
-            values[key] = val
-        else:
-            values[key] = caster(val)
+        try:
+            values[key] = _CASTERS[kinds[key]](val)
+        except ValueError as exc:
+            raise ContractError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -94,43 +101,29 @@ def _build_config(args: argparse.Namespace) -> ModelConfig:
     cfg = ModelConfig()
     if args.config:
         cfg = replace(cfg, **_read_config_file(args.config))
-    overrides = {}
-    mapping = {
-        "n_nodes": "nodes", "t_in": "input_len", "horizon": "horizon",
-        "emb_dim": "emb_dim", "k1": "k1", "k2": "k2", "d1": "d1", "d2": "d2",
-        "h_dim": "h_dim", "d_k": "d_k", "ts": "ts", "beta": "beta",
-        "u_th": "u_th", "u_reset": "u_reset", "alpha": "alpha", "lam": "lam",
-        "lr": "lr", "epochs": "epochs", "seed": "seed", "ablation": "ablation",
-        "batch_size": "batch_size", "stride": "stride", "max_batches": "max_batches",
-    }
-    parser_defaults = vars(_default_args())
-    for field, flag in mapping.items():
-        value = getattr(args, flag)
-        if args.config and value == parser_defaults.get(flag) and field in _read_config_file(args.config):
-            continue  # keep the file value unless the flag was changed
-        overrides[field] = value
-    cfg = replace(cfg, **overrides)
+    given = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if hasattr(args, f.name)}
+    cfg = replace(cfg, **given)
     cfg.validate()
     return cfg
-
-
-def _default_args() -> argparse.Namespace:
-    p = argparse.ArgumentParser()
-    _add_config_flags(p)
-    return p.parse_args([])
 
 
 def _load_dataset(args: argparse.Namespace, cfg: ModelConfig) -> SeriesDataset:
     if args.data == "synthetic":
         return synth_generate(cfg.n_nodes, args.synth_steps, cfg.seed)
-    ds = load_csv(args.data)
-    return ds
+    return load_csv(args.data)
+
+
+def _load_checkpoint(args: argparse.Namespace):
+    """(model, dataset, windows), the data windowed by the checkpoint's own config."""
+    model = ckpt.load_model(args.checkpoint)
+    cfg = model.config
+    dataset = _load_dataset(args, cfg)
+    return model, dataset, make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
 
 
 def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> None:
-    lines = [f"{k} = {v}" for k, v in asdict(cfg).items()]
-    for k, v in (extra or {}).items():
-        lines.append(f"{k} = {v}")
+    lines = [f"# {k} = {v}" for k, v in (extra or {}).items()]
+    lines += [f"{k} = {v}" for k, v in asdict(cfg).items()]
     (outdir / "run_config.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -149,7 +142,7 @@ def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
     model = ForecastModel(cfg)
     log = None if quiet else (lambda e: print(
         f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f}"))
-    report, windows = train(model, dataset, cfg, log_fn=log)
+    report, windows = train(model, dataset, log_fn=log)
     return model, report, windows
 
 
@@ -174,21 +167,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = ckpt.load_model(args.checkpoint)
-    cfg = model.config
-    dataset = _load_dataset(args, cfg)
-    windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
-    r2, rse = evaluate(model, windows, windows.test_starts, cfg.batch_size)
+    model, _, windows = _load_checkpoint(args)
+    r2, rse = evaluate(model, windows, windows.test_starts, model.config.batch_size)
     print(f"R2 {r2:.6f}")
     print(f"RSE {rse:.6f}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = ckpt.load_model(args.checkpoint)
-    cfg = model.config
-    dataset = _load_dataset(args, cfg)
-    windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
+    model, dataset, windows = _load_checkpoint(args)
     start = windows.test_starts[-1] if windows.test_starts else 0
     batch = windows.batch([start])
     forecast = model.predict(batch)  # (L, N)
@@ -197,7 +184,7 @@ def cmd_predict(args) -> int:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp"] + list(dataset.node_names))
-        for step in range(cfg.horizon):
+        for step in range(model.config.horizon):
             iso = str(np.datetime_as_string(batch.target_times[0][step], unit="s")) + "+00:00"
             writer.writerow([iso] + [f"{v:.6f}" for v in forecast[step]])
     print(f"wrote {out}")
@@ -258,10 +245,7 @@ def cmd_sweep_ts(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    model = ckpt.load_model(args.checkpoint)
-    cfg = model.config
-    dataset = _load_dataset(args, cfg)
-    windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
+    model, _, windows = _load_checkpoint(args)
     starts = (windows.test_starts or windows.train_starts)[: args.batch]
     batch = windows.batch(starts)
     counter = OpCounter()
@@ -295,45 +279,38 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model and write a checkpoint",
-                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    _add_config_flags(p_train)
-    p_train.set_defaults(fn=cmd_train)
+    def command(name: str, help: str, fn) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(fn=fn)
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split",
-                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    _add_config_flags(command("train", "train a model and write a checkpoint", cmd_train))
+
+    p_eval = command("eval", "evaluate a checkpoint on the test split", cmd_eval)
     p_eval.add_argument("checkpoint", type=str)
-    _add_config_flags(p_eval)
-    p_eval.set_defaults(fn=cmd_eval)
+    _add_data_flags(p_eval)
 
-    p_pred = sub.add_parser("predict", help="write a forecast CSV from a checkpoint",
-                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_pred = command("predict", "write a forecast CSV from a checkpoint", cmd_predict)
     p_pred.add_argument("checkpoint", type=str)
     p_pred.add_argument("out_file", type=str)
-    _add_config_flags(p_pred)
-    p_pred.set_defaults(fn=cmd_predict)
+    _add_data_flags(p_pred)
 
-    p_abl = sub.add_parser("ablate", help="train W1-W4 and compare",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_abl = command("ablate", "train W1-W4 and compare", cmd_ablate)
     _add_config_flags(p_abl)
     p_abl.add_argument("--seeds", type=str, default="1,2,3", help="comma-separated seeds")
-    p_abl.set_defaults(fn=cmd_ablate)
 
-    p_sweep = sub.add_parser("sweep-ts", help="train across Ts values and compare",
-                             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_sweep = command("sweep-ts", "train across Ts values and compare", cmd_sweep_ts)
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--ts-values", type=str, default="4,8,12,16",
                          help="comma-separated Ts values")
-    p_sweep.set_defaults(fn=cmd_sweep_ts)
 
-    p_en = sub.add_parser("energy", help="count ops and estimate energy for a checkpoint",
-                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    p_en = command("energy", "count ops and estimate energy for a checkpoint", cmd_energy)
     p_en.add_argument("checkpoint", type=str)
-    _add_config_flags(p_en)
+    _add_data_flags(p_en)
+    p_en.add_argument("--out", type=str, default="runs/latest", help="output directory")
     p_en.add_argument("--batch", type=int, default=8, help="windows in the counted batch")
     p_en.add_argument("--e-mac", type=float, default=4.6, help="pJ per multiply-accumulate")
     p_en.add_argument("--e-ac", type=float, default=0.9, help="pJ per accumulate")
-    p_en.set_defaults(fn=cmd_energy)
 
     try:
         args = parser.parse_args(argv)

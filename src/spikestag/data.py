@@ -95,7 +95,7 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 
 
 def load_csv(path) -> SeriesDataset:
-    """Parse a schema CSV, validating regular spacing and numeric cells."""
+    """Parse a schema CSV, validating regular spacing and finite numeric cells."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -111,9 +111,13 @@ def load_csv(path) -> SeriesDataset:
                 raise IngestionError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
             times.append(_parse_timestamp(row[0], lineno))
             try:
-                rows.append([float(c) for c in row[1:]])
+                cells = [float(c) for c in row[1:]]
             except ValueError:
                 raise IngestionError(f"row {lineno}: non-numeric value")
+            for name, v in zip(names, cells):
+                if not math.isfinite(v):
+                    raise IngestionError(f"row {lineno}: non-finite value {v} in column '{name}'")
+            rows.append(cells)
     if len(rows) < 2:
         raise IngestionError("need at least 2 rows to infer the sample rate")
     epochs = np.array([int(t.timestamp()) for t in times], dtype=np.int64)
@@ -189,14 +193,6 @@ def make_windows(
     return sw
 
 
-def zscore(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return ((values - mean) / std).astype(np.float32)
-
-
-def inverse_zscore(values: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return values * std + mean
-
-
 def metric_rse(pred: np.ndarray, target: np.ndarray) -> float:
     """Root relative squared error over all nodes and steps jointly."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -230,6 +226,20 @@ def covariate_indices(times: np.ndarray):
     return minute.astype(np.intp), hour.astype(np.intp), dow.astype(np.intp)
 
 
+def _synth_edges(n_nodes: int, rng: np.random.Generator) -> set:
+    """Directed edge pairs of a ring plus `n_nodes // 2` random chords, both ways."""
+    edges = set()
+    for i in range(n_nodes):
+        edges.add((i, (i + 1) % n_nodes))
+        edges.add(((i + 1) % n_nodes, i))
+    for _ in range(n_nodes // 2):
+        a, b = rng.integers(0, n_nodes, size=2)
+        if a != b:
+            edges.add((int(a), int(b)))
+            edges.add((int(b), int(a)))
+    return edges
+
+
 def synth_generate(
     n_nodes: int,
     steps: int,
@@ -248,15 +258,7 @@ def synth_generate(
     if n_nodes < 2:
         raise ContractError("synth_generate: need at least 2 nodes")
     rng = np.random.default_rng(seed)
-    edges = set()
-    for i in range(n_nodes):
-        edges.add((i, (i + 1) % n_nodes))
-        edges.add(((i + 1) % n_nodes, i))
-    for _ in range(n_nodes // 2):
-        a, b = rng.integers(0, n_nodes, size=2)
-        if a != b:
-            edges.add((int(a), int(b)))
-            edges.add((int(b), int(a)))
+    edges = _synth_edges(n_nodes, rng)
     neighbors = [[j for (a, j) in edges if a == i] for i in range(n_nodes)]
 
     phase = rng.uniform(-0.8, 0.8, size=n_nodes)
@@ -281,15 +283,7 @@ def synth_generate(
 def synth_coupling_pairs(n_nodes: int, seed: int):
     """Recreate the coupled / uncoupled node pairs of synth_generate(seed)."""
     rng = np.random.default_rng(seed)
-    edges = set()
-    for i in range(n_nodes):
-        edges.add((i, (i + 1) % n_nodes))
-        edges.add(((i + 1) % n_nodes, i))
-    for _ in range(n_nodes // 2):
-        a, b = rng.integers(0, n_nodes, size=2)
-        if a != b:
-            edges.add((int(a), int(b)))
-            edges.add((int(b), int(a)))
+    edges = _synth_edges(n_nodes, rng)
     coupled = {(a, b) for (a, b) in edges if a < b}
     uncoupled = {(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)} - coupled
     return sorted(coupled), sorted(uncoupled)

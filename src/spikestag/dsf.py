@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ShapeError
-from .spiking import LifParams, LifState, SpikeTrain, lif_step
+from .spiking import LifParams, SpikeTrain, lif_over_frames
 
 
 @dataclass
@@ -150,20 +150,6 @@ def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
     return ag.stack(outs, axis=time_axis)
 
 
-def _lif_layer(potentials: Tensor, lif: LifParams) -> Tensor:
-    """LIF over the frame axis (axis -3), state carried across frames."""
-    t_frames = potentials.shape[-3]
-    time_axis = potentials.data.ndim - 3
-    state_shape = potentials.shape[:-3] + potentials.shape[-2:]
-    state = LifState(Tensor(np.zeros(state_shape, dtype=potentials.data.dtype),
-                            dtype=potentials.data.dtype))
-    frames = []
-    for t in range(t_frames):
-        s, state = lif_step(lif, state, ag.select_index(potentials, t, axis=time_axis))
-        frames.append(s)
-    return ag.stack(frames, axis=time_axis)
-
-
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V over the frame axis, per node.
 
@@ -192,7 +178,7 @@ def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams, counter=None,
     projections = {}
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
         pot = ag.matmul(x, w)
-        projections[name] = _lif_layer(pot, lif)
+        projections[name] = lif_over_frames(pot, lif)
         if counter is not None:
             counter.add_spike_proj(f"{layer}.{name}", event_count=float(x.data.sum()),
                                    fanout=params.d_k,

@@ -11,7 +11,7 @@ Ablations select what happens after the spiking aggregation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,37 +29,46 @@ ABLATIONS = ("W1", "W2", "W3", "W4")
 COV_WIDTH = 4
 
 
+def _field(default, help: str, **meta):
+    """A config field with CLI `help` text and, optionally, its `flag` spelling (None: no flag)."""
+    return field(default=default, metadata={"help": help, **meta})
+
+
 @dataclass
 class ModelConfig:
-    n_nodes: int = 8
-    t_in: int = 64
-    horizon: int = 3
-    emb_dim: int = 16
-    k1: int = 4
-    k2: int = 4
-    d1: int = 32
-    d2: int = 32
-    h_dim: int = 64
-    d_k: int = 32
-    ts: int = 4
-    beta: float = 0.5
+    """Every hyperparameter of a run; the CLI flags, config-file keys and
+    checkpoint header are all derived from these fields."""
+
+    n_nodes: int = _field(8, "node count (synthetic data; a CSV sets its own)", flag="--nodes")
+    t_in: int = _field(64, "input window length T", flag="--input-len")
+    horizon: int = _field(3, "forecast horizon L")
+    emb_dim: int = _field(16, "node embedding width")
+    k1: int = _field(4, "local sample budget")
+    k2: int = _field(4, "semi-global sample budget")
+    d1: int = _field(32, "hop-1 width")
+    d2: int = _field(32, "hop-2 width")
+    h_dim: int = _field(64, "LSTM hidden width")
+    d_k: int = _field(32, "attention key width")
+    ts: int = _field(4, "SNN sub-steps per series step")
+    beta: float = _field(0.5, "membrane decay")
     # model-level threshold sits below the (-1, 1) LSTM hidden range so the
     # re-encoded attention branch keeps firing; the neuron-module default of
     # 1.0 would silence it
-    u_th: float = 0.25
-    u_reset: float = 0.0
-    alpha: float = 2.0
+    u_th: float = _field(0.25, "firing threshold")
+    u_reset: float = _field(0.0, "reset potential")
+    alpha: float = _field(2.0, "surrogate sharpness")
     # the pruning threshold divides by the self-loop weight, which caps the
     # candidate count below 1 + lam; 4.0 keeps two-hop sampling non-degenerate
-    lam: float = 4.0
-    lr: float = 1e-3
-    epochs: int = 6
-    seed: int = 1
-    ablation: str = "W4"
-    batch_size: int = 16
-    stride: int = 1
-    max_batches: int = 24
-    minute_covariate: bool = False
+    lam: float = _field(4.0, "self-loop weight")
+    lr: float = _field(1e-3, "learning rate")
+    epochs: int = _field(6, "training epochs")
+    seed: int = _field(1, "RNG seed")
+    ablation: str = _field("W4", f"architecture variant, one of {', '.join(ABLATIONS)}")
+    batch_size: int = _field(16, "batch size")
+    stride: int = _field(1, "window stride")
+    max_batches: int = _field(24, "cap on train batches per epoch (0 = all)")
+    minute_covariate: bool = _field(False, "minute-of-hour covariate; set from the data's "
+                                    "sample rate", flag=None)
 
     def validate(self) -> None:
         if self.ablation not in ABLATIONS:
@@ -322,10 +331,6 @@ class TrainReport:
     test_r2: float = float("nan")
     test_rse: float = float("nan")
 
-    @property
-    def final_loss(self) -> float:
-        return self.epochs[-1].loss if self.epochs else float("nan")
-
 
 def _batched_starts(starts: list, batch_size: int):
     for i in range(0, len(starts), batch_size):
@@ -352,16 +357,23 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     return ag.tmean(ag.mul(diff, diff))
 
 
-def train(model: ForecastModel, dataset: SeriesDataset, config: ModelConfig | None = None,
-          log_fn=None) -> tuple:
+def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
     """Fit the model on the dataset; returns (TrainReport, SplitWindows).
 
     Minimizes MSE on z-score normalized targets with Adam, clips the global
     gradient norm at 1.0, evaluates de-normalized R2/RSE on the validation
     split each epoch and aborts with a diagnostic if any parameter goes
-    non-finite.  Deterministic for a fixed config seed.
+    non-finite.  Deterministic for a fixed config seed.  Raises ContractError
+    before the first step when a node's local sample set is empty.
     """
-    cfg = config or model.config
+    cfg = model.config
+    empty = sum(not s for s in model.build_graph().samples_local)
+    if empty:
+        raise ContractError(
+            f"{empty} of {cfg.n_nodes} nodes have an empty local sample set "
+            f"(N={cfg.n_nodes}, lam={cfg.lam}, k1={cfg.k1}); pruning keeps fewer than "
+            f"1+lam candidates per node, so MSSA would aggregate nothing for them. "
+            f"Raise lam (roughly N/2) or k1.")
     windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
     model.set_norm_stats(windows.mean, windows.std)
     params = model.parameters()

@@ -26,7 +26,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError
 from .graph import AdaptiveGraph, padded_index_mask
-from .spiking import LifParams, LifState, SpikeTrain, encode_sequence, lif_step
+from .spiking import LifParams, SpikeTrain, encode_sequence, lif_over_frames
 
 
 @dataclass
@@ -78,25 +78,6 @@ def dense_oracle_aggregate(x_bin, mask_matrix, w) -> np.ndarray:
     return (m @ x) @ ww
 
 
-def _lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
-    """Run an LIF layer across the frame axis (axis -3 is time here).
-
-    `potentials` is (..., T_frames, N, d); the neuron state is (..., N, d) and
-    carries across the whole sequence starting from zero.
-    """
-    t_frames = potentials.shape[-3]
-    state_shape = potentials.shape[:-3] + potentials.shape[-2:]
-    state = LifState(Tensor(np.zeros(state_shape, dtype=potentials.data.dtype),
-                            dtype=potentials.data.dtype))
-    frames = []
-    time_axis = potentials.data.ndim - 3
-    for t in range(t_frames):
-        i_t = ag.select_index(potentials, t, axis=time_axis)
-        s, state = lif_step(lif, state, i_t)
-        frames.append(s)
-    return ag.stack(frames, axis=time_axis)
-
-
 def _hop(
     spikes: Tensor,
     sets: list,
@@ -110,7 +91,7 @@ def _hop(
     idx, valid = padded_index_mask(sets, n)
     summed = ag.gather_sum(spikes, idx, valid, axis=spikes.data.ndim - 2)
     potentials = ag.matmul(summed, w)
-    out = _lif_over_frames(potentials, lif)
+    out = lif_over_frames(potentials, lif)
     if counter is not None:
         active_gathered = float((np.take(spikes.data, idx, axis=spikes.data.ndim - 2)
                                  * valid[:, :, None]).sum())

@@ -74,9 +74,6 @@ class SpikeTrain:
     def shape(self):
         return self.values.shape
 
-    def rate(self) -> float:
-        return float(self.values.data.mean())
-
     def check_binary(self) -> bool:
         d = self.values.data
         return bool(np.all((d == 0.0) | (d == 1.0)))
@@ -132,6 +129,23 @@ def lif_step(params: LifParams, state: LifState, input_current: Tensor):
     s = heaviside_surrogate(u, alpha=params.alpha, shift=params.u_th)
     h_next = _reset_blend(u, s, params.beta, params.u_reset)
     return s, LifState(h_next)
+
+
+def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
+    """Run an LIF layer across the frame axis (axis -3 is time here).
+
+    `potentials` is (..., T_frames, N, d); the neuron state is (..., N, d) and
+    carries across the whole sequence starting from zero.
+    """
+    t_frames = potentials.shape[-3]
+    state = LifState.zeros(potentials.shape[:-3] + potentials.shape[-2:],
+                           dtype=potentials.data.dtype)
+    frames = []
+    time_axis = potentials.data.ndim - 3
+    for t in range(t_frames):
+        s, state = lif_step(lif, state, ag.select_index(potentials, t, axis=time_axis))
+        frames.append(s)
+    return ag.stack(frames, axis=time_axis)
 
 
 def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:

@@ -56,6 +56,16 @@ class TestLoadCsv:
             load_csv(path)
         assert "row 3" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path, [
+            "2024-01-01T00:00:00+00:00,1,2",
+            "2024-01-01T01:00:00+00:00,3,4",
+            f"2024-01-01T02:00:00+00:00,5,{cell}",
+        ])
+        with pytest.raises(IngestionError, match=r"row 4: non-finite .* column 'b'"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = write_csv(tmp_path, [
             "2024-01-01T00:00:00+00:00,1,2",

@@ -124,7 +124,7 @@ class TestTraining:
         ds = SeriesDataset(times, values, 3600, [f"n{i}" for i in range(6)])
         cfg = replace(TINY, epochs=4, max_batches=8, batch_size=8)
         model = ForecastModel(cfg)
-        report, windows = train(model, ds, cfg)
+        report, windows = train(model, ds)
         batch = windows.batch(windows.test_starts[:1] or windows.train_starts[:1])
         pred = model.predict(batch)
         rel = np.abs(pred - values[0]) / np.abs(values[0])
@@ -134,7 +134,7 @@ class TestTraining:
         cfg = replace(TINY, lr=0.0, epochs=1)
         model = ForecastModel(cfg)
         before = {k: v.data.copy() for k, v in model.parameters().items()}
-        train(model, tiny_dataset(), cfg)
+        train(model, tiny_dataset())
         for k, v in model.parameters().items():
             assert np.array_equal(before[k], v.data), k
 
@@ -143,7 +143,7 @@ class TestTraining:
         for _ in range(2):
             cfg = replace(TINY, epochs=2)
             model = ForecastModel(cfg)
-            report, _ = train(model, tiny_dataset(), cfg)
+            report, _ = train(model, tiny_dataset())
             logs.append([(e.loss, e.r2, e.rse) for e in report.epochs])
         assert logs[0] == logs[1]
 
@@ -151,14 +151,24 @@ class TestTraining:
         cfg = replace(TINY, lr=1e12, epochs=1)
         model = ForecastModel(cfg)
         with pytest.raises(DivergenceError) as exc:
-            train(model, tiny_dataset(), cfg)
+            train(model, tiny_dataset())
         assert exc.value.param_name in model.parameters()
 
     def test_loss_decreases_on_synthetic(self):
         cfg = replace(TINY, epochs=3, max_batches=6, batch_size=8)
         model = ForecastModel(cfg)
-        report, _ = train(model, tiny_dataset(steps=400), cfg)
+        report, _ = train(model, tiny_dataset(steps=400))
         assert report.epochs[-1].loss <= report.epochs[0].loss
+
+    def test_empty_local_sets_refused_before_training(self):
+        # at N=32 the default lam=4 empties every local sample set; building
+        # the model still succeeds so that callers can inspect the graph
+        cfg = replace(TINY, n_nodes=32, lam=4.0)
+        model = ForecastModel(cfg)
+        before = {k: v.data.copy() for k, v in model.parameters().items()}
+        with pytest.raises(ContractError, match=r"N=32, lam=4\.0, k1=4\).*1\+lam"):
+            train(model, tiny_dataset(nodes=32))
+        assert all(np.array_equal(before[k], v.data) for k, v in model.parameters().items())
 
     def test_all_live_params_receive_gradients(self):
         """Every parameter except the sampling-only embeddings gets a gradient
