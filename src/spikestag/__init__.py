@@ -2,7 +2,7 @@
 
 from .autograd import Tensor, backward, grad_check, no_grad
 from .model import ForecastModel, ModelConfig, train
-from .spiking import LifParams, LifState, SpikeTrain
+from .spiking import LifParams, SpikeTrain
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "ModelConfig",
     "train",
     "LifParams",
-    "LifState",
     "SpikeTrain",
     "__version__",
 ]

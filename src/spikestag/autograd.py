@@ -13,9 +13,11 @@ transpose.  There is no general broadcasting engine; binary ops allow the
 usual numpy broadcast and un-broadcast the gradient by summing over expanded
 axes, which covers bias addition and scalar scaling.
 
-A custom-gradient hook (`custom_unary`) lets the spiking module register a
-Heaviside forward with a surrogate backward; such nodes are flagged so that
-`grad_check` can refuse to finite-difference through them.
+Modules with a hand-written multi-step backward (the fused LIF and LSTM
+recurrences) build their node with `_result` and test `is_recording` first,
+so that without a tape they keep no buffers for the backward.  Nodes whose
+backward is a surrogate rather than the true derivative are flagged custom,
+so that `grad_check` can refuse to finite-difference through them.
 """
 
 from __future__ import annotations
@@ -131,13 +133,24 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
 
 
+def is_recording(*parents: Tensor) -> bool:
+    """True if an op on `parents` records a tape node (grad on, some parent needs it)."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
+def observe_matmul(shape_a, shape_b) -> None:
+    """Report a matmul done outside `matmul` to the instrumentation hook, if any."""
+    if _MATMUL_OBSERVER is not None:
+        _MATMUL_OBSERVER(shape_a, shape_b)
+
+
 def _result(data, parents: tuple, backward_fn, op: str, custom: bool = False) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
     out._custom = custom
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if is_recording(*parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -275,8 +288,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             data = np.matmul(ad, bd)
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape)
-    if _MATMUL_OBSERVER is not None:
-        _MATMUL_OBSERVER(ad.shape, bd.shape)
+    observe_matmul(ad.shape, bd.shape)
 
     def bw(g):
         if flat:
@@ -541,25 +553,6 @@ def masked_fill(a: Tensor, mask, value: float) -> Tensor:
         a._accum_own(np.where(mask, 0.0, g).astype(a.data.dtype, copy=False))
 
     return _result(data, (a,), bw, "masked_fill")
-
-
-# -- custom-gradient hook -----------------------------------------------------
-
-
-def custom_unary(a: Tensor, forward: Callable, grad_fn: Callable, name: str) -> Tensor:
-    """Register a unary op whose backward is hand-supplied (e.g. a surrogate).
-
-    `forward(x_ndarray) -> ndarray`, `grad_fn(x_ndarray) -> ndarray` (the local
-    derivative the incoming gradient is multiplied with).  The node is flagged
-    as custom so grad_check refuses graphs containing it.
-    """
-    x = a.data
-    data = forward(x)
-
-    def bw(g):
-        a._accum_own(g * grad_fn(x))
-
-    return _result(data, (a,), bw, name, custom=True)
 
 
 # -- backward pass ------------------------------------------------------------

@@ -18,8 +18,10 @@ command line overrides the file, the file overrides the defaults, and an
 unknown key is an error.  `train`, `ablate` and `sweep-ts` write the resolved
 configuration to `run_config.txt` in the output directory, in exactly the
 form `--config` accepts; run extras such as the data source go on `#` comment
-lines.  `eval`, `predict` and `energy` take their configuration from the
-checkpoint.
+lines, and `train` on synthetic data also records `# synth_steps`.  `eval`,
+`predict` and `energy` take their configuration from the checkpoint; on
+synthetic data they need `--synth-steps` (no default), since the series
+length is in neither the checkpoint nor the config.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ def _parse_bool(text: str) -> bool:
 _CASTERS = {int: int, float: float, str: str, bool: _parse_bool}
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser, synth_steps: int | None = None) -> None:
+    """--data and --synth-steps; without a default, synthetic data needs the flag."""
     p.add_argument("--data", type=str, default="synthetic",
                    help="dataset CSV path, or 'synthetic'")
-    p.add_argument("--synth-steps", type=int, default=2000,
-                   help="length of the synthetic series")
+    p.add_argument("--synth-steps", type=int, default=synth_steps,
+                   help="length of the synthetic series"
+                        + ("" if synth_steps else " (required with synthetic data)"))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -68,7 +72,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """
     p.add_argument("--config", type=str, default=None,
                    help="key=value config file; flags override it")
-    _add_data_flags(p)
+    _add_data_flags(p, synth_steps=2000)
     p.add_argument("--out", type=str, default="runs/latest", help="output directory")
     for f in fields(ModelConfig):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
@@ -109,6 +113,9 @@ def _build_config(args: argparse.Namespace) -> ModelConfig:
 
 def _load_dataset(args: argparse.Namespace, cfg: ModelConfig) -> SeriesDataset:
     if args.data == "synthetic":
+        if args.synth_steps is None:
+            raise ContractError("synthetic data needs --synth-steps, the series length the "
+                                "model was trained on (the synth_steps line of run_config.txt)")
         return synth_generate(cfg.n_nodes, args.synth_steps, cfg.seed)
     return load_csv(args.data)
 
@@ -157,7 +164,10 @@ def cmd_train(args) -> int:
     model, report, _ = _train_once(dataset, cfg)
     ckpt.save_model(outdir / "checkpoint.stag", model)
     _write_metrics_csv(outdir / "metrics.csv", report)
-    _echo_config(model.config, outdir, {"data": args.data})
+    extra = {"data": args.data}
+    if args.data == "synthetic":
+        extra["synth_steps"] = args.synth_steps
+    _echo_config(model.config, outdir, extra)
     summary = (f"test_r2 = {report.test_r2:.6f}\n"
                f"test_rse = {report.test_rse:.6f}\n")
     (outdir / "summary.txt").write_text(summary)

@@ -108,6 +108,111 @@ class GateParams:
         return {"w_g": self.w_g, "bias": self.bias}
 
 
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    """out = sigmoid(x) with the float operations of `autograd.sigmoid`."""
+    half = np.asarray(0.5, dtype=x.dtype)
+    np.multiply(x, half, out=out)
+    np.tanh(out, out=out)
+    out *= half
+    out += half
+
+
+def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
+    """Views of the (i, f, g, o) blocks along the last axis of a (..., 4h) array."""
+    return [arr[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
+
+
+def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
+    """LSTM recurrence over the frame axis (-3) as one tape node.
+
+    `gates_x` holds the input-side pre-activations x W_x + b, (..., T, N, 4h)
+    in gate order (i, f, g, o); `wh` is the fused (h, 4h) recurrent weight.
+    States start at zero.  The forward repeats the float operations of the
+    per-frame cell, so hidden states are bit-identical to it.  The recorded
+    node keeps the gate activations, the cell states and the output; with no
+    tape it keeps only the output.  The backward runs one dG W_h^T product
+    per frame and forms dW_h as a single H_prev^T dG product over all frames.
+    """
+    gx = gates_x.data
+    axis = gx.ndim - 3
+    h_dim = wh.shape[0]
+    whd = wh.data
+    record = ag.is_recording(gates_x, wh)
+    hidden = np.empty(gx.shape[:-1] + (h_dim,), dtype=gx.dtype)
+    acts = np.empty_like(gx) if record else None
+    cells = np.empty_like(hidden) if record else None
+    frames = lambda arr: np.moveaxis(arr, axis, 0)
+    gx_f, h_f = frames(gx), frames(hidden)
+    acts_f = frames(acts) if record else None
+    cells_f = frames(cells) if record else None
+    state_shape = h_f.shape[1:]
+    h = np.zeros(state_shape, dtype=gx.dtype)
+    c = np.zeros(state_shape, dtype=gx.dtype)
+    for t in range(len(gx_f)):
+        ag.observe_matmul(h.shape, whd.shape)
+        g = gx_f[t] + (h.reshape(-1, h_dim) @ whd).reshape(state_shape[:-1] + (4 * h_dim,))
+        act = acts_f[t] if record else np.empty_like(g)
+        _sigmoid_into(g[..., :2 * h_dim], act[..., :2 * h_dim])
+        np.tanh(g[..., 2 * h_dim:3 * h_dim], out=act[..., 2 * h_dim:3 * h_dim])
+        _sigmoid_into(g[..., 3 * h_dim:], act[..., 3 * h_dim:])
+        i_g, f_g, g_g, o_g = _gate_blocks(act, h_dim)
+        c = f_g * c + i_g * g_g
+        h = o_g * np.tanh(c)
+        h_f[t] = h
+        if record:
+            cells_f[t] = c
+
+    def bw(g_h):
+        # per frame, so each frame's gates stay in cache while all of their
+        # factors are formed (full-array passes were slower, being bound by
+        # memory bandwidth)
+        d_gates = np.empty_like(acts)
+        dg = np.empty(state_shape[:-1] + (4 * h_dim,), dtype=gx.dtype)
+        dg_flat = dg.reshape(-1, 4 * h_dim)
+        dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
+        d_i, d_f, d_g, d_o = _gate_blocks(dg, h_dim)
+        tmp = np.empty(state_shape, dtype=gx.dtype)
+        dh = np.zeros(state_shape, dtype=gx.dtype)   # carries dG_{t+1} W_h^T
+        dc = np.zeros(state_shape, dtype=gx.dtype)   # carries dc_{t+1} * f_{t+1}
+        g_h_f, dg_f = frames(g_h), frames(d_gates)
+        wh_t = whd.T
+        for t in range(len(dg_f) - 1, -1, -1):
+            act = acts_f[t]
+            i_a, f_a, g_a, o_a = _gate_blocks(act, h_dim)
+            tanh_c = np.tanh(cells_f[t])
+            dh += g_h_f[t]
+            np.multiply(tanh_c, tanh_c, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= o_a
+            tmp *= dh
+            dc += tmp
+            # local derivatives: sigmoid' = s (1 - s) on i, f, o; tanh' = 1 - g^2
+            np.subtract(1.0, act, out=dg)
+            dg *= act
+            np.multiply(g_a, g_a, out=d_g)
+            np.subtract(1.0, d_g, out=d_g)
+            d_i *= g_a
+            d_g *= i_a
+            if t > 0:
+                d_f *= cells_f[t - 1]
+            else:
+                d_f[...] = 0.0
+            dg_ifg *= dc[..., None, :]
+            d_o *= tanh_c
+            d_o *= dh
+            dg_f[t] = dg
+            dh = (dg_flat @ wh_t).reshape(state_shape)
+            dc *= f_a
+        if wh.requires_grad:
+            h_prev = np.zeros_like(hidden)
+            frames(h_prev)[1:] = h_f[:-1]
+            wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_gates.reshape(-1, 4 * h_dim))
+        if gates_x.requires_grad:
+            gates_x._accum_own(d_gates)
+
+    return ag._result(hidden, (gates_x, wh), bw, "lstm")
+
+
 def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
                  layer: str = "lstm") -> Tensor:
     """Standard LSTM recurrence over (..., T_frames, N, d_in) spike frames.
@@ -116,29 +221,14 @@ def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
     frame, shape (..., T_frames, N, h_dim).
     """
     x = s.values if isinstance(s, SpikeTrain) else s
-    t_frames = x.shape[-3]
     h_dim = params.hidden
-    time_axis = x.data.ndim - 3
 
     wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
 
     gates_x = ag.add(ag.matmul(x, wx), b)  # (..., T, N, 4h)
-
-    state_shape = x.shape[:-3] + (x.shape[-2], h_dim)
-    h = Tensor(np.zeros(state_shape, dtype=x.data.dtype), dtype=x.data.dtype)
-    c = Tensor(np.zeros(state_shape, dtype=x.data.dtype), dtype=x.data.dtype)
-    outs = []
-    for t in range(t_frames):
-        g = ag.add(ag.select_index(gates_x, t, axis=time_axis), ag.matmul(h, wh))
-        i_g = ag.sigmoid(ag.narrow(g, -1, 0, h_dim))
-        f_g = ag.sigmoid(ag.narrow(g, -1, h_dim, h_dim))
-        g_g = ag.tanh(ag.narrow(g, -1, 2 * h_dim, h_dim))
-        o_g = ag.sigmoid(ag.narrow(g, -1, 3 * h_dim, h_dim))
-        c = ag.add(ag.mul(f_g, c), ag.mul(i_g, g_g))
-        h = ag.mul(o_g, ag.tanh(c))
-        outs.append(h)
+    out = _lstm(gates_x, wh)
     if counter is not None:
         d_in = x.shape[-1]
         positions = int(np.prod(x.data.shape[:-1]))
@@ -147,7 +237,7 @@ def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
                                dense_in=d_in, dense_out=4 * h_dim)
         counter.observe_spikes(layer + ".input", x.data)
         counter.add_dense(layer + ".recurrent", macs=positions * h_dim * 4 * h_dim)
-    return ag.stack(outs, axis=time_axis)
+    return out
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:

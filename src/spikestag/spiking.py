@@ -6,8 +6,8 @@ The neuron follows the discrete update
     S[t] = step(U[t] - u_th)
     H[t] = beta * U[t] * (1 - S[t]) + u_reset * S[t]
 
-with step(0) = 1 (firing exactly at threshold counts).  During backward the
-step function uses the arctan-family surrogate derivative
+with step(0) = 1 (firing exactly at threshold counts) and H[-1] = 0.  During
+backward the step function uses the arctan-family surrogate derivative
 
     g(x) = alpha / (2 * (1 + ((pi/2) * alpha * x)^2))
 
@@ -15,9 +15,22 @@ which is bounded, even, peaks at alpha/2 and integrates to 1, i.e. it is the
 derivative of a sigmoid-shaped function.  The reset path keeps its (1 - S)
 factor inside the graph, so gradients flow through the surrogate there too.
 
+Every LIF layer runs multi-step: one call loops over all frames in numpy and
+records a single tape node (flagged custom, since its backward is a
+surrogate).  The node keeps the membrane potentials U and the spikes S; with
+no tape it keeps nothing.  Its backward is closed-form backpropagation
+through time.  With gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
+
+    gh[t-1] = dL/dU[t] = dL/dI[t] = a_t * gh[t] + b_t
+    a_t = beta * (1 - S[t]) + (u_reset - beta * U[t]) * g_t
+    b_t = dL/dS[t] * g_t
+
+where a_t and b_t are computed for all frames before the backward loop.
+
 `spike_encode` aligns one series step with `ts` SNN sub-steps by driving a
 fresh LIF neuron with the constant hidden value for `ts` steps, emitting one
-binary frame per sub-step (so a window of length T becomes T*ts frames).
+binary frame per sub-step (so a window of length T becomes T*ts frames);
+its input gradient is the sum of dL/dI over the sub-steps.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -49,17 +62,6 @@ class LifParams:
             raise ContractError("LifParams: u_th must exceed u_reset")
         if not self.alpha > 0:
             raise ContractError("LifParams: alpha must be positive")
-
-
-@dataclass
-class LifState:
-    """Carried membrane internal state H, same shape as the input current."""
-
-    h: Tensor
-
-    @classmethod
-    def zeros(cls, shape, dtype=np.float32) -> "LifState":
-        return cls(Tensor(np.zeros(shape, dtype=dtype), dtype=dtype))
 
 
 class SpikeTrain:
@@ -85,50 +87,64 @@ def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
     return (alpha / 2.0) / (1.0 + (c * x) ** 2)
 
 
-def heaviside_surrogate(x: Tensor, alpha: float = 2.0, shift: float = 0.0) -> Tensor:
-    """Step function forward (step(0) = 1), surrogate derivative backward.
+def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
+    """Multi-step LIF from a zero state, recorded as one custom tape node.
 
-    With `shift` the op computes step(x - shift) in one node, which the LIF
-    update uses to avoid materializing the shifted membrane tensor.
+    With `steps` None, `x` is (..., T, N, d) per-frame input and the output has
+    the same shape; otherwise `x` is a constant input repeated for `steps`
+    frames and the output gains a leading frame axis.  The forward repeats the
+    float32 operations of the per-step update, so spikes are bit-identical to
+    it; the recorded node keeps U (and the spike output) for the backward.
     """
+    xd = x.data
+    if steps is None:
+        axis = xd.ndim - 3
+        out_shape = xd.shape
+        inputs = np.moveaxis(xd, axis, 0)
+    else:
+        axis = 0
+        out_shape = (steps,) + xd.shape
+        inputs = (xd,) * steps
+    record = ag.is_recording(x)
+    spikes = np.empty(out_shape, dtype=xd.dtype)
+    u_all = np.empty(out_shape, dtype=xd.dtype) if record else None
+    s_frames = np.moveaxis(spikes, axis, 0)
+    u_frames = np.moveaxis(u_all, axis, 0) if record else None
+    h = np.zeros(s_frames.shape[1:], dtype=xd.dtype)
+    for t, i_t in enumerate(inputs):
+        u = i_t + h
+        s = (u >= lif.u_th).astype(u.dtype)
+        h = (lif.beta * u) * (1.0 - s) + lif.u_reset * s
+        s_frames[t] = s
+        if record:
+            u_frames[t] = u
 
-    def fwd(arr):
-        return (arr >= shift).astype(arr.dtype)
+    def bw(g_s):
+        # dU_t = a_t * dU_{t+1} + b_t, every factor computed before the loop;
+        # a = (u_reset - beta U) g + beta (1 - S) is built in place
+        sg = surrogate_grad(u_all - lif.u_th, lif.alpha).astype(u_all.dtype, copy=False)
+        a = u_all * -lif.beta
+        a += lif.u_reset
+        a *= sg
+        keep = 1.0 - spikes
+        keep *= lif.beta
+        a += keep
+        del keep
+        du = g_s * sg
+        del sg
+        a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
+        for t in range(len(du_frames) - 2, -1, -1):
+            np.multiply(a_frames[t], du_frames[t + 1], out=a_frames[t])
+            du_frames[t] += a_frames[t]
+        du_x = du if steps is None else du.sum(axis=0)
+        # where the incoming gradient is zero for many frames, dU decays
+        # through the subnormal range; flushing it to zero changes nothing
+        # representable at normal precision but keeps the BLAS kernels that
+        # consume it at full speed (subnormal operands are very slow)
+        du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
+        x._accum_own(du_x)
 
-    def grad(arr):
-        return surrogate_grad(arr - shift, alpha).astype(arr.dtype)
-
-    return ag.custom_unary(x, fwd, grad, "heaviside")
-
-
-def _reset_blend(u: Tensor, s: Tensor, beta: float, u_reset: float) -> Tensor:
-    """Fused H = beta * u * (1 - s) + u_reset * s with the matching backward.
-
-    Identical chain rule to the unfused composition; gradients flow into the
-    spike tensor (and through its surrogate) exactly as the printed dynamics
-    dictate.
-    """
-    ud, sd = u.data, s.data
-    keep = 1.0 - sd
-    data = (beta * ud) * keep + u_reset * sd
-
-    def bw(g):
-        if u.requires_grad:
-            u._accum_own(g * (beta * keep))
-        if s.requires_grad:
-            s._accum_own(g * (u_reset - beta * ud))
-
-    return ag._result(data, (u, s), bw, "lif_reset")
-
-
-def lif_step(params: LifParams, state: LifState, input_current: Tensor):
-    """One membrane update; returns (binary spike tensor, next state)."""
-    if input_current.shape != state.h.shape:
-        raise ShapeError("lif_step", input_current.shape, state.h.shape)
-    u = ag.add(input_current, state.h)
-    s = heaviside_surrogate(u, alpha=params.alpha, shift=params.u_th)
-    h_next = _reset_blend(u, s, params.beta, params.u_reset)
-    return s, LifState(h_next)
+    return ag._result(spikes, (x,), bw, "lif", custom=True)
 
 
 def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
@@ -137,15 +153,7 @@ def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
     `potentials` is (..., T_frames, N, d); the neuron state is (..., N, d) and
     carries across the whole sequence starting from zero.
     """
-    t_frames = potentials.shape[-3]
-    state = LifState.zeros(potentials.shape[:-3] + potentials.shape[-2:],
-                           dtype=potentials.data.dtype)
-    frames = []
-    time_axis = potentials.data.ndim - 3
-    for t in range(t_frames):
-        s, state = lif_step(lif, state, ag.select_index(potentials, t, axis=time_axis))
-        frames.append(s)
-    return ag.stack(frames, axis=time_axis)
+    return _lif(potentials, lif)
 
 
 def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
@@ -156,12 +164,7 @@ def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
     """
     if ts < 1:
         raise ContractError(f"spike_encode: ts must be >= 1, got {ts}")
-    state = LifState(Tensor(np.zeros_like(h.data), dtype=h.data.dtype))
-    frames = []
-    for _ in range(ts):
-        s, state = lif_step(params, state, h)
-        frames.append(s)
-    return SpikeTrain(ag.stack(frames, axis=0))
+    return SpikeTrain(_lif(h, params, steps=ts))
 
 
 def encode_sequence(x: Tensor, ts: int, params: LifParams) -> SpikeTrain:

@@ -95,3 +95,15 @@ def test_train_eval_predict_energy(tmp_path, capsys):
                      "--batch", "2"]) == 0
     assert (tmp_path / "energy" / "energy.txt").is_file()
     assert (tmp_path / "energy" / "energy.csv").is_file()
+
+
+def test_checkpoint_commands_need_synth_steps_on_synthetic_data(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(out)]) == 0
+    assert "# synth_steps = 60" in (out / "run_config.txt").read_text().splitlines()
+    ckpt = str(out / "checkpoint.stag")
+    capsys.readouterr()
+    for argv in (["eval", ckpt], ["predict", ckpt, str(tmp_path / "f.csv")],
+                 ["energy", ckpt, "--out", str(tmp_path / "energy")]):
+        assert cli.main(argv) == 2
+        assert "--synth-steps" in capsys.readouterr().err

@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.errors import ContractError
-from spikestag.spiking import (
-    LifParams,
-    LifState,
-    heaviside_surrogate,
-    lif_step,
-    spike_encode,
-    surrogate_grad,
-)
+from spikestag.spiking import LifParams, spike_encode, surrogate_grad
+
+from per_step import LifState, heaviside_surrogate, lif_step
 
 
 def lif_sim(params, h0, currents):
