@@ -6,10 +6,10 @@ operation requires gradients, the operation records a node on a tape so that
 accumulate additively across fan-out and are cleared only by an explicit
 `zero_grad`.
 
-The op set is deliberately small: matmul, elementwise arithmetic, sigmoid,
-tanh, concatenation, stacking, row-wise softmax, reductions, gathers
-(`take` / `select_index` / `gather_sum`), `narrow`, `masked_fill`, reshape and
-transpose.  There is no general broadcasting engine; binary ops allow the
+The op set is deliberately small: matmul, affine (matmul plus bias as one
+node), elementwise arithmetic, sigmoid, tanh, concatenation, stacking,
+row-wise softmax, reductions, gathers (`take` / `select_index` /
+`gather_sum`), `narrow`, `masked_fill`, reshape and transpose.  There is no general broadcasting engine; binary ops allow the
 usual numpy broadcast and un-broadcast the gradient by summing over expanded
 axes, which covers bias addition and scalar scaling.
 
@@ -306,6 +306,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 b._accum_own(_unbroadcast(gb, bd.shape))
 
     return _result(data, (a, b), bw, "matmul")
+
+
+def affine(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """a @ w + b as one node, for a 2-d weight `w` and a bias `b` of width w.shape[1].
+
+    Same float operations and gradients as `add(matmul(a, w), b)`, but the
+    bias is added in place, so the bias-free product is never a second array.
+    """
+    ad, wd, bd = a.data, w.data, b.data
+    if ad.ndim < 1 or wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
+        raise ShapeError("affine", a.shape, w.shape)
+    if bd.shape != (wd.shape[1],):
+        raise ShapeError("affine", w.shape, b.shape)
+    k, n = wd.shape
+    data = (ad.reshape(-1, k) @ wd).reshape(ad.shape[:-1] + (n,))
+    data += bd
+    observe_matmul(ad.shape, wd.shape)
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            a._accum_own((g2 @ wd.T).reshape(ad.shape))
+        if w.requires_grad:
+            w._accum_own(ad.reshape(-1, k).T @ g2)
+        if b.requires_grad:
+            b._accum(_unbroadcast(g, bd.shape))
+
+    return _result(data, (a, w, b), bw, "affine")
 
 
 # -- smooth nonlinearities --------------------------------------------------

@@ -6,6 +6,12 @@ self-attention branch projects binary frames through LIF neurons to get
 binary Q/K/V, scores them with QK^T/sqrt(d_k), applies a row softmax and
 reads out the score-weighted V as continuous (membrane-valued) features.
 The gate G = sigmoid(W [h_lstm ; h_ssa] + b) mixes the branches entrywise.
+
+The forecast head reads only the final frame, so the attention readout is
+formed for that frame alone: its query is scored against all T' = T * ts key
+frames, O(T') per node instead of the O(T'^2) of scoring every frame, and
+the gate runs on the final frame of both branches.  Q/K/V still run their
+LIF recurrence over every frame.
 """
 
 from __future__ import annotations
@@ -227,7 +233,7 @@ def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
 
-    gates_x = ag.add(ag.matmul(x, wx), b)  # (..., T, N, 4h)
+    gates_x = ag.affine(x, wx, b)  # (..., T, N, 4h)
     out = _lstm(gates_x, wh)
     if counter is not None:
         d_in = x.shape[-1]
@@ -244,7 +250,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V over the frame axis, per node.
 
     Inputs are (..., T, N, d); attention runs across T separately for every
-    node.  This smooth core is shared by ssa_forward and the gradient checks.
+    node.  The query may hold fewer frames than the keys and values, (..., Tq,
+    N, d) against (..., Tk, N, d), giving (..., Tq, N, d).  This smooth core
+    is shared by ssa_forward and the gradient checks.
     """
     nd = q.data.ndim
     perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # (..., N, T, d)
@@ -258,11 +266,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
 
 def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams, counter=None,
                 layer: str = "ssa") -> Tensor:
-    """Spiking self-attention; returns continuous membrane-valued features.
+    """Spiking self-attention read out at the final frame; continuous features.
 
-    Q/K/V are binary (LIF of the projected input spikes); scores use the
-    standard scaled dot product with a row softmax, and the output keeps the
-    pre-threshold (continuous) weighted sum of V.
+    Q/K/V are binary (LIF of the projected input spikes, run over every frame
+    because the recurrence needs them); the final frame's query is scored
+    against all T' key frames with the standard scaled dot product and a row
+    softmax, and the output keeps the pre-threshold (continuous) weighted sum
+    of V.  Returns shape (..., 1, N, d_k): the one frame the forecast head
+    reads, at O(T') score cost per node instead of O(T'^2).
     """
     x = s.values
     projections = {}
@@ -277,20 +288,17 @@ def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams, counter=None,
             counter.add_lif(f"{layer}.{name}", neurons_steps=projections[name].data.size)
             counter.observe_spikes(f"{layer}.{name}", projections[name].data)
     q, k, v = projections["q"], projections["k"], projections["v"]
-    out = attention_core(q, k, v, params.d_k)
     if counter is not None:
         counter.add_spike_attention(layer, q.data, k.data, v.data, params.d_k)
-    return out
+    t_axis = q.data.ndim - 3
+    q_last = ag.narrow(q, t_axis, q.shape[t_axis] - 1, 1)
+    return attention_core(q_last, k, v, params.d_k)
 
 
-def gate_fuse(h_lstm: Tensor, h_ssa: Tensor, params: GateParams, counter=None) -> Tensor:
+def gate_fuse(h_lstm: Tensor, h_ssa: Tensor, params: GateParams) -> Tensor:
     """G * h_lstm + (1 - G) * h_ssa with G = sigmoid(W [h_lstm ; h_ssa] + b)."""
     if h_lstm.shape != h_ssa.shape:
         raise ShapeError("gate_fuse", h_lstm.shape, h_ssa.shape)
     joint = ag.concat([h_lstm, h_ssa], axis=-1)
-    g = ag.sigmoid(ag.add(ag.matmul(joint, params.w_g), params.bias))
-    fused = ag.add(ag.mul(g, h_lstm), ag.mul(ag.sub(1.0, g), h_ssa))
-    if counter is not None:
-        positions = int(np.prod(h_lstm.data.shape[:-1]))
-        counter.add_dense("gate", macs=positions * params.w_g.shape[0] * params.w_g.shape[1])
-    return fused
+    g = ag.sigmoid(ag.affine(joint, params.w_g, params.bias))
+    return ag.add(ag.mul(g, h_lstm), ag.mul(ag.sub(1.0, g), h_ssa))

@@ -12,6 +12,13 @@ Counting rules:
 Softmax and other elementwise bookkeeping are excluded, as is everything on
 the testing-oracle path.
 
+Counts describe the network the paper specifies, in which spiking attention,
+the attention projection and the fusion gate produce every frame, not the
+work of the numpy kernels: those compute the fusion tail only for the final
+frame, which is all the head reads.  So `add_spike_attention` counts every
+query frame against every key frame, and the `ssa.proj` and `gate` MACs
+count all T * ts frames.
+
 Every layer also records what a structurally identical non-spiking twin would
 spend: the same projection shapes counted as all-MAC, with the neighborhood
 aggregation expanded to its dense matrix form.  The report compares the two.
@@ -144,7 +151,12 @@ class OpCounter:
 
     def add_spike_attention(self, layer: str, q: np.ndarray, k: np.ndarray,
                             v: np.ndarray, d_k: int) -> None:
-        """Exact event counts for binary-Q/K scoring and score-weighted V readout."""
+        """Exact event counts for binary-Q/K scoring and score-weighted V readout.
+
+        Q, K and V hold every frame; every query frame is counted against
+        every key frame, as in the full-sequence attention of the paper,
+        whatever frames the attention kernel actually scores.
+        """
         lc = self.counts.layer(layer)
         nd = q.ndim
         # per (leading..., node, channel): active count across frames

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import SeriesDataset, SplitWindows, WindowBatch, covariate_indices, make_windows, metric_r2, metric_rse
-from .dsf import GateParams, LstmParams, SsaParams, attention_core, gate_fuse, lstm_forward, ssa_forward
+from .dsf import GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
 from .errors import ContractError, DivergenceError
 from .graph import AdaptiveGraph, NodeEmbeddings, build_graph, init_live_embeddings
 from .mssa import HopWeights, mssa_forward
@@ -204,6 +204,7 @@ class ForecastModel:
                            self.config.k1, self.config.k2, self.config.seed)
 
     def _scaled_ssa(self, ssa_out):
+        # calibrated on the final-frame readout, the one the head consumes
         if self.ssa_scale is None:
             self.ssa_scale = float(1.0 / (ssa_out.data.std() + 1e-6))
         return ag.scale(ssa_out, self.ssa_scale)
@@ -225,20 +226,24 @@ class ForecastModel:
         x_obs = obs_forward(x, graph.samples_local, self.obs_params)
         s_mssa = mssa_forward(x_obs, graph, self.hop_weights, lif, cfg.ts, counter=counter)
 
+        # everything after the recurrences works on the final frame only,
+        # the one the head reads; op counts keep the full-sequence sizes
         t_frames = t * cfg.ts
+        t_axis = x.data.ndim - 3
         ab = cfg.ablation
         if ab == "W2":
             ssa_out = self._scaled_ssa(ssa_forward(s_mssa, self.ssa_params, lif, counter=counter))
-            feat_seq = ag.matmul(ssa_out, self.ssa_proj)
+            feat = ag.matmul(ssa_out, self.ssa_proj)
             if counter is not None:
                 counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
         else:
             h_lstm = lstm_forward(s_mssa, self.lstm_params, counter=counter)
+            h_last = ag.narrow(h_lstm, t_axis, t_frames - 1, 1)    # (B, 1, N, h)
             if ab == "W1":
-                feat_seq = h_lstm
+                feat = h_last
             else:
                 boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
-                h_series = ag.take(h_lstm, boundary, axis=h_lstm.data.ndim - 3)
+                h_series = ag.take(h_lstm, boundary, axis=t_axis)
                 re_encoded = encode_sequence(h_series, cfg.ts, lif)
                 if counter is not None:
                     counter.add_lif("dsf.encoder", neurons_steps=re_encoded.values.data.size)
@@ -248,12 +253,14 @@ class ForecastModel:
                 if counter is not None:
                     counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
                 if ab == "W3":
-                    feat_seq = h_ssa
+                    feat = h_ssa
                 else:
-                    feat_seq = gate_fuse(h_lstm, h_ssa, self.gate_params, counter=counter)
+                    feat = gate_fuse(h_last, h_ssa, self.gate_params)
+                    if counter is not None:
+                        counter.add_dense("gate", macs=b * t_frames * n * 2 * cfg.h_dim * cfg.h_dim)
 
-        final = ag.select_index(feat_seq, t_frames - 1, axis=feat_seq.data.ndim - 3)
-        pred = ag.add(ag.matmul(final, self.head_w), self.head_b)   # (B, N, L)
+        final = ag.select_index(feat, 0, axis=t_axis)               # (B, N, h)
+        pred = ag.affine(final, self.head_w, self.head_b)           # (B, N, L)
         if counter is not None:
             counter.add_dense("head", macs=b * n * cfg.h_dim * cfg.horizon)
         return ag.transpose(pred, (0, 2, 1))                        # (B, L, N)

@@ -165,3 +165,54 @@ class TestGradCheck:
     def test_rejects_non_scalar(self):
         with pytest.raises(ContractError):
             ag.grad_check(lambda x: ag.mul(x, x), t([1.0, 2.0]))
+
+
+class TestAffine:
+    SHAPES = {"a": (2, 3, 4), "w": (4, 5), "b": (5,)}
+
+    def _operands(self, rng):
+        return {k: rng.uniform(-2.0, 2.0, size=s).astype(np.float32)
+                for k, s in self.SHAPES.items()}
+
+    @pytest.mark.parametrize("wrt", ["a", "w", "b"])
+    def test_matches_finite_differences(self, wrt):
+        ops = self._operands(np.random.default_rng(21))
+
+        def f(x):
+            args = {k: Tensor(v.astype(np.float64), dtype=np.float64) for k, v in ops.items()}
+            args[wrt] = x
+            out = ag.affine(args["a"], args["w"], args["b"])
+            return ag.tsum(ag.mul(out, ag.tanh(out)))
+
+        report = ag.grad_check(f, Tensor(ops[wrt], requires_grad=True))
+        assert report.passed, report
+
+    def test_bit_identical_to_matmul_plus_add(self):
+        ops = self._operands(np.random.default_rng(22))
+        weight = np.random.default_rng(23).standard_normal((2, 3, 5)).astype(np.float32)
+        results = []
+        for fn in (lambda a, w, b: ag.affine(a, w, b),
+                   lambda a, w, b: ag.add(ag.matmul(a, w), b)):
+            leaves = {k: Tensor(v.copy(), requires_grad=True) for k, v in ops.items()}
+            out = fn(leaves["a"], leaves["w"], leaves["b"])
+            ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+            results.append([out.data] + [leaves[k].grad for k in ("a", "w", "b")])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_reports_its_matmul_shape(self):
+        ops = self._operands(np.random.default_rng(24))
+        seen = []
+        ag.set_matmul_observer(lambda sa, sb: seen.append((tuple(sa), tuple(sb))))
+        try:
+            ag.affine(Tensor(ops["a"]), Tensor(ops["w"]), Tensor(ops["b"]))
+        finally:
+            ag.set_matmul_observer(None)
+        assert seen == [((2, 3, 4), (4, 5))]
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),
+                                        ((2, 4), (4, 5), (1, 5)), ((2, 4), (2, 4, 5), (5,))])
+    def test_shape_mismatch(self, shapes):
+        a, w, b = (Tensor(np.zeros(s, dtype=np.float32)) for s in shapes)
+        with pytest.raises(ShapeError):
+            ag.affine(a, w, b)

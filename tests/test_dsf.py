@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from spikestag.dsf import (
 from spikestag.errors import ShapeError
 from spikestag.spiking import LifParams, SpikeTrain
 
+from per_step import ssa_forward_full
 from test_spiking import lif_sim
 
 
@@ -129,7 +131,7 @@ class TestSsa:
         params = SsaParams.init(4, 3, rng)
         s = SpikeTrain(Tensor(np.zeros((5, 2, 4), dtype=np.float32)))
         out = ssa_forward(s, params, LifParams())
-        np.testing.assert_array_equal(out.data, np.zeros((5, 2, 3), dtype=np.float32))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2, 3), dtype=np.float32))
 
     def test_single_position_returns_v_row(self):
         rng = np.random.default_rng(6)
@@ -148,7 +150,7 @@ class TestSsa:
         expected, q, k, v = ssa_oracle(spikes, params, lif)
         for arr in (q, k, v):
             assert set(np.unique(arr)) <= {0.0, 1.0}
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        np.testing.assert_allclose(out.data, expected[-1:], atol=1e-6)
 
     def test_score_path_gradient_check(self):
         rng = np.random.default_rng(8)
@@ -161,6 +163,66 @@ class TestSsa:
 
         q0 = Tensor(rng.standard_normal((4, 2, 3)).astype(np.float32), requires_grad=True)
         report = ag.grad_check(f, q0)
+        assert report.passed, report
+
+
+    def test_one_frame_readout_memory_linear_in_frames(self):
+        """No (B, N, T', T') score tensor: the peak stays below a quarter of one."""
+        b, t_len, n, f_in, d_k = 2, 1024, 2, 4, 8
+        rng = np.random.default_rng(15)
+        params = SsaParams.init(f_in, d_k, rng)
+        spikes = SpikeTrain(Tensor((rng.random((b, t_len, n, f_in)) < 0.5).astype(np.float32)))
+        score_bytes = b * n * t_len * t_len * 4
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                out = ssa_forward(spikes, params, LifParams(u_th=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (b, 1, n, d_k)
+        assert peak < score_bytes / 4
+
+
+class TestAttentionCore:
+    """The full-sequence core against the brute-force oracle, and one query
+    frame against the last row of the full result."""
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_all_frames_match_bruteforce_oracle(self, zero):
+        rng = np.random.default_rng(16)
+        params = SsaParams.init(5, 4, rng)
+        lif = LifParams(beta=0.4, u_th=0.5)
+        spikes = (rng.random((6, 3, 5)) < (0.0 if zero else 0.5)).astype(np.float32)
+        out = ssa_forward_full(SpikeTrain(Tensor(spikes)), params, lif)
+        expected, _, _, _ = ssa_oracle(spikes, params, lif)
+        assert out.shape == (6, 3, 4)
+        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        if zero:
+            np.testing.assert_array_equal(out.data, np.zeros((6, 3, 4), dtype=np.float32))
+
+    def test_last_query_matches_last_row(self):
+        rng = np.random.default_rng(17)
+        q, k, v = (Tensor((rng.random((2, 9, 3, 4)) < 0.5).astype(np.float32)) for _ in range(3))
+        full = attention_core(q, k, v, 4)
+        last = attention_core(ag.narrow(q, 1, 8, 1), k, v, 4)
+        assert last.shape == (2, 1, 3, 4)
+        np.testing.assert_allclose(last.data, full.data[:, -1:], rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("wrt", ["q", "k", "v"])
+    def test_one_query_frame_gradient_check(self, wrt):
+        rng = np.random.default_rng(18)
+        shapes = {"q": (1, 2, 3), "k": (5, 2, 3), "v": (5, 2, 3)}
+        arrays = {name: rng.standard_normal(s).astype(np.float32) for name, s in shapes.items()}
+
+        def f(x):
+            args = {name: Tensor(a.astype(np.float64), dtype=np.float64)
+                    for name, a in arrays.items()}
+            args[wrt] = x
+            out = attention_core(args["q"], args["k"], args["v"], 3)
+            return ag.tsum(ag.mul(out, out))
+
+        report = ag.grad_check(f, Tensor(arrays[wrt], requires_grad=True))
         assert report.passed, report
 
 
