@@ -7,11 +7,12 @@ accumulate additively across fan-out and are cleared only by an explicit
 `zero_grad`.
 
 The op set is deliberately small: matmul, affine (matmul plus bias as one
-node), elementwise arithmetic, sigmoid, tanh, concatenation, stacking,
-row-wise softmax, reductions, gathers (`take` / `select_index` /
-`gather_sum`), `narrow`, `masked_fill`, reshape and transpose.  There is no general broadcasting engine; binary ops allow the
-usual numpy broadcast and un-broadcast the gradient by summing over expanded
-axes, which covers bias addition and scalar scaling.
+node), elementwise arithmetic, sigmoid, tanh, concatenation, row-wise
+softmax, reductions, gathers (`take` / `select_index` / `gather_sum`),
+`narrow`, `masked_fill`, reshape and transpose.  There is no general
+broadcasting engine; binary ops allow the usual numpy broadcast and
+un-broadcast the gradient by summing over expanded axes, which covers bias
+addition and scalar scaling.
 
 Modules with a hand-written multi-step backward (the fused LIF and LSTM
 recurrences) build their node with `_result` and test `is_recording` first,
@@ -433,20 +434,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
             start += n
 
     return _result(data, tuple(tensors), bw, "concat")
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw(g):
-        slices = [slice(None)] * g.ndim
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                slices[axis] = i
-                t._accum(g[tuple(slices)])
-
-    return _result(data, tuple(tensors), bw, "stack")
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

@@ -11,9 +11,10 @@ Format v2, the one `save_model` writes (integers little-endian):
     tensors       per tensor: name length u16, UTF-8 name, rank u8, dims as
                   u32s, raw float32 values in row-major order
 
-The tensors are the model parameters, plus `norm/mean` and `norm/std` when
-the model carries normalization statistics.  The header is
-`dataclasses.asdict(config)`, so config ints and floats round-trip exactly.
+The tensors are the node embeddings `emb/e`, then the model parameters, then
+`norm/mean` and `norm/std` when the model carries normalization statistics.
+The header is `dataclasses.asdict(config)`, so config ints and floats
+round-trip exactly.
 
 Format v1 is still read.  It has the same magic, version 1, then the tensor
 records directly; the config rode along as one-element float32 tensors
@@ -72,7 +73,8 @@ def _read_records(blob: bytes, off: int) -> dict:
 
 def save_model(path, model: ForecastModel) -> None:
     header = json.dumps({"config": asdict(model.config), "ssa_scale": model.ssa_scale})
-    tensors = {name: p.data for name, p in model.parameters().items()}
+    tensors = {"emb/e": model.embeddings}
+    tensors.update((name, p.data) for name, p in model.parameters().items())
     if model.norm_mean is not None:
         tensors["norm/mean"] = model.norm_mean
         tensors["norm/std"] = model.norm_std
@@ -133,6 +135,15 @@ def _parse(blob: bytes) -> tuple:
     return config, scale, _read_records(blob, end)
 
 
+def _tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
+    if name not in tensors:
+        raise CheckpointFormatError(f"missing tensor '{name}'")
+    if tuple(tensors[name].shape) != tuple(shape):
+        raise CheckpointFormatError(
+            f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}")
+    return tensors[name].astype(np.float32)
+
+
 def load_model(path) -> ForecastModel:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -145,14 +156,10 @@ def load_model(path) -> ForecastModel:
         raise
     except (struct.error, ValueError, IndexError) as exc:
         raise CheckpointFormatError(f"truncated or corrupt checkpoint: {exc}") from exc
-    model = ForecastModel(config)
+    model = ForecastModel(
+        config, embeddings=_tensor(tensors, "emb/e", (config.n_nodes, config.emb_dim)))
     for name, p in model.parameters().items():
-        if name not in tensors:
-            raise CheckpointFormatError(f"missing parameter tensor '{name}'")
-        if tuple(tensors[name].shape) != tuple(p.data.shape):
-            raise CheckpointFormatError(
-                f"parameter '{name}' has shape {tensors[name].shape}, expected {p.data.shape}")
-        p.data = tensors[name].astype(np.float32)
+        p.data = _tensor(tensors, name, p.data.shape)
     if ssa_scale is not None:
         model.ssa_scale = ssa_scale
     if "norm/mean" in tensors:

@@ -17,7 +17,9 @@ the attention projection and the fusion gate produce every frame, not the
 work of the numpy kernels: those compute the fusion tail only for the final
 frame, which is all the head reads.  So `add_spike_attention` counts every
 query frame against every key frame, and the `ssa.proj` and `gate` MACs
-count all T * ts frames.
+count all T * ts frames.  Likewise every counted forward pays the `adjacency`
+MACs of E E^T (N * N * emb_dim), although the model builds A only once, at
+construction or load, and its forward reuses that graph.
 
 Every layer also records what a structurally identical non-spiking twin would
 spend: the same projection shapes counted as all-MAC, with the neighborhood

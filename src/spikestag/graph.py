@@ -17,70 +17,51 @@ candidates by edge weight, then a "semi-global" set of the top-k2 nodes by
 importance (row sum of A) drawn from the candidates of the local set, with
 the node itself and its local set excluded.  Ties break toward the lower
 node index.
+
+A feeds nothing but this discrete top-k sampling, so no gradient reaches E.
+The graph is therefore a constant: plain numpy builds it once, when the model
+is constructed or loaded, and every forward reuses it.  Construction keeps a
+graph with empty local sets; `train()` refuses one before its first step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autograd as ag
-from .autograd import Tensor
 from .errors import ContractError, SingularThresholdError
 
 
 @dataclass
-class NodeEmbeddings:
-    """Learnable per-node latent vectors, shape (N, d)."""
-
-    e: Tensor
-
-    @classmethod
-    def init(cls, n_nodes: int, dim: int, rng: np.random.Generator) -> "NodeEmbeddings":
-        data = rng.standard_normal((n_nodes, dim)).astype(np.float32)
-        return cls(Tensor(data, requires_grad=True))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.e.shape[0]
-
-
-@dataclass
 class AdaptiveGraph:
-    """Adjacency plus the derived candidate, importance and sample structures."""
+    """Candidate and two-level sample sets derived from the adjacency."""
 
-    a: Tensor
-    lambda_selfloop: float
-    candidate_sets: list = field(default_factory=list)
-    importance: np.ndarray | None = None
-    samples_local: list = field(default_factory=list)       # S_i^(1)
-    samples_semiglobal: list = field(default_factory=list)  # S_i^(2)
+    candidate_sets: list
+    samples_local: list       # S_i^(1)
+    samples_semiglobal: list  # S_i^(2)
 
 
-def build_adjacency(emb: NodeEmbeddings, lam: float = 1.0) -> Tensor:
-    """A = sigmoid(E E^T) + lambda * I, differentiable w.r.t. E.
+def build_adjacency(e: np.ndarray, lam: float = 1.0) -> np.ndarray:
+    """A = sigmoid(E E^T) + lambda * I in float32, E of shape (N, d).
 
     The Gram matrix is symmetrized as (M + M^T) / 2 before the sigmoid so the
-    result is exactly symmetric regardless of BLAS accumulation order.
+    result is exactly symmetric regardless of BLAS accumulation order; the
+    sigmoid is the overflow-free (tanh(x/2) + 1) / 2.
     """
     if lam < 0:
         raise ContractError(f"build_adjacency: lambda must be non-negative, got {lam}")
-    e = emb.e
-    gram = ag.matmul(e, ag.transpose(e, (1, 0)))
-    gram = ag.scale(ag.add(gram, ag.transpose(gram, (1, 0))), 0.5)
-    a = ag.sigmoid(gram)
-    eye = np.eye(e.shape[0], dtype=e.data.dtype) * np.asarray(lam, dtype=e.data.dtype)
-    return ag.add(a, Tensor(eye, dtype=e.data.dtype))
+    e = np.asarray(e, dtype=np.float32)
+    half = np.float32(0.5)
+    gram = e @ e.T
+    gram = (gram + gram.T) * half
+    a = np.tanh(gram * half) * half + half
+    return a + np.eye(e.shape[0], dtype=np.float32) * np.float32(lam)
 
 
-def _as_array(a) -> np.ndarray:
-    return a.data if isinstance(a, Tensor) else np.asarray(a)
-
-
-def prune_neighbors(a) -> list:
+def prune_neighbors(a: np.ndarray) -> list:
     """Candidate sets C_i = { j != i : A_ij > T_i }, strict inequality."""
-    w = _as_array(a)
+    w = np.asarray(a)
     n = w.shape[0]
     if n < 2:
         raise ContractError("prune_neighbors: need at least 2 nodes")
@@ -97,24 +78,21 @@ def prune_neighbors(a) -> list:
     return candidates
 
 
-def node_importance(a) -> np.ndarray:
+def node_importance(a: np.ndarray) -> np.ndarray:
     """Imp_i = full row sum of A (diagonal included)."""
-    return _as_array(a).sum(axis=1)
+    return np.asarray(a).sum(axis=1)
 
 
-def sample_two_level(a, candidates: list, imp: np.ndarray, k1: int, k2: int, seed: int = 0):
+def sample_two_level(a: np.ndarray, candidates: list, imp: np.ndarray, k1: int, k2: int):
     """Deterministic two-level neighborhood sampling.
 
     Local: the top-k1 members of C_i ranked by edge weight A_ij.  Semi-global:
     the top-k2 members by importance of the pool reachable through the local
-    set's own candidates, excluding i and its local set.  The seed is part of
-    the signature for reproducibility bookkeeping; ranking itself is already
-    deterministic with index tie-breaking.
+    set's own candidates, excluding i and its local set.
     """
-    del seed  # ranking is deterministic; kept for interface stability
     if k1 < 0 or k2 < 0:
         raise ContractError("sample_two_level: k1 and k2 must be non-negative")
-    w = _as_array(a)
+    w = np.asarray(a)
     n = w.shape[0]
     local, semi = [], []
     for i in range(n):
@@ -133,47 +111,36 @@ def sample_two_level(a, candidates: list, imp: np.ndarray, k1: int, k2: int, see
     return local, semi
 
 
-def build_graph(
-    emb: NodeEmbeddings, lam: float, k1: int, k2: int, seed: int = 0
-) -> AdaptiveGraph:
+def build_graph(e: np.ndarray, lam: float, k1: int, k2: int) -> AdaptiveGraph:
     """Full pipeline: adjacency, pruning, importance, two-level samples."""
-    a = build_adjacency(emb, lam)
+    a = build_adjacency(e, lam)
     candidates = prune_neighbors(a)
-    imp = node_importance(a)
-    local, semi = sample_two_level(a, candidates, imp, k1, k2, seed)
-    return AdaptiveGraph(
-        a=a,
-        lambda_selfloop=lam,
-        candidate_sets=candidates,
-        importance=imp,
-        samples_local=local,
-        samples_semiglobal=semi,
-    )
+    local, semi = sample_two_level(a, candidates, node_importance(a), k1, k2)
+    return AdaptiveGraph(candidates, local, semi)
 
 
 def init_live_embeddings(
     n_nodes: int, dim: int, lam: float, k1: int, k2: int, seed: int,
     max_tries: int = 200,
-) -> NodeEmbeddings:
-    """Seeded embedding init retried until every node gets usable samples.
+) -> tuple:
+    """(embeddings, graph): a seeded (n_nodes, dim) float32 draw and its graph.
 
     Pruning by the self-loop-normalized threshold can leave unlucky nodes with
-    empty candidate sets, which silences their aggregation permanently (the
-    embeddings receive no gradient, so the initial graph is the graph).  The
-    retry scans deterministic sub-seeds until all nodes have at least one
-    candidate and one semi-global sample, falling back to the last attempt.
+    empty candidate sets, which silences their aggregation permanently: the
+    graph is built once from the embeddings and never changes.  The retry
+    scans deterministic sub-seeds until all nodes have at least one candidate
+    and one semi-global sample, falling back to the last attempt without a
+    word; `train()` is what refuses a graph with an empty local set.
     """
-    emb = None
     for attempt in range(max_tries):
         rng = np.random.default_rng([seed, 1, attempt])
-        emb = NodeEmbeddings(
-            Tensor(rng.standard_normal((n_nodes, dim)).astype(np.float32), requires_grad=True))
-        g = build_graph(emb, lam, k1, k2, seed)
+        e = rng.standard_normal((n_nodes, dim)).astype(np.float32)
+        g = build_graph(e, lam, k1, k2)
         if all(len(c) >= 1 for c in g.candidate_sets) and all(
             len(s) >= 1 for s in g.samples_semiglobal
         ):
-            return emb
-    return emb
+            break
+    return e, g
 
 
 def padded_index_mask(sets: list, n_nodes: int):

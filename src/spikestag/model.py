@@ -20,7 +20,7 @@ from .autograd import Tensor
 from .data import SeriesDataset, SplitWindows, WindowBatch, covariate_indices, make_windows, metric_r2, metric_rse
 from .dsf import GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
 from .errors import ContractError, DivergenceError
-from .graph import AdaptiveGraph, NodeEmbeddings, build_graph, init_live_embeddings
+from .graph import AdaptiveGraph, build_graph, init_live_embeddings
 from .mssa import HopWeights, mssa_forward
 from .obs import ObsParams, obs_forward
 from .spiking import LifParams, encode_sequence
@@ -89,17 +89,26 @@ class ModelConfig:
 
 
 class ForecastModel:
-    """Holds all parameter tensors and the normalization stats of a trained run."""
+    """Holds all parameter tensors and the normalization stats of a trained run.
 
-    def __init__(self, config: ModelConfig):
+    `embeddings` (N, emb_dim) float32 is a buffer, not a parameter: the graph
+    built from it once here is all the forward reads.  Given embeddings (a
+    loaded checkpoint's) are used as they are; otherwise they are drawn.
+    """
+
+    def __init__(self, config: ModelConfig, embeddings: np.ndarray | None = None):
         config.validate()
         self.config = config
         # each component draws from its own seeded stream, so ablation variants
         # share bit-identical weights for the components they have in common
         comp = lambda tag: np.random.default_rng([config.seed, tag])
         f = config.feature_width
-        self.embeddings = init_live_embeddings(
-            config.n_nodes, config.emb_dim, config.lam, config.k1, config.k2, config.seed)
+        if embeddings is None:
+            self.embeddings, self.graph = init_live_embeddings(
+                config.n_nodes, config.emb_dim, config.lam, config.k1, config.k2, config.seed)
+        else:
+            self.embeddings = np.asarray(embeddings, dtype=np.float32)
+            self.graph = build_graph(self.embeddings, config.lam, config.k1, config.k2)
         self.cov_tables = {}
         if config.minute_covariate:
             self.cov_tables["minute"] = self._table(60, comp(2))
@@ -145,7 +154,7 @@ class ForecastModel:
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> dict:
-        params = {"emb/e": self.embeddings.e}
+        params = {}
         for name, t in self.cov_tables.items():
             params[f"cov/{name}"] = t
         for name, t in self.obs_params.tensors().items():
@@ -200,8 +209,8 @@ class ForecastModel:
         return ag.concat(feats, axis=-1)
 
     def build_graph(self) -> AdaptiveGraph:
-        return build_graph(self.embeddings, self.config.lam,
-                           self.config.k1, self.config.k2, self.config.seed)
+        """`self.graph`; kept only because the benchmark's graph stats call it."""
+        return self.graph
 
     def _scaled_ssa(self, ssa_out):
         # calibrated on the final-frame readout, the one the head consumes
@@ -217,14 +226,13 @@ class ForecastModel:
         x = self.embed_inputs(z, batch.input_times)
         b, t, n, f = x.shape
 
-        graph = self.build_graph()
         if counter is not None:
             counter.add_dense("adjacency", macs=n * n * cfg.emb_dim)
-            s1_sizes = sum(len(s) for s in graph.samples_local)
+            s1_sizes = sum(len(s) for s in self.graph.samples_local)
             counter.add_dense("obs", macs=b * t * (3 * n * f * f + 2 * s1_sizes * f))
 
-        x_obs = obs_forward(x, graph.samples_local, self.obs_params)
-        s_mssa = mssa_forward(x_obs, graph, self.hop_weights, lif, cfg.ts, counter=counter)
+        x_obs = obs_forward(x, self.graph.samples_local, self.obs_params)
+        s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, counter=counter)
 
         # everything after the recurrences works on the final frame only,
         # the one the head reads; op counts keep the full-sequence sizes
@@ -374,7 +382,7 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
     before the first step when a node's local sample set is empty.
     """
     cfg = model.config
-    empty = sum(not s for s in model.build_graph().samples_local)
+    empty = sum(not s for s in model.graph.samples_local)
     if empty:
         raise ContractError(
             f"{empty} of {cfg.n_nodes} nodes have an empty local sample set "

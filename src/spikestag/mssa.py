@@ -10,9 +10,6 @@ No dense N-by-N product is formed on this path (the test suite asserts that
 via the op counter).  Each hop's pre-synaptic potentials drive an LIF layer
 whose state evolves across the whole frame sequence, and hop 2 repeats the
 routine on hop-1 spikes over the semi-global sample sets.
-
-`dense_oracle_aggregate` is the reference form (mask matmul) used only by
-tests to certify equivalence; it is not called by the forward path.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ContractError
 from .graph import AdaptiveGraph, padded_index_mask
 from .spiking import LifParams, SpikeTrain, encode_sequence, lif_over_frames
 
@@ -46,36 +42,6 @@ class HopWeights:
 
     def tensors(self) -> dict:
         return {"w1": self.w1, "w2": self.w2}
-
-
-def index_mask_aggregate(x_bin: Tensor, sample_set, w: Tensor) -> Tensor:
-    """m_i = (sum_{j in S_i} x_j) W for one node: gather rows, sum, project.
-
-    `x_bin` is (N, F) with {0,1} entries, `w` is (F, D).  An empty sample set
-    yields the zero vector.
-    """
-    n, f = x_bin.shape
-    if w.shape[0] != f:
-        raise ContractError(
-            f"index_mask_aggregate: weight rows {w.shape[0]} != feature width {f}"
-        )
-    for j in sample_set:
-        if not 0 <= j < n:
-            raise ContractError(f"index_mask_aggregate: index {j} out of range for {n} nodes")
-    if len(sample_set) == 0:
-        return Tensor(np.zeros(w.shape[1], dtype=x_bin.data.dtype), dtype=x_bin.data.dtype)
-    idx = np.asarray(sorted(sample_set), dtype=np.intp)
-    gathered = ag.take(x_bin, idx, axis=0)       # (k, F)
-    summed = ag.tsum(gathered, axis=0)           # (F,)
-    return ag.reshape(ag.matmul(ag.reshape(summed, (1, f)), w), (w.shape[1],))
-
-
-def dense_oracle_aggregate(x_bin, mask_matrix, w) -> np.ndarray:
-    """Reference (M x_bin) w via dense products; testing oracle only."""
-    x = x_bin.data if isinstance(x_bin, Tensor) else np.asarray(x_bin)
-    m = np.asarray(mask_matrix, dtype=x.dtype)
-    ww = w.data if isinstance(w, Tensor) else np.asarray(w)
-    return (m @ x) @ ww
 
 
 def _hop(

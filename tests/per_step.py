@@ -12,11 +12,16 @@ states bit for bit and their gradients within float32 tolerance.
 `full_sequence_forward` is the model forward that runs spiking attention,
 the gate and the attention projection over every frame and then selects the
 final one; the model computes that final frame alone.
+
+`stack` is the tape op the per-frame forms assemble their frames with, and
+`index_mask_aggregate` / `dense_oracle_aggregate` are the one-node and dense
+mask-matmul forms of the MSSA neighborhood aggregation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +33,51 @@ from spikestag.mssa import mssa_forward
 from spikestag.obs import obs_forward
 from spikestag.spiking import LifParams, SpikeTrain, encode_sequence, surrogate_grad
 from spikestag.spiking import lif_over_frames as fused_lif_over_frames
+
+
+def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """np.stack as a tape node."""
+    tensors = list(tensors)
+    data = np.stack([t.data for t in tensors], axis=axis)
+
+    def bw(g):
+        slices = [slice(None)] * g.ndim
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                slices[axis] = i
+                t._accum(g[tuple(slices)])
+
+    return ag._result(data, tuple(tensors), bw, "stack")
+
+
+def index_mask_aggregate(x_bin: Tensor, sample_set, w: Tensor) -> Tensor:
+    """m_i = (sum_{j in S_i} x_j) W for one node: gather rows, sum, project.
+
+    `x_bin` is (N, F) with {0,1} entries, `w` is (F, D).  An empty sample set
+    yields the zero vector.
+    """
+    n, f = x_bin.shape
+    if w.shape[0] != f:
+        raise ContractError(
+            f"index_mask_aggregate: weight rows {w.shape[0]} != feature width {f}"
+        )
+    for j in sample_set:
+        if not 0 <= j < n:
+            raise ContractError(f"index_mask_aggregate: index {j} out of range for {n} nodes")
+    if len(sample_set) == 0:
+        return Tensor(np.zeros(w.shape[1], dtype=x_bin.data.dtype), dtype=x_bin.data.dtype)
+    idx = np.asarray(sorted(sample_set), dtype=np.intp)
+    gathered = ag.take(x_bin, idx, axis=0)       # (k, F)
+    summed = ag.tsum(gathered, axis=0)           # (F,)
+    return ag.reshape(ag.matmul(ag.reshape(summed, (1, f)), w), (w.shape[1],))
+
+
+def dense_oracle_aggregate(x_bin, mask_matrix, w) -> np.ndarray:
+    """Reference (M x_bin) w via dense products; testing oracle only."""
+    x = x_bin.data if isinstance(x_bin, Tensor) else np.asarray(x_bin)
+    m = np.asarray(mask_matrix, dtype=x.dtype)
+    ww = w.data if isinstance(w, Tensor) else np.asarray(w)
+    return (m @ x) @ ww
 
 
 @dataclass
@@ -86,7 +136,7 @@ def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
     for t in range(potentials.shape[-3]):
         s, state = lif_step(lif, state, ag.select_index(potentials, t, axis=time_axis))
         frames.append(s)
-    return ag.stack(frames, axis=time_axis)
+    return stack(frames, axis=time_axis)
 
 
 def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
@@ -98,7 +148,7 @@ def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
     for _ in range(ts):
         s, state = lif_step(params, state, h)
         frames.append(s)
-    return SpikeTrain(ag.stack(frames, axis=0))
+    return SpikeTrain(stack(frames, axis=0))
 
 
 def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
@@ -126,7 +176,7 @@ def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
         c = ag.add(ag.mul(f_g, c), ag.mul(i_g, g_g))
         h = ag.mul(o_g, ag.tanh(c))
         outs.append(h)
-    return ag.stack(outs, axis=time_axis)
+    return stack(outs, axis=time_axis)
 
 
 def ssa_forward_full(s: SpikeTrain, params, lif: LifParams, counter=None,
@@ -162,7 +212,7 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
     z = Tensor(batch.normalized_inputs())
     x = model.embed_inputs(z, batch.input_times)
     b, t, n, f = x.shape
-    graph = model.build_graph()
+    graph = model.graph
     if counter is not None:
         counter.add_dense("adjacency", macs=n * n * cfg.emb_dim)
         s1_sizes = sum(len(s) for s in graph.samples_local)

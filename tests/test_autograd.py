@@ -5,7 +5,7 @@ from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.errors import ContractError, ShapeError
 
-from per_step import heaviside_surrogate
+from per_step import heaviside_surrogate, stack
 
 
 def t(data, rg=True):
@@ -123,7 +123,7 @@ SMOOTH_CASES = [
     ("tanh", lambda x: ag.tsum(ag.tanh(x)), (6,)),
     ("softmax", lambda x: ag.tsum(ag.mul(ag.softmax(x, axis=-1), x)), (2, 5)),
     ("concat", lambda x: ag.tsum(ag.mul(ag.concat([x, x], axis=-1), ag.concat([x, ag.tanh(x)], axis=-1))), (2, 3)),
-    ("stack", lambda x: ag.tsum(ag.mul(ag.stack([x, ag.tanh(x)], axis=0), ag.stack([ag.sigmoid(x), x], axis=0))), (2, 3)),
+    ("stack", lambda x: ag.tsum(ag.mul(stack([x, ag.tanh(x)], axis=0), stack([ag.sigmoid(x), x], axis=0))), (2, 3)),
     ("mean", lambda x: ag.tmean(ag.mul(x, x)), (7,)),
     ("sum_axis", lambda x: ag.tsum(ag.mul(ag.tsum(x, axis=0), ag.tsum(x, axis=0))), (3, 4)),
     ("take", lambda x: ag.tsum(ag.mul(ag.take(x, np.array([[0, 2], [1, 1]]), axis=0), 1.5)), (3, 2)),

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikestag.graph
+import spikestag.model
 from spikestag import autograd as ag
 from spikestag.checkpoint import MAGIC, load_model, save_model
 from spikestag.data import make_windows, synth_generate
@@ -52,6 +54,14 @@ def v2_blob(header: bytes) -> bytes:
     return MAGIC + struct.pack("<II", 2, len(header)) + header + struct.pack("<I", 0)
 
 
+def forbid_redraw(monkeypatch):
+    def redraw(*args, **kwargs):
+        raise AssertionError("load_model must take the embeddings from the file")
+
+    for module in (spikestag.model, spikestag.graph):
+        monkeypatch.setattr(module, "init_live_embeddings", redraw)
+
+
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
         cfg = replace(TINY, seed=16777217, lr=1e-3, beta=0.1, minute_covariate=True,
@@ -92,9 +102,58 @@ class TestRoundTrip:
         assert params.keys() == expected.keys()
         for name, p in expected.items():
             assert np.array_equal(params[name].data, p.data), name
+        assert np.array_equal(loaded.embeddings, ForecastModel(V1_CONFIG).embeddings)
         assert np.array_equal(loaded.norm_mean, [1.0, 2.0, 3.0])
         assert np.array_equal(loaded.norm_std, [0.5, 1.0, 2.0])
         assert loaded.ssa_scale == 0.375
+
+
+class TestEmbeddings:
+    """`emb/e` is stored like a parameter and loaded as the model's buffer."""
+
+    def test_written_first(self, tmp_path):
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        off = 12 + header_len + 4
+        assert blob[off:off + 7] == struct.pack("<H", 5) + b"emb/e"
+
+    def test_load_takes_embeddings_and_graph_from_the_file(self, tmp_path, monkeypatch):
+        # embeddings no fresh draw of the config would give
+        drawn = ForecastModel(replace(TINY, seed=7)).embeddings
+        model = ForecastModel(TINY, embeddings=drawn)
+        save_model(tmp_path / "m.stag", model)
+        forbid_redraw(monkeypatch)
+        loaded = load_model(tmp_path / "m.stag")
+        assert np.array_equal(loaded.embeddings, drawn)
+        assert loaded.graph == model.graph
+
+    def test_v1_loads_without_redraw(self, monkeypatch):
+        expected = ForecastModel(V1_CONFIG).graph
+        forbid_redraw(monkeypatch)
+        assert load_model(V1_FIXTURE).graph == expected
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        model, _ = calibrated()
+        first = saved_blob(tmp_path, model)
+        assert saved_blob(tmp_path, load_blob(tmp_path, first)) == first
+
+    def test_missing_embeddings(self, tmp_path):
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        off = 12 + header_len
+        (count,) = struct.unpack_from("<I", blob, off)
+        # the first record: name length, name, rank 2, two dims, N * emb_dim floats
+        record = 2 + len(b"emb/e") + 1 + 2 * 4 + 4 * TINY.n_nodes * TINY.emb_dim
+        stripped = blob[:off] + struct.pack("<I", count - 1) + blob[off + 4 + record:]
+        with pytest.raises(CheckpointFormatError, match="missing tensor 'emb/e'"):
+            load_blob(tmp_path, stripped)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (16,)])
+    def test_misshaped_embeddings(self, tmp_path, shape):
+        model = ForecastModel(TINY)
+        model.embeddings = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(CheckpointFormatError, match=r"'emb/e' has shape .*expected \(4, 4\)"):
+            load_blob(tmp_path, saved_blob(tmp_path, model))
 
 
 class TestRejects:

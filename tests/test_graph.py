@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikestag import autograd as ag
-from spikestag.autograd import Tensor
 from spikestag.errors import ContractError, SingularThresholdError
 from spikestag.graph import (
     AdaptiveGraph,
-    NodeEmbeddings,
     build_adjacency,
     build_graph,
     init_live_embeddings,
@@ -20,7 +17,7 @@ from spikestag.graph import (
 
 
 def emb(data):
-    return NodeEmbeddings(Tensor(np.asarray(data, dtype=np.float32), requires_grad=True))
+    return np.asarray(data, dtype=np.float32)
 
 
 def sigmoid(x):
@@ -31,12 +28,12 @@ class TestBuildAdjacency:
     def test_zero_embeddings(self):
         a = build_adjacency(emb(np.zeros((3, 2))), lam=0.5)
         expected = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
-        np.testing.assert_allclose(a.data, expected, atol=1e-7)
+        np.testing.assert_allclose(a, expected, atol=1e-7)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(2)
         a = build_adjacency(emb(rng.standard_normal((6, 5))), lam=1.0)
-        assert np.array_equal(a.data, a.data.T)
+        assert np.array_equal(a, a.T)
 
     def test_matches_bruteforce_double_loop(self):
         rng = np.random.default_rng(4)
@@ -47,30 +44,18 @@ class TestBuildAdjacency:
                 expected = sigmoid(float(np.dot(e[i].astype(np.float64), e[j].astype(np.float64))))
                 if i == j:
                     expected += 1.0
-                assert a.data[i, j] == pytest.approx(expected, rel=1e-5)
+                assert a[i, j] == pytest.approx(expected, rel=1e-5)
 
     def test_offdiagonal_in_open_unit_interval(self):
         # moderate embedding norms; float32 sigmoid saturates past |x| ~ 17
         rng = np.random.default_rng(6)
-        a = build_adjacency(emb(rng.standard_normal((5, 4))), lam=2.0).data
+        a = build_adjacency(emb(rng.standard_normal((5, 4))), lam=2.0)
         off = a[~np.eye(5, dtype=bool)]
         assert np.all(off > 0.0) and np.all(off < 1.0)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ContractError):
             build_adjacency(emb(np.zeros((2, 2))), lam=-1.0)
-
-    def test_gradient_wrt_embeddings(self):
-        rng = np.random.default_rng(8)
-        r = rng.standard_normal((4, 4)).astype(np.float32)
-
-        def f(e):
-            a = build_adjacency(NodeEmbeddings(e), lam=1.0)
-            return ag.tsum(ag.mul(a, Tensor(r, dtype=e.data.dtype)))
-
-        report = ag.grad_check(f, Tensor(rng.standard_normal((4, 3)).astype(np.float32),
-                                         requires_grad=True))
-        assert report.passed, report
 
 
 class TestPruneNeighbors:
@@ -177,8 +162,7 @@ class TestSampling:
         a = line_graph_weights()
         cands = prune_neighbors(a)
         imp = node_importance(a)
-        assert sample_two_level(a, cands, imp, 2, 2, seed=1) == sample_two_level(
-            a, cands, imp, 2, 2, seed=99)
+        assert sample_two_level(a, cands, imp, 2, 2) == sample_two_level(a, cands, imp, 2, 2)
 
     def test_budget_bounds(self):
         rng = np.random.default_rng(12)
@@ -211,9 +195,9 @@ class TestSampling:
 
 class TestBuildGraphAndPadding:
     def test_build_graph_bundles_everything(self):
-        e = init_live_embeddings(8, 16, lam=4.0, k1=4, k2=4, seed=1)
-        g = build_graph(e, 4.0, 4, 4, seed=1)
-        assert isinstance(g, AdaptiveGraph)
+        e, g = init_live_embeddings(8, 16, lam=4.0, k1=4, k2=4, seed=1)
+        assert e.shape == (8, 16) and e.dtype == np.float32
+        assert isinstance(g, AdaptiveGraph) and g == build_graph(e, 4.0, 4, 4)
         assert len(g.candidate_sets) == 8
         assert all(len(c) >= 1 for c in g.candidate_sets)
         assert all(len(s) >= 1 for s in g.samples_semiglobal)

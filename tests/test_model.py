@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import spikestag.graph
+import spikestag.model
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.data import SeriesDataset, make_windows, synth_generate
@@ -150,7 +152,9 @@ class TestTraining:
     def test_divergence_aborts_with_param_name(self):
         cfg = replace(TINY, lr=1e12, epochs=1)
         model = ForecastModel(cfg)
-        with pytest.raises(DivergenceError) as exc:
+        # lr=1e12 overflows the Adam moments and turns parameters into inf/NaN,
+        # the values the divergence check exists to catch
+        with pytest.raises(DivergenceError) as exc, np.errstate(over="ignore", invalid="ignore"):
             train(model, tiny_dataset())
         assert exc.value.param_name in model.parameters()
 
@@ -171,9 +175,9 @@ class TestTraining:
         assert all(np.array_equal(before[k], v.data) for k, v in model.parameters().items())
 
     def test_all_live_params_receive_gradients(self):
-        """Every parameter except the sampling-only embeddings gets a gradient
-        on at least one batch.  The fusion branch starts from a silent readout,
-        so its attention weights only see gradients from the second step on.
+        """Every parameter gets a gradient on at least one batch.  The fusion
+        branch starts from a silent readout, so its attention weights only see
+        gradients from the second step on.
         """
         model, _, windows = prepared()
         params = model.parameters()
@@ -190,12 +194,54 @@ class TestTraining:
                     seen[name] = True
             opt.step()
         for name, flag in seen.items():
-            if name == "emb/e":
-                # the adjacency only feeds discrete sampling, so embeddings are
-                # structurally gradient-free in this architecture
-                assert not flag
-            else:
-                assert flag, name
+            assert flag, name
+
+
+def _rebuild(*args, **kwargs):
+    raise AssertionError("the graph is built once, at construction or load")
+
+
+class TestGraphBuiltOnce:
+    """The graph is a constant of the model: nothing after construction rebuilds it."""
+
+    @staticmethod
+    def forbid_rebuild(monkeypatch):
+        for module in (spikestag.model, spikestag.graph):
+            monkeypatch.setattr(module, "build_graph", _rebuild)
+
+    def test_train_and_predict_reuse_the_graph(self, monkeypatch):
+        model, ds, windows = prepared()
+        graph = model.graph
+        self.forbid_rebuild(monkeypatch)
+        report, windows = train(model, ds)
+        assert len(report.epochs) == 1 and np.isfinite(report.epochs[0].loss)
+        assert model.predict(windows.batch(windows.test_starts[:1])).shape == (TINY.horizon, 6)
+        assert model.graph is graph
+
+    def test_empty_local_sets_refused_without_rebuild(self, monkeypatch):
+        model = ForecastModel(replace(TINY, n_nodes=32, lam=4.0))
+        self.forbid_rebuild(monkeypatch)
+        with pytest.raises(ContractError, match="32 of 32 nodes have an empty local sample set"):
+            train(model, tiny_dataset(nodes=32))
+
+    def test_embeddings_are_a_buffer_not_a_parameter(self):
+        model = ForecastModel(TINY)
+        assert model.embeddings.shape == (TINY.n_nodes, TINY.emb_dim)
+        assert model.embeddings.dtype == np.float32
+        assert not any(name.startswith("emb/") for name in model.parameters())
+
+    def test_given_embeddings_are_used_as_they_are(self, monkeypatch):
+        other = ForecastModel(replace(TINY, seed=7))
+        monkeypatch.setattr(spikestag.model, "init_live_embeddings", _rebuild)
+        model = ForecastModel(TINY, embeddings=other.embeddings)
+        assert np.array_equal(model.embeddings, other.embeddings)
+        assert model.graph == other.graph
+
+    def test_default_config_sample_sets(self):
+        graph = ForecastModel(ModelConfig()).graph
+        assert graph.samples_local == [[1, 7], [0, 7], [3, 5, 6], [2, 4, 5, 6], [0, 3, 7],
+                                       [2, 3, 6], [2, 3, 5], [0, 1, 4]]
+        assert graph.samples_semiglobal == [[4], [4], [4], [0, 7], [1, 2, 5, 6], [4], [4], [3]]
 
 
 class TestOptimizer:

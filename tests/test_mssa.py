@@ -6,8 +6,10 @@ from spikestag.autograd import Tensor
 from spikestag.energy import OpCounter
 from spikestag.errors import ContractError
 from spikestag.graph import AdaptiveGraph
-from spikestag.mssa import HopWeights, dense_oracle_aggregate, index_mask_aggregate, mssa_forward
+from spikestag.mssa import HopWeights, mssa_forward
 from spikestag.spiking import LifParams
+
+from per_step import dense_oracle_aggregate, index_mask_aggregate
 
 from test_spiking import lif_sim
 
@@ -25,10 +27,7 @@ def mask_from_sets(sets, n):
 
 
 def toy_graph(sets1, sets2):
-    n = len(sets1)
-    return AdaptiveGraph(a=Tensor(np.eye(n, dtype=np.float32)), lambda_selfloop=1.0,
-                         candidate_sets=sets1, importance=np.ones(n),
-                         samples_local=sets1, samples_semiglobal=sets2)
+    return AdaptiveGraph(candidate_sets=sets1, samples_local=sets1, samples_semiglobal=sets2)
 
 
 class TestIndexMaskAggregate:

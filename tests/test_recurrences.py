@@ -220,7 +220,7 @@ class TestModelStep:
         for s, s_ref in zip(spikes, spikes_ref):
             np.testing.assert_array_equal(s, s_ref)
         assert grads.keys() == grads_ref.keys()
-        assert [k for k, g in grads.items() if g is None] == ["emb/e"]  # sampling is not differentiated
+        assert [k for k, g in grads.items() if g is None] == []
         for name, g in grads.items():
             if g is not None:
                 assert rel_err(g, grads_ref[name]) < MODEL_GRAD_TOL, name
