@@ -34,9 +34,11 @@ DEFAULT_DTYPE = np.float32
 # Toggled by no_grad(); ops skip tape recording while this is False.
 _GRAD_ENABLED = True
 
-# Optional instrumentation hook, set by the energy module while counting ops.
-# Called as _MATMUL_OBSERVER(shape_a, shape_b) for every recorded matmul.
-_MATMUL_OBSERVER: Callable | None = None
+# Optional instrumentation hook, installed by `set_observer` (the energy
+# module's op counter, while counting).  It receives `.matmul(shape_a,
+# shape_b)` for every matmul and `.spikes(layer, tensor)` for every spiking
+# layer's output.
+_OBSERVER = None
 
 
 class no_grad:
@@ -87,10 +89,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -140,9 +138,15 @@ def is_recording(*parents: Tensor) -> bool:
 
 
 def observe_matmul(shape_a, shape_b) -> None:
-    """Report a matmul done outside `matmul` to the instrumentation hook, if any."""
-    if _MATMUL_OBSERVER is not None:
-        _MATMUL_OBSERVER(shape_a, shape_b)
+    """Report a matmul's operand shapes to the observer, if one is installed."""
+    if _OBSERVER is not None:
+        _OBSERVER.matmul(shape_a, shape_b)
+
+
+def observe_spikes(layer: str, tensor: Tensor) -> None:
+    """Report the spike output of the named layer to the observer, if one is installed."""
+    if _OBSERVER is not None:
+        _OBSERVER.spikes(layer, tensor)
 
 
 def _result(data, parents: tuple, backward_fn, op: str, custom: bool = False) -> Tensor:
@@ -669,6 +673,8 @@ def grad_check(
     return GradCheckReport(rel.max() if rel.size else 0.0, tol)
 
 
-def set_matmul_observer(fn: Callable | None) -> None:
-    global _MATMUL_OBSERVER
-    _MATMUL_OBSERVER = fn
+def set_observer(obs):
+    """Install `obs` (None: none) as the observer; returns the one it replaces."""
+    global _OBSERVER
+    prev, _OBSERVER = _OBSERVER, obs
+    return prev

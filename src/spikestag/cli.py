@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autograd as ag
 from . import checkpoint as ckpt
 from .data import SeriesDataset, load_csv, make_windows, synth_generate
 from .energy import OpCounter, estimate_energy, write_report_csv, write_report_text
@@ -259,10 +260,7 @@ def cmd_energy(args) -> int:
     starts = (windows.test_starts or windows.train_starts)[: args.batch]
     batch = windows.batch(starts)
     counter = OpCounter()
-    counter.counts.param_count = model.param_count()
-    counter.counts.batch_elements = batch.batch_size
-    from . import autograd as ag
-    with counter, ag.no_grad():
+    with ag.no_grad():
         model.forward(batch, counter=counter)
     report = estimate_energy(counter.counts, e_mac=args.e_mac, e_ac=args.e_ac)
     outdir = Path(args.out)

@@ -145,14 +145,6 @@ def save_csv(ds: SeriesDataset, path) -> None:
             writer.writerow([iso] + [repr(float(v)) for v in row])
 
 
-def count_windows(n_steps: int, t_in: int, horizon: int, stride: int = 1) -> int:
-    """Number of sliding windows of total span t_in + horizon."""
-    span = t_in + horizon
-    if span > n_steps:
-        raise ContractError(f"window span {span} exceeds series length {n_steps}")
-    return (n_steps - span) // stride + 1
-
-
 def make_windows(
     ds: SeriesDataset,
     t_in: int,

@@ -11,7 +11,8 @@ The forecast head reads only the final frame, so the attention readout is
 formed for that frame alone: its query is scored against all T' = T * ts key
 frames, O(T') per node instead of the O(T'^2) of scoring every frame, and
 the gate runs on the final frame of both branches.  Q/K/V still run their
-LIF recurrence over every frame.
+LIF recurrence over every frame, and report their spikes
+(`autograd.observe_spikes`) for the energy module to count.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ class LstmParams:
         return cls(w(d_in), w(d_in), w(d_in), w(d_in),
                    w(h_dim), w(h_dim), w(h_dim), w(h_dim),
                    b(), b(1.0), b(), b())
-
-    @property
-    def hidden(self) -> int:
-        return self.w_hi.shape[0]
 
     def tensors(self) -> dict:
         return {k: getattr(self, k) for k in
@@ -219,31 +216,17 @@ def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
     return ag._result(hidden, (gates_x, wh), bw, "lstm")
 
 
-def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams, counter=None,
-                 layer: str = "lstm") -> Tensor:
+def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams) -> Tensor:
     """Standard LSTM recurrence over (..., T_frames, N, d_in) spike frames.
 
     Hidden and cell states start at zero; returns hidden states for every
     frame, shape (..., T_frames, N, h_dim).
     """
     x = s.values if isinstance(s, SpikeTrain) else s
-    h_dim = params.hidden
-
     wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
-
-    gates_x = ag.affine(x, wx, b)  # (..., T, N, 4h)
-    out = _lstm(gates_x, wh)
-    if counter is not None:
-        d_in = x.shape[-1]
-        positions = int(np.prod(x.data.shape[:-1]))
-        counter.add_spike_proj(layer + ".input", event_count=float(x.data.sum()),
-                               fanout=4 * h_dim, dense_positions=positions,
-                               dense_in=d_in, dense_out=4 * h_dim)
-        counter.observe_spikes(layer + ".input", x.data)
-        counter.add_dense(layer + ".recurrent", macs=positions * h_dim * 4 * h_dim)
-    return out
+    return _lstm(ag.affine(x, wx, b), wh)  # input-side gates (..., T, N, 4h)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
@@ -264,8 +247,18 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     return ag.transpose(out, perm)  # back to (..., T, N, d)
 
 
-def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams, counter=None,
-                layer: str = "ssa") -> Tensor:
+def qkv_spikes(s: SpikeTrain, params: SsaParams, lif: LifParams) -> tuple:
+    """Binary Q, K and V: LIF spikes of the projected input over every frame,
+    reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v`."""
+    out = []
+    for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
+        spikes = lif_over_frames(ag.matmul(s.values, w), lif)
+        ag.observe_spikes(f"ssa.{name}", spikes)
+        out.append(spikes)
+    return tuple(out)
+
+
+def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams) -> Tensor:
     """Spiking self-attention read out at the final frame; continuous features.
 
     Q/K/V are binary (LIF of the projected input spikes, run over every frame
@@ -275,21 +268,7 @@ def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams, counter=None,
     of V.  Returns shape (..., 1, N, d_k): the one frame the forecast head
     reads, at O(T') score cost per node instead of O(T'^2).
     """
-    x = s.values
-    projections = {}
-    for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        pot = ag.matmul(x, w)
-        projections[name] = lif_over_frames(pot, lif)
-        if counter is not None:
-            counter.add_spike_proj(f"{layer}.{name}", event_count=float(x.data.sum()),
-                                   fanout=params.d_k,
-                                   dense_positions=int(np.prod(x.data.shape[:-1])),
-                                   dense_in=x.shape[-1], dense_out=params.d_k)
-            counter.add_lif(f"{layer}.{name}", neurons_steps=projections[name].data.size)
-            counter.observe_spikes(f"{layer}.{name}", projections[name].data)
-    q, k, v = projections["q"], projections["k"], projections["v"]
-    if counter is not None:
-        counter.add_spike_attention(layer, q.data, k.data, v.data, params.d_k)
+    q, k, v = qkv_spikes(s, params, lif)
     t_axis = q.data.ndim - 3
     q_last = ag.narrow(q, t_axis, q.shape[t_axis] - 1, 1)
     return attention_core(q_last, k, v, params.d_k)

@@ -1,8 +1,15 @@
 """Theoretical energy estimation via operation counting on 45nm coefficients.
 
+Every counting rule lives here.  The model's layers only report: the
+autograd observer receives the operand shapes of each matmul and the spike
+output of each spiking layer (`mssa.encoder`, `mssa.hop1`, `mssa.hop2`,
+`dsf.encoder`, `ssa.q`, `ssa.k`, `ssa.v`).  `OpCounter.count_forward` then
+derives every layer's tallies from the model's config, its graph and those
+spikes.
+
 Counting rules:
   * dense layers: input_width * output_width multiply-accumulates per
-    position (MACs),
+    position (MACs), from the config's shapes,
   * spike-driven projections: one accumulate per active input spike per
     output unit (ACs = active_spikes * fanout, measured on the batch),
   * LIF updates: one accumulate per neuron per sub-step,
@@ -15,10 +22,10 @@ the testing-oracle path.
 Counts describe the network the paper specifies, in which spiking attention,
 the attention projection and the fusion gate produce every frame, not the
 work of the numpy kernels: those compute the fusion tail only for the final
-frame, which is all the head reads.  So `add_spike_attention` counts every
-query frame against every key frame, and the `ssa.proj` and `gate` MACs
-count all T * ts frames.  Likewise every counted forward pays the `adjacency`
-MACs of E E^T (N * N * emb_dim), although the model builds A only once, at
+frame, which is all the head reads.  So attention counts every query frame
+against every key frame, and the `ssa.proj` and `gate` MACs count all
+T * ts frames.  Likewise every counted forward pays the `adjacency` MACs of
+E E^T (N * N * emb_dim), although the model builds A only once, at
 construction or load, and its forward reuses that graph.
 
 Every layer also records what a structurally identical non-spiking twin would
@@ -38,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
+from .graph import padded_index_mask
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
@@ -61,7 +69,7 @@ class OpCounts:
     """Per-layer op tallies for one counted forward pass."""
 
     layers: dict = field(default_factory=dict)
-    matmul_log: list = field(default_factory=list)  # (scope, shape_a, shape_b)
+    matmul_log: list = field(default_factory=list)  # (shape_a, shape_b)
     param_count: int = 0
     batch_elements: int = 1
 
@@ -82,77 +90,117 @@ class OpCounts:
 
 
 class OpCounter:
-    """Instrumentation pass collector; attach to a model forward to fill OpCounts.
+    """Counts the operations of a model forward into `counts`.
 
-    The autograd matmul observer additionally logs every raw matmul shape with
-    the active scope so tests can assert that no dense node-by-node product
-    runs on the aggregation path.
+    Entered as a context manager it is the autograd observer (nesting is
+    safe; leaving restores the previous one): it logs every matmul's operand
+    shapes, which tests read to assert that no dense node-by-node product
+    runs on the aggregation path, and keeps the spikes each layer reports.
+    `ForecastModel.forward(batch, counter=...)` enters it and then calls
+    `count_forward`.
     """
 
     def __init__(self):
         self.counts = OpCounts()
-        self._scope = ""
-
-    # scope management -----------------------------------------------------
-
-    def scope(self, name: str):
-        counter = self
-
-        class _Scope:
-            def __enter__(self_inner):
-                self_inner.prev = counter._scope
-                counter._scope = name
-                return counter
-
-            def __exit__(self_inner, *exc):
-                counter._scope = self_inner.prev
-                return False
-
-        return _Scope()
+        self._spikes = {}      # layer -> spike array of the current forward
+        self._prev = []        # observers to restore, one per open entry
 
     def __enter__(self):
-        ag.set_matmul_observer(self._observe_matmul)
+        self._prev.append(ag.set_observer(self))
         return self
 
     def __exit__(self, *exc):
-        ag.set_matmul_observer(None)
+        ag.set_observer(self._prev.pop())
         return False
 
-    def _observe_matmul(self, shape_a, shape_b):
-        self.counts.matmul_log.append((self._scope, tuple(shape_a), tuple(shape_b)))
+    # observer interface -----------------------------------------------------
 
-    # counting hooks ---------------------------------------------------------
+    def matmul(self, shape_a, shape_b) -> None:
+        self.counts.matmul_log.append((tuple(shape_a), tuple(shape_b)))
 
-    def add_dense(self, layer: str, macs: float) -> None:
+    def spikes(self, layer: str, tensor) -> None:
+        self._spikes[layer] = tensor.data
+
+    # counting rules ---------------------------------------------------------
+
+    def count_forward(self, model, b: int, t: int) -> OpCounts:
+        """Add the tallies of the forward just run, on `b` windows of `t` steps.
+
+        Reads `model.config`, `model.graph` and the reported spikes, which it
+        then drops; also sets `batch_elements` and `param_count`.
+        """
+        cfg, graph, spikes = model.config, model.graph, self._spikes
+        n, f, h = cfg.n_nodes, cfg.feature_width, cfg.h_dim
+        positions = b * t * cfg.ts * n          # every frame of every node
+        self._dense("adjacency", n * n * cfg.emb_dim)
+        s1_sizes = sum(len(s) for s in graph.samples_local)
+        self._dense("obs", b * t * (3 * n * f * f + 2 * s1_sizes * f))
+        self._fire("mssa.encoder")
+        x = spikes["mssa.encoder"]
+        for layer, sets, width in (("mssa.hop1", graph.samples_local, cfg.d1),
+                                   ("mssa.hop2", graph.samples_semiglobal, cfg.d2)):
+            idx, valid = padded_index_mask(sets, n)
+            gathered = float((np.take(x, idx, axis=x.ndim - 2) * valid[:, :, None]).sum())
+            self._spike_proj(layer, gathered, x, width, n_nodes=n)
+            self._fire(layer)
+            x = spikes[layer]
+        ab = cfg.ablation
+        if ab != "W2":
+            self._spike_proj("lstm.input", float(x.sum()), x, 4 * h)
+            self._tally("lstm.input", x)
+            self._dense("lstm.recurrent", positions * h * 4 * h)
+        if ab in ("W3", "W4"):
+            self._fire("dsf.encoder")
+            x = spikes["dsf.encoder"]
+        if ab != "W1":
+            for layer in ("ssa.q", "ssa.k", "ssa.v"):
+                self._spike_proj(layer, float(x.sum()), x, cfg.d_k)
+                self._fire(layer)
+            self._spike_attention("ssa", spikes["ssa.q"], spikes["ssa.k"], spikes["ssa.v"],
+                                  cfg.d_k)
+            self._dense("ssa.proj", positions * cfg.d_k * h)
+        if ab == "W4":
+            self._dense("gate", positions * 2 * h * h)
+        self._dense("head", b * n * h * cfg.horizon)
+        self.counts.batch_elements = b
+        self.counts.param_count = model.param_count()
+        self._spikes = {}
+        return self.counts
+
+    def _dense(self, layer: str, macs: float) -> None:
         lc = self.counts.layer(layer)
         lc.mac_ops += macs
         lc.twin_mac_ops += macs
 
-    def add_spike_proj(self, layer: str, event_count: float, fanout: int,
-                       dense_positions: int, dense_in: int, dense_out: int,
-                       n_nodes: int | None = None) -> None:
-        """Event-driven projection: ACs for the spiking model, full MACs for the twin.
+    def _spike_proj(self, layer: str, events: float, x: np.ndarray, fanout: int,
+                    n_nodes: int | None = None) -> None:
+        """Event-driven projection of the spikes `x`: ACs for the spiking
+        model, full MACs for the twin.
 
-        `event_count` is the number of active input spikes feeding the
-        projection.  When `n_nodes` is given the layer is a neighborhood
-        aggregation and the twin additionally pays the dense n-by-n product.
+        `events` is the number of active input spikes feeding the projection.
+        When `n_nodes` is given the layer is a neighborhood aggregation and
+        the twin additionally pays the dense n-by-n product.
         """
         lc = self.counts.layer(layer)
-        lc.ac_ops += event_count * fanout
-        lc.twin_mac_ops += dense_positions * dense_in * dense_out
+        positions, width = int(np.prod(x.shape[:-1])), x.shape[-1]
+        lc.ac_ops += events * fanout
+        lc.twin_mac_ops += positions * width * fanout
         if n_nodes is not None:
-            lc.twin_mac_ops += dense_positions * n_nodes * dense_in
+            lc.twin_mac_ops += positions * n_nodes * width
 
-    def add_lif(self, layer: str, neurons_steps: float) -> None:
-        self.counts.layer(layer).ac_ops += neurons_steps
+    def _fire(self, layer: str) -> None:
+        """The layer's LIF updates, one accumulate per neuron per frame, and
+        its spike tallies."""
+        self.counts.layer(layer).ac_ops += self._spikes[layer].size
+        self._tally(layer, self._spikes[layer])
 
-    def observe_spikes(self, layer: str, spikes: np.ndarray) -> None:
+    def _tally(self, layer: str, spikes: np.ndarray) -> None:
         lc = self.counts.layer(layer)
         lc.spike_total += spikes.size
         lc.spike_active += float(spikes.sum())
 
-    def add_spike_attention(self, layer: str, q: np.ndarray, k: np.ndarray,
-                            v: np.ndarray, d_k: int) -> None:
+    def _spike_attention(self, layer: str, q: np.ndarray, k: np.ndarray,
+                         v: np.ndarray, d_k: int) -> None:
         """Exact event counts for binary-Q/K scoring and score-weighted V readout.
 
         Q, K and V hold every frame; every query frame is counted against

@@ -219,33 +219,35 @@ class ForecastModel:
         return ag.scale(ssa_out, self.ssa_scale)
 
     def forward(self, batch: WindowBatch, counter=None) -> Tensor:
-        """Normalized-scale predictions of shape (B, L, N)."""
+        """Normalized-scale predictions of shape (B, L, N).
+
+        Given `counter`, an `energy.OpCounter`, the forward runs with the
+        counter entered, so the matmuls and the spikes of its layers are
+        reported to it, and then has it count the forward's operations
+        (`OpCounter.count_forward`).  The caller need not enter it.
+        """
+        if counter is not None:
+            with counter:
+                pred = self.forward(batch)
+                counter.count_forward(self, *batch.inputs.shape[:2])
+            return pred
         cfg = self.config
         lif = cfg.lif()
         z = Tensor(batch.normalized_inputs())
         x = self.embed_inputs(z, batch.input_times)
-        b, t, n, f = x.shape
-
-        if counter is not None:
-            counter.add_dense("adjacency", macs=n * n * cfg.emb_dim)
-            s1_sizes = sum(len(s) for s in self.graph.samples_local)
-            counter.add_dense("obs", macs=b * t * (3 * n * f * f + 2 * s1_sizes * f))
-
         x_obs = obs_forward(x, self.graph.samples_local, self.obs_params)
-        s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, counter=counter)
+        s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts)
 
         # everything after the recurrences works on the final frame only,
-        # the one the head reads; op counts keep the full-sequence sizes
-        t_frames = t * cfg.ts
+        # the one the head reads
+        t_frames = x.shape[1] * cfg.ts
         t_axis = x.data.ndim - 3
         ab = cfg.ablation
         if ab == "W2":
-            ssa_out = self._scaled_ssa(ssa_forward(s_mssa, self.ssa_params, lif, counter=counter))
+            ssa_out = self._scaled_ssa(ssa_forward(s_mssa, self.ssa_params, lif))
             feat = ag.matmul(ssa_out, self.ssa_proj)
-            if counter is not None:
-                counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
         else:
-            h_lstm = lstm_forward(s_mssa, self.lstm_params, counter=counter)
+            h_lstm = lstm_forward(s_mssa, self.lstm_params)
             h_last = ag.narrow(h_lstm, t_axis, t_frames - 1, 1)    # (B, 1, N, h)
             if ab == "W1":
                 feat = h_last
@@ -253,24 +255,13 @@ class ForecastModel:
                 boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
                 h_series = ag.take(h_lstm, boundary, axis=t_axis)
                 re_encoded = encode_sequence(h_series, cfg.ts, lif)
-                if counter is not None:
-                    counter.add_lif("dsf.encoder", neurons_steps=re_encoded.values.data.size)
-                    counter.observe_spikes("dsf.encoder", re_encoded.values.data)
-                ssa_out = self._scaled_ssa(ssa_forward(re_encoded, self.ssa_params, lif, counter=counter))
+                ag.observe_spikes("dsf.encoder", re_encoded.values)
+                ssa_out = self._scaled_ssa(ssa_forward(re_encoded, self.ssa_params, lif))
                 h_ssa = ag.matmul(ssa_out, self.ssa_proj)
-                if counter is not None:
-                    counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
-                if ab == "W3":
-                    feat = h_ssa
-                else:
-                    feat = gate_fuse(h_last, h_ssa, self.gate_params)
-                    if counter is not None:
-                        counter.add_dense("gate", macs=b * t_frames * n * 2 * cfg.h_dim * cfg.h_dim)
+                feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)
 
         final = ag.select_index(feat, 0, axis=t_axis)               # (B, N, h)
         pred = ag.affine(final, self.head_w, self.head_b)           # (B, N, L)
-        if counter is not None:
-            counter.add_dense("head", macs=b * n * cfg.h_dim * cfg.horizon)
         return ag.transpose(pred, (0, 2, 1))                        # (B, L, N)
 
     def predict(self, batch: WindowBatch):

@@ -7,9 +7,11 @@ the hop projection:
     m_i = (sum_{j in S_i} x_j) W
 
 No dense N-by-N product is formed on this path (the test suite asserts that
-via the op counter).  Each hop's pre-synaptic potentials drive an LIF layer
-whose state evolves across the whole frame sequence, and hop 2 repeats the
-routine on hop-1 spikes over the semi-global sample sets.
+via the op counter's matmul log).  Each hop's pre-synaptic potentials drive
+an LIF layer whose state evolves across the whole frame sequence, and hop 2
+repeats the routine on hop-1 spikes over the semi-global sample sets.  The
+encoder and both hops report their spikes (`autograd.observe_spikes`); the
+energy module derives their op counts from those.
 """
 
 from __future__ import annotations
@@ -44,29 +46,13 @@ class HopWeights:
         return {"w1": self.w1, "w2": self.w2}
 
 
-def _hop(
-    spikes: Tensor,
-    sets: list,
-    w: Tensor,
-    lif: LifParams,
-    counter=None,
-    layer: str = "",
-) -> Tensor:
-    """One sample-index-sum-project-fire hop over all frames at once."""
-    n = spikes.shape[-2]
-    idx, valid = padded_index_mask(sets, n)
+def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str) -> Tensor:
+    """One sample-index-sum-project-fire hop over all frames at once; its
+    spikes are reported under `layer`."""
+    idx, valid = padded_index_mask(sets, spikes.shape[-2])
     summed = ag.gather_sum(spikes, idx, valid, axis=spikes.data.ndim - 2)
-    potentials = ag.matmul(summed, w)
-    out = lif_over_frames(potentials, lif)
-    if counter is not None:
-        active_gathered = float((np.take(spikes.data, idx, axis=spikes.data.ndim - 2)
-                                 * valid[:, :, None]).sum())
-        counter.add_spike_proj(layer, event_count=active_gathered, fanout=w.shape[1],
-                               dense_positions=int(np.prod(spikes.data.shape[:-1])),
-                               dense_in=spikes.shape[-1], dense_out=w.shape[1],
-                               n_nodes=n)
-        counter.add_lif(layer, neurons_steps=out.data.size)
-        counter.observe_spikes(layer, out.data)
+    out = lif_over_frames(ag.matmul(summed, w), lif)
+    ag.observe_spikes(layer, out)
     return out
 
 
@@ -76,7 +62,6 @@ def mssa_forward(
     weights: HopWeights,
     lif: LifParams,
     ts: int,
-    counter=None,
 ) -> SpikeTrain:
     """Encode observation features to spikes, then run the two hops.
 
@@ -84,11 +69,7 @@ def mssa_forward(
     (..., T*ts, N, d2) with the LIF state of each hop evolving across frames.
     """
     encoded = encode_sequence(x_obs, ts, lif)
-    if counter is not None:
-        counter.add_lif("mssa.encoder", neurons_steps=encoded.values.data.size)
-        counter.observe_spikes("mssa.encoder", encoded.values.data)
-    s1 = _hop(encoded.values, graph.samples_local, weights.w1, lif,
-              counter=counter, layer="mssa.hop1")
-    s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif,
-              counter=counter, layer="mssa.hop2")
+    ag.observe_spikes("mssa.encoder", encoded.values)
+    s1 = _hop(encoded.values, graph.samples_local, weights.w1, lif, layer="mssa.hop1")
+    s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif, layer="mssa.hop2")
     return SpikeTrain(s2)

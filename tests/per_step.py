@@ -27,12 +27,11 @@ import numpy as np
 
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
-from spikestag.dsf import attention_core, gate_fuse, lstm_forward
+from spikestag.dsf import attention_core, gate_fuse, lstm_forward, qkv_spikes
 from spikestag.errors import ContractError, ShapeError
 from spikestag.mssa import mssa_forward
 from spikestag.obs import obs_forward
 from spikestag.spiking import LifParams, SpikeTrain, encode_sequence, surrogate_grad
-from spikestag.spiking import lif_over_frames as fused_lif_over_frames
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -179,25 +178,10 @@ def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
     return stack(outs, axis=time_axis)
 
 
-def ssa_forward_full(s: SpikeTrain, params, lif: LifParams, counter=None,
-                     layer: str = "ssa") -> Tensor:
+def ssa_forward_full(s: SpikeTrain, params, lif: LifParams) -> Tensor:
     """Spiking self-attention read out at every frame, (..., T', N, d_k)."""
-    x = s.values
-    projections = {}
-    for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        projections[name] = fused_lif_over_frames(ag.matmul(x, w), lif)
-        if counter is not None:
-            counter.add_spike_proj(f"{layer}.{name}", event_count=float(x.data.sum()),
-                                   fanout=params.d_k,
-                                   dense_positions=int(np.prod(x.data.shape[:-1])),
-                                   dense_in=x.shape[-1], dense_out=params.d_k)
-            counter.add_lif(f"{layer}.{name}", neurons_steps=projections[name].data.size)
-            counter.observe_spikes(f"{layer}.{name}", projections[name].data)
-    q, k, v = projections["q"], projections["k"], projections["v"]
-    out = attention_core(q, k, v, params.d_k)
-    if counter is not None:
-        counter.add_spike_attention(layer, q.data, k.data, v.data, params.d_k)
-    return out
+    q, k, v = qkv_spikes(s, params, lif)
+    return attention_core(q, k, v, params.d_k)
 
 
 def full_sequence_forward(model, batch, counter=None) -> Tensor:
@@ -205,52 +189,40 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
 
     Attention, the attention projection and the gate produce every frame,
     the head reads the final one.  An unset `model.ssa_scale` is calibrated
-    over all frames of the attention readout.
+    over all frames of the attention readout.  A `counter` is entered and
+    counts the forward as in `ForecastModel.forward`.
     """
+    if counter is not None:
+        with counter:
+            pred = full_sequence_forward(model, batch)
+            counter.count_forward(model, *batch.inputs.shape[:2])
+        return pred
     cfg = model.config
     lif = cfg.lif()
     z = Tensor(batch.normalized_inputs())
     x = model.embed_inputs(z, batch.input_times)
-    b, t, n, f = x.shape
     graph = model.graph
-    if counter is not None:
-        counter.add_dense("adjacency", macs=n * n * cfg.emb_dim)
-        s1_sizes = sum(len(s) for s in graph.samples_local)
-        counter.add_dense("obs", macs=b * t * (3 * n * f * f + 2 * s1_sizes * f))
     x_obs = obs_forward(x, graph.samples_local, model.obs_params)
-    s_mssa = mssa_forward(x_obs, graph, model.hop_weights, lif, cfg.ts, counter=counter)
+    s_mssa = mssa_forward(x_obs, graph, model.hop_weights, lif, cfg.ts)
 
-    t_frames = t * cfg.ts
+    t_frames = x.shape[1] * cfg.ts
     time_axis = x.data.ndim - 3
     ab = cfg.ablation
     if ab == "W2":
-        ssa_out = model._scaled_ssa(ssa_forward_full(s_mssa, model.ssa_params, lif, counter))
+        ssa_out = model._scaled_ssa(ssa_forward_full(s_mssa, model.ssa_params, lif))
         feat_seq = ag.matmul(ssa_out, model.ssa_proj)
-        if counter is not None:
-            counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
     else:
-        h_lstm = lstm_forward(s_mssa, model.lstm_params, counter=counter)
+        h_lstm = lstm_forward(s_mssa, model.lstm_params)
         if ab == "W1":
             feat_seq = h_lstm
         else:
             boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
             re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif)
-            if counter is not None:
-                counter.add_lif("dsf.encoder", neurons_steps=re_encoded.values.data.size)
-                counter.observe_spikes("dsf.encoder", re_encoded.values.data)
-            ssa_out = model._scaled_ssa(ssa_forward_full(re_encoded, model.ssa_params, lif, counter))
+            ag.observe_spikes("dsf.encoder", re_encoded.values)
+            ssa_out = model._scaled_ssa(ssa_forward_full(re_encoded, model.ssa_params, lif))
             h_ssa = ag.matmul(ssa_out, model.ssa_proj)
-            if counter is not None:
-                counter.add_dense("ssa.proj", macs=b * t_frames * n * cfg.d_k * cfg.h_dim)
-            if ab == "W3":
-                feat_seq = h_ssa
-            else:
-                feat_seq = gate_fuse(h_lstm, h_ssa, model.gate_params)
-                if counter is not None:
-                    counter.add_dense("gate", macs=b * t_frames * n * 2 * cfg.h_dim * cfg.h_dim)
+            feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)
 
     final = ag.select_index(feat_seq, t_frames - 1, axis=time_axis)
     pred = ag.add(ag.matmul(final, model.head_w), model.head_b)
-    if counter is not None:
-        counter.add_dense("head", macs=b * n * cfg.h_dim * cfg.horizon)
     return ag.transpose(pred, (0, 2, 1))

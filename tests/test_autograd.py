@@ -203,11 +203,16 @@ class TestAffine:
     def test_reports_its_matmul_shape(self):
         ops = self._operands(np.random.default_rng(24))
         seen = []
-        ag.set_matmul_observer(lambda sa, sb: seen.append((tuple(sa), tuple(sb))))
+
+        class Observer:
+            def matmul(self, sa, sb):
+                seen.append((tuple(sa), tuple(sb)))
+
+        prev = ag.set_observer(Observer())
         try:
             ag.affine(Tensor(ops["a"]), Tensor(ops["w"]), Tensor(ops["b"]))
         finally:
-            ag.set_matmul_observer(None)
+            ag.set_observer(prev)
         assert seen == [((2, 3, 4), (4, 5))]
 
     @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spikestag.data import (
     SeriesDataset,
-    count_windows,
     covariate_indices,
     load_csv,
     make_windows,
@@ -101,7 +100,6 @@ class TestWindows:
         return SeriesDataset(times, vals, 3600, [f"n{i}" for i in range(n_nodes)])
 
     def test_window_count_formula(self):
-        assert count_windows(10, 3, 1) == 7
         sw = make_windows(self._ds(10), 3, 1, fractions=(1.0, 0.0, 0.0))
         assert len(sw.train_starts) == 7
 

@@ -1,9 +1,13 @@
 """Per-layer operation counts of a counted forward, and the energy model."""
 
-import numpy as np
+import inspect
+from dataclasses import replace
+
 import pytest
 
 from spikestag import autograd as ag
+from spikestag import dsf, mssa, obs
+from spikestag import model as model_module
 from spikestag.data import make_windows, synth_generate
 from spikestag.energy import OpCounter, OpCounts, estimate_energy
 from spikestag.model import ForecastModel, ModelConfig
@@ -36,21 +40,54 @@ PINNED = {
 }
 
 
-@pytest.fixture(scope="module")
-def counts():
-    cfg = TINY_W4
+def _without(*names):
+    return {k: v for k, v in PINNED.items() if k not in names}
+
+
+# The other variants, as differences from W4.  W2's attention reads the hop-2
+# spikes instead of re-encoded LSTM states, so its attention counts differ.
+PINNED_VARIANTS = {
+    "W1": _without("dsf.encoder", "ssa.q", "ssa.k", "ssa.v", "ssa", "ssa.proj", "gate"),
+    "W2": {**_without("lstm.input", "lstm.recurrent", "dsf.encoder", "gate"),
+           "ssa.q": (0, 14816), "ssa.k": (0, 14816), "ssa.v": (0, 14816), "ssa": (0, 39029)},
+    "W3": _without("gate"),
+}
+
+
+def model_and_batch(cfg=TINY_W4):
     windows = make_windows(synth_generate(cfg.n_nodes, 80, seed=1), cfg.t_in, cfg.horizon)
     model = ForecastModel(cfg)
     model.set_norm_stats(windows.mean, windows.std)
+    return model, windows.batch(windows.train_starts[:BATCH])
+
+
+def counted_forward(cfg):
+    """Counts of one forward, counted as the benchmark does: inside its own
+    `with counter`, which the forward enters a second time."""
+    model, batch = model_and_batch(cfg)
     counter = OpCounter()
     with counter, ag.no_grad():
-        model.forward(windows.batch(windows.train_starts[:BATCH]), counter=counter)
+        model.forward(batch, counter=counter)
+    assert ag.set_observer(None) is None
     return counter.counts
 
 
+def mac_ac(counts):
+    return {name: (lc.mac_ops, lc.ac_ops) for name, lc in counts.layers.items()}
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return counted_forward(TINY_W4)
+
+
 def test_per_layer_counts_pinned(counts):
-    got = {name: (lc.mac_ops, lc.ac_ops) for name, lc in counts.layers.items()}
-    assert got == PINNED
+    assert mac_ac(counts) == PINNED
+
+
+@pytest.mark.parametrize("ablation", sorted(PINNED_VARIANTS))
+def test_per_layer_counts_pinned_other_variants(ablation):
+    assert mac_ac(counted_forward(replace(TINY_W4, ablation=ablation))) == PINNED_VARIANTS[ablation]
 
 
 def test_dense_fusion_macs_by_hand(counts):
@@ -59,6 +96,61 @@ def test_dense_fusion_macs_by_hand(counts):
     assert counts.layers["gate"].mac_ops == positions * (2 * cfg.h_dim) * cfg.h_dim
     assert counts.layers["ssa.proj"].mac_ops == positions * cfg.d_k * cfg.h_dim
     assert counts.layers["head"].mac_ops == BATCH * cfg.n_nodes * cfg.h_dim * cfg.horizon
+
+
+def test_counted_forward_needs_no_caller_setup():
+    model, batch = model_and_batch()
+    by_hand = OpCounter()
+    by_hand.counts.param_count = model.param_count()
+    by_hand.counts.batch_elements = batch.batch_size
+    with by_hand, ag.no_grad():
+        model.forward(batch, counter=by_hand)
+    bare = OpCounter()
+    with ag.no_grad():
+        model.forward(batch, counter=bare)
+    assert bare.counts.batch_elements == BATCH
+    assert bare.counts.param_count == model.param_count() > 0
+    assert estimate_energy(bare.counts) == estimate_energy(by_hand.counts)
+
+
+def test_nested_entry_restores_no_observer():
+    counter = OpCounter()
+    with counter:
+        with counter:
+            pass
+        assert ag.set_observer(counter) is counter      # the inner exit kept it
+    assert ag.set_observer(None) is None
+
+
+def test_raising_forward_leaves_no_observer(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("layer failed")
+
+    monkeypatch.setattr(model_module, "lstm_forward", broken)
+    model, batch = model_and_batch()
+    counter = OpCounter()
+    with pytest.raises(RuntimeError, match="layer failed"):
+        with counter, ag.no_grad():
+            model.forward(batch, counter=counter)
+    assert ag.set_observer(None) is None
+
+
+def test_uncounted_forward_reports_to_nobody(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("observer called with no counter installed")
+
+    monkeypatch.setattr(OpCounter, "spikes", refuse)
+    monkeypatch.setattr(OpCounter, "matmul", refuse)
+    model, batch = model_and_batch()
+    OpCounter()                     # a counter not entered installs nothing
+    model.forward(batch)
+
+
+@pytest.mark.parametrize("module", [mssa, dsf, obs])
+def test_no_layer_takes_a_counter(module):
+    for name, fn in inspect.getmembers(module, inspect.isfunction):
+        if fn.__module__ == module.__name__:
+            assert "counter" not in inspect.signature(fn).parameters, name
 
 
 def test_energy_is_linear_in_counts():

@@ -6,6 +6,7 @@ from spikestag.autograd import Tensor
 from spikestag.energy import OpCounter
 from spikestag.errors import ContractError
 from spikestag.graph import AdaptiveGraph
+from spikestag.model import ForecastModel, ModelConfig
 from spikestag.mssa import HopWeights, mssa_forward
 from spikestag.spiking import LifParams
 
@@ -143,12 +144,12 @@ class TestMssaForward:
         w = HopWeights.init(5, 7, 3, rng)
         x = Tensor(rng.standard_normal((2, n, 5)).astype(np.float32))
         counter = OpCounter()
-        with counter, counter.scope("mssa"):
-            mssa_forward(x, g, w, LifParams(), ts=2, counter=counter)
-        for scope, sa, sb in counter.counts.matmul_log:
-            if scope == "mssa":
-                assert not (len(sa) >= 2 and sa[-1] == n and sa[-2] == n)
-                assert not (len(sb) >= 2 and sb[-1] == n and sb[-2] == n)
+        with counter:
+            mssa_forward(x, g, w, LifParams(), ts=2)
+        assert counter.counts.matmul_log
+        for sa, sb in counter.counts.matmul_log:
+            assert not (len(sa) >= 2 and sa[-1] == n and sa[-2] == n)
+            assert not (len(sb) >= 2 and sb[-1] == n and sb[-2] == n)
 
     def test_aggregation_cost_linear_in_sample_sizes(self):
         """With always-firing input, aggregation ACs scale exactly with sum |S_i|."""
@@ -157,17 +158,21 @@ class TestMssaForward:
         lif = LifParams(beta=0.5, u_th=0.01, u_reset=0.0)  # everything fires
         w = HopWeights.init(f, d1, d2, rng)
         w.w1.data = np.abs(w.w1.data)  # keep hop-1 potentials positive
+        # a W1 model of these widths, for its config and graph only
+        n = 6
+        model = ForecastModel(ModelConfig(n_nodes=n, t_in=t_in, d1=d1, d2=d2, ts=ts,
+                                          ablation="W1"))
         counts = {}
         sizes = {}
         for tag, k in (("small", 1), ("large", 2)):
-            n = 6
             sets1 = [[(i + d) % n for d in range(1, k + 1)] for i in range(n)]
             sets2 = [[(i + 3) % n] for i in range(n)]
-            g = toy_graph(sets1, sets2)
+            model.graph = toy_graph(sets1, sets2)
             x = Tensor(np.full((t_in, n, f), 5.0, dtype=np.float32))
             counter = OpCounter()
-            mssa_forward(x, g, w, lif, ts=ts, counter=counter)
-            counts[tag] = counter.counts.layers["mssa.hop1"].ac_ops
+            with counter:
+                mssa_forward(x, model.graph, w, lif, ts=ts)
+            counts[tag] = counter.count_forward(model, 1, t_in).layers["mssa.hop1"].ac_ops
             sizes[tag] = sum(len(s) for s in sets1)
         # LIF accumulate share is identical across the two graphs; subtract it
         n_frames = t_in * ts
