@@ -2,7 +2,7 @@
 
 from .autograd import Tensor, backward, grad_check, no_grad
 from .model import ForecastModel, ModelConfig, train
-from .spiking import LifParams, SpikeTrain
+from .spiking import LifParams
 
 __version__ = "0.1.0"
 
@@ -15,6 +15,5 @@ __all__ = [
     "ModelConfig",
     "train",
     "LifParams",
-    "SpikeTrain",
     "__version__",
 ]

@@ -35,9 +35,8 @@ DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 # Optional instrumentation hook, installed by `set_observer` (the energy
-# module's op counter, while counting).  It receives `.matmul(shape_a,
-# shape_b)` for every matmul and `.spikes(layer, tensor)` for every spiking
-# layer's output.
+# module's op counter, while counting).  It receives only the spikes:
+# `.spikes(layer, tensor)` for every spiking layer's output.
 _OBSERVER = None
 
 
@@ -135,12 +134,6 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
 def is_recording(*parents: Tensor) -> bool:
     """True if an op on `parents` records a tape node (grad on, some parent needs it)."""
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
-def observe_matmul(shape_a, shape_b) -> None:
-    """Report a matmul's operand shapes to the observer, if one is installed."""
-    if _OBSERVER is not None:
-        _OBSERVER.matmul(shape_a, shape_b)
 
 
 def observe_spikes(layer: str, tensor: Tensor) -> None:
@@ -293,7 +286,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             data = np.matmul(ad, bd)
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape)
-    observe_matmul(ad.shape, bd.shape)
 
     def bw(g):
         if flat:
@@ -327,7 +319,6 @@ def affine(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     k, n = wd.shape
     data = (ad.reshape(-1, k) @ wd).reshape(ad.shape[:-1] + (n,))
     data += bd
-    observe_matmul(ad.shape, wd.shape)
 
     def bw(g):
         g2 = g.reshape(-1, n)

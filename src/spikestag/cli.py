@@ -122,11 +122,18 @@ def _load_dataset(args: argparse.Namespace, cfg: ModelConfig) -> SeriesDataset:
 
 
 def _load_checkpoint(args: argparse.Namespace):
-    """(model, dataset, windows), the data windowed by the checkpoint's own config."""
+    """(model, dataset, windows), the data windowed by the checkpoint's own config.
+
+    The windows normalize with the checkpoint's statistics when it carries
+    them, the ones `predict` de-normalizes with, not with the new data's own.
+    """
     model = ckpt.load_model(args.checkpoint)
     cfg = model.config
     dataset = _load_dataset(args, cfg)
-    return model, dataset, make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
+    windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
+    if model.norm_mean is not None:
+        windows.mean, windows.std = model.norm_mean, model.norm_std
+    return model, dataset, windows
 
 
 def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ShapeError
-from .spiking import LifParams, SpikeTrain, lif_over_frames
+from .spiking import LifParams, lif_over_frames
 
 
 @dataclass
@@ -152,7 +152,6 @@ def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
     h = np.zeros(state_shape, dtype=gx.dtype)
     c = np.zeros(state_shape, dtype=gx.dtype)
     for t in range(len(gx_f)):
-        ag.observe_matmul(h.shape, whd.shape)
         g = gx_f[t] + (h.reshape(-1, h_dim) @ whd).reshape(state_shape[:-1] + (4 * h_dim,))
         act = acts_f[t] if record else np.empty_like(g)
         _sigmoid_into(g[..., :2 * h_dim], act[..., :2 * h_dim])
@@ -216,13 +215,12 @@ def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
     return ag._result(hidden, (gates_x, wh), bw, "lstm")
 
 
-def lstm_forward(s: SpikeTrain | Tensor, params: LstmParams) -> Tensor:
+def lstm_forward(x: Tensor, params: LstmParams) -> Tensor:
     """Standard LSTM recurrence over (..., T_frames, N, d_in) spike frames.
 
     Hidden and cell states start at zero; returns hidden states for every
     frame, shape (..., T_frames, N, h_dim).
     """
-    x = s.values if isinstance(s, SpikeTrain) else s
     wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
@@ -247,18 +245,18 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     return ag.transpose(out, perm)  # back to (..., T, N, d)
 
 
-def qkv_spikes(s: SpikeTrain, params: SsaParams, lif: LifParams) -> tuple:
+def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams) -> tuple:
     """Binary Q, K and V: LIF spikes of the projected input over every frame,
     reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v`."""
     out = []
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        spikes = lif_over_frames(ag.matmul(s.values, w), lif)
+        spikes = lif_over_frames(ag.matmul(s, w), lif)
         ag.observe_spikes(f"ssa.{name}", spikes)
         out.append(spikes)
     return tuple(out)
 
 
-def ssa_forward(s: SpikeTrain, params: SsaParams, lif: LifParams) -> Tensor:
+def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams) -> Tensor:
     """Spiking self-attention read out at the final frame; continuous features.
 
     Q/K/V are binary (LIF of the projected input spikes, run over every frame

@@ -1,11 +1,10 @@
 """Theoretical energy estimation via operation counting on 45nm coefficients.
 
-Every counting rule lives here.  The model's layers only report: the
-autograd observer receives the operand shapes of each matmul and the spike
-output of each spiking layer (`mssa.encoder`, `mssa.hop1`, `mssa.hop2`,
-`dsf.encoder`, `ssa.q`, `ssa.k`, `ssa.v`).  `OpCounter.count_forward` then
-derives every layer's tallies from the model's config, its graph and those
-spikes.
+Every counting rule lives here.  The model's layers only report their spikes:
+the autograd observer receives the output of each spiking layer
+(`mssa.encoder`, `mssa.hop1`, `mssa.hop2`, `dsf.encoder`, `ssa.q`, `ssa.k`,
+`ssa.v`).  `OpCounter.count_forward` then derives every layer's tallies from
+the model's config, its graph and those spikes.
 
 Counting rules:
   * dense layers: input_width * output_width multiply-accumulates per
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .graph import padded_index_mask
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
@@ -69,7 +67,6 @@ class OpCounts:
     """Per-layer op tallies for one counted forward pass."""
 
     layers: dict = field(default_factory=dict)
-    matmul_log: list = field(default_factory=list)  # (shape_a, shape_b)
     param_count: int = 0
     batch_elements: int = 1
 
@@ -93,11 +90,9 @@ class OpCounter:
     """Counts the operations of a model forward into `counts`.
 
     Entered as a context manager it is the autograd observer (nesting is
-    safe; leaving restores the previous one): it logs every matmul's operand
-    shapes, which tests read to assert that no dense node-by-node product
-    runs on the aggregation path, and keeps the spikes each layer reports.
-    `ForecastModel.forward(batch, counter=...)` enters it and then calls
-    `count_forward`.
+    safe; leaving restores the previous one) and keeps the spikes each layer
+    reports.  `ForecastModel.forward(batch, counter=...)` enters it and then
+    calls `count_forward`.
     """
 
     def __init__(self):
@@ -114,9 +109,6 @@ class OpCounter:
         return False
 
     # observer interface -----------------------------------------------------
-
-    def matmul(self, shape_a, shape_b) -> None:
-        self.counts.matmul_log.append((tuple(shape_a), tuple(shape_b)))
 
     def spikes(self, layer: str, tensor) -> None:
         self._spikes[layer] = tensor.data
@@ -139,9 +131,11 @@ class OpCounter:
         x = spikes["mssa.encoder"]
         for layer, sets, width in (("mssa.hop1", graph.samples_local, cfg.d1),
                                    ("mssa.hop2", graph.samples_semiglobal, cfg.d2)):
-            idx, valid = padded_index_mask(sets, n)
-            gathered = float((np.take(x, idx, axis=x.ndim - 2) * valid[:, :, None]).sum())
-            self._spike_proj(layer, gathered, x, width, n_nodes=n)
+            # node j's spikes are summed once per set that holds j
+            in_degree = np.bincount(np.fromiter((j for s in sets for j in s), dtype=np.intp),
+                                    minlength=n).astype(np.float64)
+            per_node = x.sum(axis=-1, dtype=np.float64).reshape(-1, n).sum(axis=0)
+            self._spike_proj(layer, float(per_node @ in_degree), x, width, n_nodes=n)
             self._fire(layer)
             x = spikes[layer]
         ab = cfg.ablation

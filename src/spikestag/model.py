@@ -222,8 +222,8 @@ class ForecastModel:
         """Normalized-scale predictions of shape (B, L, N).
 
         Given `counter`, an `energy.OpCounter`, the forward runs with the
-        counter entered, so the matmuls and the spikes of its layers are
-        reported to it, and then has it count the forward's operations
+        counter entered, so the spikes of its layers are reported to it,
+        and then has it count the forward's operations
         (`OpCounter.count_forward`).  The caller need not enter it.
         """
         if counter is not None:
@@ -255,7 +255,7 @@ class ForecastModel:
                 boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
                 h_series = ag.take(h_lstm, boundary, axis=t_axis)
                 re_encoded = encode_sequence(h_series, cfg.ts, lif)
-                ag.observe_spikes("dsf.encoder", re_encoded.values)
+                ag.observe_spikes("dsf.encoder", re_encoded)
                 ssa_out = self._scaled_ssa(ssa_forward(re_encoded, self.ssa_params, lif))
                 h_ssa = ag.matmul(ssa_out, self.ssa_proj)
                 feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)

@@ -7,11 +7,12 @@ the hop projection:
     m_i = (sum_{j in S_i} x_j) W
 
 No dense N-by-N product is formed on this path (the test suite asserts that
-via the op counter's matmul log).  Each hop's pre-synaptic potentials drive
-an LIF layer whose state evolves across the whole frame sequence, and hop 2
-repeats the routine on hop-1 spikes over the semi-global sample sets.  The
-encoder and both hops report their spikes (`autograd.observe_spikes`); the
-energy module derives their op counts from those.
+from the operand shapes of every matmul).  Each hop's pre-synaptic
+potentials drive an LIF layer whose state evolves across the whole frame
+sequence, and hop 2 repeats the routine on hop-1 spikes over the
+semi-global sample sets.  The encoder and both hops report their spikes
+(`autograd.observe_spikes`); the energy module derives their op counts from
+those.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .graph import AdaptiveGraph, padded_index_mask
-from .spiking import LifParams, SpikeTrain, encode_sequence, lif_over_frames
+from .spiking import LifParams, encode_sequence, lif_over_frames
 
 
 @dataclass
@@ -62,14 +63,14 @@ def mssa_forward(
     weights: HopWeights,
     lif: LifParams,
     ts: int,
-) -> SpikeTrain:
+) -> Tensor:
     """Encode observation features to spikes, then run the two hops.
 
-    `x_obs` is (..., T, N, f) continuous; the output spike train is
+    `x_obs` is (..., T, N, f) continuous; the output spikes are
     (..., T*ts, N, d2) with the LIF state of each hop evolving across frames.
     """
     encoded = encode_sequence(x_obs, ts, lif)
-    ag.observe_spikes("mssa.encoder", encoded.values)
-    s1 = _hop(encoded.values, graph.samples_local, weights.w1, lif, layer="mssa.hop1")
+    ag.observe_spikes("mssa.encoder", encoded)
+    s1 = _hop(encoded, graph.samples_local, weights.w1, lif, layer="mssa.hop1")
     s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif, layer="mssa.hop2")
-    return SpikeTrain(s2)
+    return s2

@@ -27,10 +27,11 @@ through time.  With gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
 
 where a_t and b_t are computed for all frames before the backward loop.
 
-`spike_encode` aligns one series step with `ts` SNN sub-steps by driving a
-fresh LIF neuron with the constant hidden value for `ts` steps, emitting one
-binary frame per sub-step (so a window of length T becomes T*ts frames);
-its input gradient is the sum of dL/dI over the sub-steps.
+`encode_sequence` aligns each series step with `ts` SNN sub-steps by driving
+a fresh LIF neuron with the step's constant value for `ts` sub-steps, one
+binary frame per sub-step, so a window of length T becomes T*ts frames.  The
+frames come out in time order (all sub-steps of step 0, then of step 1, ...),
+written there by the same single node; spikes are plain Tensors throughout.
 """
 
 from __future__ import annotations
@@ -64,21 +65,8 @@ class LifParams:
             raise ContractError("LifParams: alpha must be positive")
 
 
-class SpikeTrain:
-    """Binary tensor indexed (snn-step, ..., node, feature); entries are exactly 0 or 1."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Tensor):
-        self.values = values
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def check_binary(self) -> bool:
-        d = self.values.data
-        return bool(np.all((d == 0.0) | (d == 1.0)))
+# `bench/spans.py` imports this name; spikes are plain Tensors
+SpikeTrain = Tensor
 
 
 def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -91,23 +79,27 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     """Multi-step LIF from a zero state, recorded as one custom tape node.
 
     With `steps` None, `x` is (..., T, N, d) per-frame input and the output has
-    the same shape; otherwise `x` is a constant input repeated for `steps`
-    frames and the output gains a leading frame axis.  The forward repeats the
-    float32 operations of the per-step update, so spikes are bit-identical to
-    it; the recorded node keeps U (and the spike output) for the backward.
+    the same shape.  Otherwise each of the T frames of `x` is a constant input
+    driving a fresh neuron for `steps` sub-steps, and the output is (...,
+    T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
+    The forward repeats the float32 operations of the per-step update, so
+    spikes are bit-identical to it; the recorded node keeps U (and the spike
+    output) for the backward, which sums dU over each step's sub-steps.
     """
     xd = x.data
     if steps is None:
-        axis = xd.ndim - 3
-        out_shape = xd.shape
-        inputs = np.moveaxis(xd, axis, 0)
+        shape = out_shape = xd.shape
+        inputs = np.moveaxis(xd, xd.ndim - 3, 0)
     else:
-        axis = 0
-        out_shape = (steps,) + xd.shape
+        # sub-steps are written into a (..., T, steps, N, d) buffer, so the
+        # frame-ordered output is a free reshape of it
+        shape = xd.shape[:-2] + (steps,) + xd.shape[-2:]
+        out_shape = xd.shape[:-3] + (xd.shape[-3] * steps,) + xd.shape[-2:]
         inputs = (xd,) * steps
+    axis = len(shape) - 3
     record = ag.is_recording(x)
-    spikes = np.empty(out_shape, dtype=xd.dtype)
-    u_all = np.empty(out_shape, dtype=xd.dtype) if record else None
+    spikes = np.empty(shape, dtype=xd.dtype)
+    u_all = np.empty(shape, dtype=xd.dtype) if record else None
     s_frames = np.moveaxis(spikes, axis, 0)
     u_frames = np.moveaxis(u_all, axis, 0) if record else None
     h = np.zeros(s_frames.shape[1:], dtype=xd.dtype)
@@ -130,13 +122,13 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
         keep *= lif.beta
         a += keep
         del keep
-        du = g_s * sg
+        du = g_s.reshape(shape) * sg
         del sg
         a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
         for t in range(len(du_frames) - 2, -1, -1):
             np.multiply(a_frames[t], du_frames[t + 1], out=a_frames[t])
             du_frames[t] += a_frames[t]
-        du_x = du if steps is None else du.sum(axis=0)
+        du_x = du if steps is None else du.sum(axis=axis)
         # where the incoming gradient is zero for many frames, dU decays
         # through the subnormal range; flushing it to zero changes nothing
         # representable at normal precision but keeps the BLAS kernels that
@@ -144,7 +136,7 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
         du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
         x._accum_own(du_x)
 
-    return ag._result(spikes, (x,), bw, "lif", custom=True)
+    return ag._result(spikes.reshape(out_shape), (x,), bw, "lif", custom=True)
 
 
 def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
@@ -156,31 +148,14 @@ def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
     return _lif(potentials, lif)
 
 
-def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
-    """Encode one series step into `ts` binary frames (leading axis = sub-step).
-
-    The neuron starts from a zero state and receives the constant input `h`
-    at every sub-step, so a window step maps to exactly `ts` SNN steps.
-    """
-    if ts < 1:
-        raise ContractError(f"spike_encode: ts must be >= 1, got {ts}")
-    return SpikeTrain(_lif(h, params, steps=ts))
-
-
-def encode_sequence(x: Tensor, ts: int, params: LifParams) -> SpikeTrain:
+def encode_sequence(x: Tensor, ts: int, params: LifParams) -> Tensor:
     """Encode a (..., T, N, f) step sequence into (..., T*ts, N, f) spike frames.
 
-    Each series step is encoded independently (fresh neuron state), so all
-    steps run in parallel; the sub-step axis is interleaved after each step.
+    Each series step drives a fresh neuron with its constant value for `ts`
+    sub-steps, so all steps run in parallel; frame t*ts + k is sub-step k of
+    step t.  One tape node, whose input gradient is the sum of dL/dI over
+    each step's sub-steps.
     """
     if ts < 1:
         raise ContractError(f"encode_sequence: ts must be >= 1, got {ts}")
-    train = spike_encode(x, ts, params)  # (ts, ..., T, N, f)
-    v = train.values
-    nd = v.data.ndim
-    # (ts, ..., T, N, f) -> (..., T, ts, N, f) -> (..., T*ts, N, f)
-    axes = tuple(range(1, nd - 2)) + (0, nd - 2, nd - 1)
-    v = ag.transpose(v, axes)
-    shape = list(v.shape)
-    merged = shape[:-4] + [shape[-4] * shape[-3]] + shape[-2:]
-    return SpikeTrain(ag.reshape(v, merged))
+    return _lif(x, params, steps=ts)

@@ -31,7 +31,7 @@ from spikestag.dsf import attention_core, gate_fuse, lstm_forward, qkv_spikes
 from spikestag.errors import ContractError, ShapeError
 from spikestag.mssa import mssa_forward
 from spikestag.obs import obs_forward
-from spikestag.spiking import LifParams, SpikeTrain, encode_sequence, surrogate_grad
+from spikestag.spiking import LifParams, encode_sequence, surrogate_grad
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -138,23 +138,26 @@ def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
     return stack(frames, axis=time_axis)
 
 
-def spike_encode(h: Tensor, ts: int, params: LifParams) -> SpikeTrain:
-    """`ts` frames of a fresh neuron driven by the constant input `h` (leading frame axis)."""
+def encode_steps(x: Tensor, ts: int, params: LifParams) -> Tensor:
+    """(..., T, N, f) steps to (..., T*ts, N, f) frames, frame t*ts + k being
+    sub-step k of a fresh neuron driven by the constant input of step t."""
     if ts < 1:
-        raise ContractError(f"spike_encode: ts must be >= 1, got {ts}")
-    state = LifState(Tensor(np.zeros_like(h.data), dtype=h.data.dtype))
+        raise ContractError(f"encode_steps: ts must be >= 1, got {ts}")
+    state = LifState(Tensor(np.zeros_like(x.data), dtype=x.data.dtype))
     frames = []
     for _ in range(ts):
-        s, state = lif_step(params, state, h)
+        s, state = lif_step(params, state, x)
         frames.append(s)
-    return SpikeTrain(stack(frames, axis=0))
+    sub_steps = stack(frames, axis=x.data.ndim - 2)    # (..., T, ts, N, f)
+    shape = x.shape[:-3] + (x.shape[-3] * ts,) + x.shape[-2:]
+    return ag.reshape(sub_steps, shape)
 
 
 def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     """Per-step stand-in for `spiking._lif`."""
     if steps is None:
         return lif_over_frames(x, lif)
-    return spike_encode(x, steps, lif).values
+    return encode_steps(x, steps, lif)
 
 
 def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
@@ -178,7 +181,7 @@ def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
     return stack(outs, axis=time_axis)
 
 
-def ssa_forward_full(s: SpikeTrain, params, lif: LifParams) -> Tensor:
+def ssa_forward_full(s: Tensor, params, lif: LifParams) -> Tensor:
     """Spiking self-attention read out at every frame, (..., T', N, d_k)."""
     q, k, v = qkv_spikes(s, params, lif)
     return attention_core(q, k, v, params.d_k)
@@ -218,7 +221,7 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
         else:
             boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
             re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif)
-            ag.observe_spikes("dsf.encoder", re_encoded.values)
+            ag.observe_spikes("dsf.encoder", re_encoded)
             ssa_out = model._scaled_ssa(ssa_forward_full(re_encoded, model.ssa_params, lif))
             h_ssa = ag.matmul(ssa_out, model.ssa_proj)
             feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)

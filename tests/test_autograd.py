@@ -200,21 +200,6 @@ class TestAffine:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
-    def test_reports_its_matmul_shape(self):
-        ops = self._operands(np.random.default_rng(24))
-        seen = []
-
-        class Observer:
-            def matmul(self, sa, sb):
-                seen.append((tuple(sa), tuple(sb)))
-
-        prev = ag.set_observer(Observer())
-        try:
-            ag.affine(Tensor(ops["a"]), Tensor(ops["w"]), Tensor(ops["b"]))
-        finally:
-            ag.set_observer(prev)
-        assert seen == [((2, 3, 4), (4, 5))]
-
     @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 4), (4, 5), (4,)),
                                         ((2, 4), (4, 5), (1, 5)), ((2, 4), (2, 4, 5), (5,))])
     def test_shape_mismatch(self, shapes):

@@ -1,9 +1,11 @@
+import csv
 from dataclasses import asdict
 
 import pytest
 
 from spikestag import cli
 from spikestag.checkpoint import load_model
+from spikestag.data import SeriesDataset, load_csv, make_windows, save_csv, synth_generate
 from spikestag.model import ModelConfig
 
 # a model small enough that one train run takes a fraction of a second
@@ -107,3 +109,48 @@ def test_checkpoint_commands_need_synth_steps_on_synthetic_data(tmp_path, capsys
                  ["energy", ckpt, "--out", str(tmp_path / "energy")]):
         assert cli.main(argv) == 2
         assert "--synth-steps" in capsys.readouterr().err
+
+
+def test_predict_normalizes_with_checkpoint_stats(tmp_path):
+    """On data whose statistics differ from the training data, `predict`
+    normalizes and de-normalizes with the same (the checkpoint's) statistics."""
+    out = tmp_path / "run"
+    assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(out)]) == 0
+    model = load_model(str(out / "checkpoint.stag"))
+    cfg = model.config
+    ds = synth_generate(cfg.n_nodes, 60, cfg.seed)
+    shifted = SeriesDataset(ds.timestamps, ds.values + 100.0, ds.sample_rate_s, ds.node_names)
+    save_csv(shifted, tmp_path / "shifted.csv")
+    forecast = tmp_path / "forecast.csv"
+    assert cli.main(["predict", str(out / "checkpoint.stag"), str(forecast),
+                     "--data", str(tmp_path / "shifted.csv")]) == 0
+
+    windows = make_windows(load_csv(tmp_path / "shifted.csv"), cfg.t_in, cfg.horizon,
+                           stride=cfg.stride)
+    windows.mean, windows.std = model.norm_mean, model.norm_std
+    expected = model.predict(windows.batch([windows.test_starts[-1]]))
+    rows = [line.split(",")[1:] for line in forecast.read_text().splitlines()[1:]]
+    assert rows == [[f"{v:.6f}" for v in step] for step in expected]
+
+
+def test_ablate_writes_every_variant(tmp_path):
+    out = tmp_path / "ablate"
+    assert cli.main(["ablate", *TINY_FLAGS, "--epochs", "1", "--seeds", "1",
+                     "--out", str(out)]) == 0
+    with open(out / "ablation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["variant"] for r in rows] == ["W1", "W2", "W3", "W4"]
+    assert [r["best"] for r in rows].count("*") == 1
+    assert all(r["best"] in ("", "*") for r in rows)
+
+
+def test_sweep_ts_writes_rows_and_stability(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-ts", *TINY_FLAGS, "--epochs", "1", "--ts-values", "1,2",
+                     "--out", str(out)]) == 0
+    with open(out / "sweep_ts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["ts", "r2", "rse"]
+    assert [r[0] for r in rows[1:]] == ["1", "2", "stability_max_minus_min_r2"]
+    r2s = [float(r[1]) for r in rows[1:3]]
+    assert float(rows[3][1]) == pytest.approx(max(r2s) - min(r2s), abs=2e-6)

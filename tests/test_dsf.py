@@ -19,7 +19,7 @@ from spikestag.dsf import (
     ssa_forward,
 )
 from spikestag.errors import ShapeError
-from spikestag.spiking import LifParams, SpikeTrain
+from spikestag.spiking import LifParams
 
 from per_step import ssa_forward_full
 from test_spiking import lif_sim
@@ -40,7 +40,7 @@ class TestLstm:
     def test_zero_spikes_zero_biases_zero_hidden(self):
         rng = np.random.default_rng(0)
         p = zero_bias_params(3, 4, rng)
-        s = SpikeTrain(Tensor(np.zeros((6, 2, 3), dtype=np.float32)))
+        s = Tensor(np.zeros((6, 2, 3), dtype=np.float32))
         out = lstm_forward(s, p)
         assert out.shape == (6, 2, 4)
         np.testing.assert_array_equal(out.data, np.zeros((6, 2, 4), dtype=np.float32))
@@ -49,7 +49,7 @@ class TestLstm:
         rng = np.random.default_rng(1)
         p = LstmParams.init(3, 4, rng)
         x = rng.random((1, 2, 3)).astype(np.float32)
-        out = lstm_forward(SpikeTrain(Tensor(x)), p)
+        out = lstm_forward(Tensor(x), p)
 
         xv = x[0].astype(np.float64)
         i_g = sigmoid(xv @ p.w_xi.data + p.b_i.data)
@@ -64,7 +64,7 @@ class TestLstm:
         rng = np.random.default_rng(2)
         p = LstmParams.init(2, 3, rng)
         x = (rng.random((5, 1, 2)) < 0.5).astype(np.float32)
-        out = lstm_forward(SpikeTrain(Tensor(x)), p)
+        out = lstm_forward(Tensor(x), p)
 
         h = np.zeros((1, 3)); c = np.zeros((1, 3))
         for t in range(5):
@@ -83,7 +83,7 @@ class TestLstm:
 
         def f(x):
             cast = LstmParams(**{k: t.astype(x.data.dtype) for k, t in p.tensors().items()})
-            out = lstm_forward(SpikeTrain(x), cast)
+            out = lstm_forward(x, cast)
             return ag.tsum(ag.mul(out, out))
 
         x0 = Tensor(rng.random((3, 2, 2)).astype(np.float32), requires_grad=True)
@@ -98,7 +98,7 @@ class TestLstm:
         def f(w):
             tensors = {k: t.astype(np.float64) for k, t in p.tensors().items()}
             tensors["w_hg"] = w
-            out = lstm_forward(SpikeTrain(Tensor(x.astype(np.float64), dtype=np.float64)),
+            out = lstm_forward(Tensor(x.astype(np.float64), dtype=np.float64),
                                LstmParams(**tensors))
             return ag.tsum(ag.mul(out, out))
 
@@ -129,7 +129,7 @@ class TestSsa:
     def test_zero_spikes_zero_output(self):
         rng = np.random.default_rng(5)
         params = SsaParams.init(4, 3, rng)
-        s = SpikeTrain(Tensor(np.zeros((5, 2, 4), dtype=np.float32)))
+        s = Tensor(np.zeros((5, 2, 4), dtype=np.float32))
         out = ssa_forward(s, params, LifParams())
         np.testing.assert_array_equal(out.data, np.zeros((1, 2, 3), dtype=np.float32))
 
@@ -137,7 +137,7 @@ class TestSsa:
         rng = np.random.default_rng(6)
         params = SsaParams.init(3, 4, rng)
         spikes = (rng.random((1, 2, 3)) < 0.9).astype(np.float32)
-        out = ssa_forward(SpikeTrain(Tensor(spikes)), params, LifParams(u_th=0.2))
+        out = ssa_forward(Tensor(spikes), params, LifParams(u_th=0.2))
         _, _, _, v = ssa_oracle(spikes, params, LifParams(u_th=0.2))
         np.testing.assert_allclose(out.data[0], v[0], atol=1e-6)
 
@@ -146,7 +146,7 @@ class TestSsa:
         params = SsaParams.init(5, 4, rng)
         lif = LifParams(beta=0.4, u_th=0.5)
         spikes = (rng.random((3, 2, 5)) < 0.5).astype(np.float32)
-        out = ssa_forward(SpikeTrain(Tensor(spikes)), params, lif)
+        out = ssa_forward(Tensor(spikes), params, lif)
         expected, q, k, v = ssa_oracle(spikes, params, lif)
         for arr in (q, k, v):
             assert set(np.unique(arr)) <= {0.0, 1.0}
@@ -171,7 +171,7 @@ class TestSsa:
         b, t_len, n, f_in, d_k = 2, 1024, 2, 4, 8
         rng = np.random.default_rng(15)
         params = SsaParams.init(f_in, d_k, rng)
-        spikes = SpikeTrain(Tensor((rng.random((b, t_len, n, f_in)) < 0.5).astype(np.float32)))
+        spikes = Tensor((rng.random((b, t_len, n, f_in)) < 0.5).astype(np.float32))
         score_bytes = b * n * t_len * t_len * 4
         tracemalloc.start()
         try:
@@ -194,7 +194,7 @@ class TestAttentionCore:
         params = SsaParams.init(5, 4, rng)
         lif = LifParams(beta=0.4, u_th=0.5)
         spikes = (rng.random((6, 3, 5)) < (0.0 if zero else 0.5)).astype(np.float32)
-        out = ssa_forward_full(SpikeTrain(Tensor(spikes)), params, lif)
+        out = ssa_forward_full(Tensor(spikes), params, lif)
         expected, _, _, _ = ssa_oracle(spikes, params, lif)
         assert out.shape == (6, 3, 4)
         np.testing.assert_allclose(out.data, expected, atol=1e-6)

@@ -90,6 +90,35 @@ def test_per_layer_counts_pinned_other_variants(ablation):
     assert mac_ac(counted_forward(replace(TINY_W4, ablation=ablation))) == PINNED_VARIANTS[ablation]
 
 
+@pytest.mark.parametrize("graph", ["model", "partly_empty", "all_empty"])
+def test_hop_events_count_every_gathered_spike(graph, monkeypatch):
+    """Hop ACs are (spikes summed over every sample set) * width + one per LIF
+    neuron; an empty set contributes nothing, and an all-empty graph counts."""
+    model, batch = model_and_batch(replace(TINY_W4, ablation="W1"))
+    n = model.config.n_nodes
+    if graph != "model":
+        local = [[] if graph == "all_empty" or i % 2 else [(i + 1) % n, (i + 3) % n]
+                 for i in range(n)]
+        model.graph = replace(model.graph, samples_local=local,
+                              samples_semiglobal=[[] for _ in range(n)])
+    seen = {}
+    count_forward = OpCounter.count_forward
+
+    def snapshot(self, *args):
+        seen.update(self._spikes)
+        return count_forward(self, *args)
+
+    monkeypatch.setattr(OpCounter, "count_forward", snapshot)
+    counter = OpCounter()
+    with ag.no_grad():
+        model.forward(batch, counter=counter)
+    for layer, src, sets, width in (
+            ("mssa.hop1", "mssa.encoder", model.graph.samples_local, model.config.d1),
+            ("mssa.hop2", "mssa.hop1", model.graph.samples_semiglobal, model.config.d2)):
+        events = sum(float(seen[src][..., j, :].sum()) for s in sets for j in s)
+        assert counter.counts.layers[layer].ac_ops == events * width + seen[layer].size
+
+
 def test_dense_fusion_macs_by_hand(counts):
     cfg = TINY_W4
     positions = BATCH * cfg.t_in * cfg.ts * cfg.n_nodes      # every frame of every node
@@ -140,7 +169,6 @@ def test_uncounted_forward_reports_to_nobody(monkeypatch):
         raise AssertionError("observer called with no counter installed")
 
     monkeypatch.setattr(OpCounter, "spikes", refuse)
-    monkeypatch.setattr(OpCounter, "matmul", refuse)
     model, batch = model_and_batch()
     OpCounter()                     # a counter not entered installs nothing
     model.forward(batch)

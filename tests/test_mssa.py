@@ -88,7 +88,7 @@ class TestMssaForward:
         x = Tensor(np.zeros((3, 3, 4), dtype=np.float32))  # (T, N, f)
         out = mssa_forward(x, g, w, self.lif, ts=2)
         assert out.shape == (6, 3, 6)
-        assert not out.values.data.any()
+        assert not out.data.any()
 
     def test_empty_sets_silent_regardless_of_input(self):
         rng = np.random.default_rng(7)
@@ -96,7 +96,7 @@ class TestMssaForward:
         w = HopWeights.init(3, 4, 4, rng)
         x = Tensor(rng.uniform(1.0, 3.0, size=(2, 2, 3)).astype(np.float32))
         out = mssa_forward(x, g, w, self.lif, ts=3)
-        assert not out.values.data.any()
+        assert not out.data.any()
 
     def test_output_binary_and_shapes(self):
         rng = np.random.default_rng(8)
@@ -105,7 +105,7 @@ class TestMssaForward:
         x = Tensor(rng.standard_normal((4, 3, 5)).astype(np.float32))
         out = mssa_forward(x, g, w, self.lif, ts=4)
         assert out.shape == (16, 3, 4)
-        assert out.check_binary()
+        assert np.all((out.data == 0.0) | (out.data == 1.0))
 
     def test_matches_composed_oracle(self):
         """Frame-by-frame oracle: dense mask aggregation + membrane simulation."""
@@ -133,9 +133,9 @@ class TestMssaForward:
         pot2 = np.array([dense_oracle_aggregate(fr.astype(np.float32), m2, w.w2.data)
                          for fr in s1])
         s2, _ = lif_sim(self.lif, np.zeros((n, d2)), pot2)
-        np.testing.assert_array_equal(out.values.data, s2.astype(np.float32))
+        np.testing.assert_array_equal(out.data, s2.astype(np.float32))
 
-    def test_no_dense_node_matmul_on_forward_path(self):
+    def test_no_dense_node_matmul_on_forward_path(self, monkeypatch):
         rng = np.random.default_rng(10)
         n = 11  # distinct from every feature width in play
         sets1 = [[(i + 1) % n] for i in range(n)]
@@ -143,13 +143,16 @@ class TestMssaForward:
         g = toy_graph(sets1, sets2)
         w = HopWeights.init(5, 7, 3, rng)
         x = Tensor(rng.standard_normal((2, n, 5)).astype(np.float32))
-        counter = OpCounter()
-        with counter:
-            mssa_forward(x, g, w, LifParams(), ts=2)
-        assert counter.counts.matmul_log
-        for sa, sb in counter.counts.matmul_log:
-            assert not (len(sa) >= 2 and sa[-1] == n and sa[-2] == n)
-            assert not (len(sb) >= 2 and sb[-1] == n and sb[-2] == n)
+        shapes = []
+        for name in ("matmul", "affine"):
+            def recorded(*operands, _op=getattr(ag, name)):
+                shapes.extend(np.shape(getattr(t, "data", t)) for t in operands[:2])
+                return _op(*operands)
+            monkeypatch.setattr(ag, name, recorded)
+        mssa_forward(x, g, w, LifParams(), ts=2)
+        assert shapes
+        for shape in shapes:
+            assert tuple(shape[-2:]) != (n, n), shape
 
     def test_aggregation_cost_linear_in_sample_sizes(self):
         """With always-firing input, aggregation ACs scale exactly with sum |S_i|."""

@@ -19,7 +19,7 @@ from spikestag.data import make_windows, synth_generate
 from spikestag.dsf import LstmParams, lstm_forward
 from spikestag.errors import ContractError
 from spikestag.model import ForecastModel, ModelConfig, mse_loss
-from spikestag.spiking import LifParams, lif_over_frames, spike_encode
+from spikestag.spiking import LifParams, encode_sequence, lif_over_frames
 
 # float32 gradient agreement, |fused - oracle| / max|oracle|.  Observed maxima
 # over these tests: LIF 2.8e-7, LSTM 3.5e-7, a whole default-config model step
@@ -78,17 +78,17 @@ class TestFusedLif:
             lif = random_lif(rng, **overrides)
             shape = (3, 4, 6, 2)
             x = rng.uniform(-1.0, 2.0, size=shape).astype(np.float32)
-            weight = rng.standard_normal((ts,) + shape).astype(np.float32)
-            s, gx = forward_backward(lambda t: spike_encode(t, ts, lif).values, x, weight)
+            weight = rng.standard_normal((3, 4 * ts, 6, 2)).astype(np.float32)
+            s, gx = forward_backward(lambda t: encode_sequence(t, ts, lif), x, weight)
             s_ref, gx_ref = forward_backward(
-                lambda t: per_step.spike_encode(t, ts, lif).values, x, weight)
+                lambda t: per_step.encode_steps(t, ts, lif), x, weight)
             np.testing.assert_array_equal(s, s_ref)
             assert rel_err(gx, gx_ref) < LIF_GRAD_TOL
 
     def test_grad_check_refuses_fused_node(self):
         x = Tensor(np.array([[[0.3, -0.2]], [[0.9, 0.1]]], dtype=np.float32), requires_grad=True)
         for fn in (lambda t: lif_over_frames(t, LifParams()),
-                   lambda t: spike_encode(t, 3, LifParams()).values):
+                   lambda t: encode_sequence(t, 3, LifParams())):
             assert ag.graph_has_custom(fn(x))
             with pytest.raises(ContractError):
                 ag.grad_check(lambda t: ag.tsum(fn(t)), x)
@@ -114,6 +114,19 @@ class TestFusedLif:
         peak_on, _ = traced_peak(lambda: lif_over_frames(x, LifParams()))
         assert peak_off < 1.25 * out_bytes      # the spikes plus per-frame temporaries
         assert peak_on >= 2 * out_bytes         # the spikes plus U for the backward
+
+    def test_encoding_holds_spikes_and_membrane_only(self):
+        # the frames are written in time order, so no reordered copy is kept
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.uniform(-1, 2, size=(4, 32, 8, 16)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = encode_sequence(x, 4, LifParams())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held < 2.5 * out.data.nbytes
 
 
 def traced_peak(fn):
@@ -234,3 +247,9 @@ class TestModelStep:
             _, loss = train_step(model, batch)
             counts.append(len(ag._topo_order(loss)))
         assert counts[0] == counts[1]
+
+    def test_default_step_tape_size(self):
+        # each spike encoder is one node on its input
+        model, batch = small_batch(ModelConfig())
+        _, loss = train_step(model, batch)
+        assert len(ag._topo_order(loss)) == 100

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.errors import ContractError
-from spikestag.spiking import LifParams, spike_encode, surrogate_grad
+from spikestag.spiking import LifParams, encode_sequence, surrogate_grad
 
 from per_step import LifState, heaviside_surrogate, lif_step
 
@@ -129,41 +129,66 @@ class TestSurrogateShape:
         assert surrogate_grad(np.array(0.0), alpha) == pytest.approx(alpha / 2.0)
 
 
+def is_binary(a) -> bool:
+    return bool(np.all((a == 0.0) | (a == 1.0)))
+
+
 class TestSpikeEncode:
+    """`encode_sequence` on (T, N, f) inputs; one step (T = 1) gives `ts` frames."""
+
     def test_zero_input_silent(self):
-        train = spike_encode(Tensor(np.zeros((3, 2), dtype=np.float32)), 5, LifParams())
-        assert train.shape == (5, 3, 2)
-        assert not train.values.data.any()
+        out = encode_sequence(Tensor(np.zeros((1, 3, 2), dtype=np.float32)), 5, LifParams())
+        assert out.shape == (5, 3, 2)
+        assert not out.data.any()
 
     def test_large_input_always_fires(self):
         p = LifParams(beta=0.3, u_th=1.0, u_reset=0.0)
-        train = spike_encode(Tensor(np.full((2, 2), 10.0, dtype=np.float32)), 4, p)
-        assert train.values.data.all()
+        out = encode_sequence(Tensor(np.full((1, 2, 2), 10.0, dtype=np.float32)), 4, p)
+        assert out.data.all()
 
     def test_integrating_pattern(self):
         p = LifParams(beta=1.0, u_th=1.0, u_reset=0.0)
-        train = spike_encode(Tensor(np.array([[0.6]], dtype=np.float32)), 4, p)
-        np.testing.assert_array_equal(train.values.data[:, 0, 0], [0.0, 1.0, 0.0, 1.0])
+        out = encode_sequence(Tensor(np.array([[[0.6]]], dtype=np.float32)), 4, p)
+        np.testing.assert_array_equal(out.data[:, 0, 0], [0.0, 1.0, 0.0, 1.0])
 
     def test_rejects_bad_ts(self):
         with pytest.raises(ContractError):
-            spike_encode(Tensor([[0.0]]), 0, LifParams())
+            encode_sequence(Tensor([[[0.0]]]), 0, LifParams())
 
     def test_binary_on_random_inputs(self):
         rng = np.random.default_rng(5)
         p = LifParams(beta=0.6, u_th=0.8)
         for _ in range(25):
-            h = Tensor(rng.uniform(-3, 3, size=(4, 6)).astype(np.float32))
-            train = spike_encode(h, 8, p)
-            assert train.check_binary()
+            h = Tensor(rng.uniform(-3, 3, size=(3, 4, 6)).astype(np.float32))
+            assert is_binary(encode_sequence(h, 8, p).data)
 
     def test_matches_simulation_oracle(self):
         rng = np.random.default_rng(9)
         p = LifParams(beta=0.45, u_th=0.7, u_reset=0.05)
         h = rng.uniform(-1, 1.5, size=(3, 4)).astype(np.float32)
-        train = spike_encode(Tensor(h), 6, p)
+        out = encode_sequence(Tensor(h[None]), 6, p)
         exp_s, _ = lif_sim(p, np.zeros((3, 4)), [h] * 6)
-        np.testing.assert_array_equal(train.values.data, exp_s.astype(np.float32))
+        np.testing.assert_array_equal(out.data, exp_s.astype(np.float32))
+
+    def test_frames_in_time_order(self):
+        """Frame t*ts + k is sub-step k of a fresh neuron driven by step t."""
+        rng = np.random.default_rng(10)
+        p = LifParams(beta=0.8, u_th=0.5, u_reset=-0.1)
+        ts = 3
+        x = rng.uniform(-0.5, 1.5, size=(2, 5, 4, 3)).astype(np.float32)   # (B, T, N, f)
+        out = encode_sequence(Tensor(x), ts, p).data
+        assert out.shape == (2, 15, 4, 3)
+        for t in range(5):
+            exp_s, _ = lif_sim(p, np.zeros((2, 4, 3)), [x[:, t]] * ts)
+            for k in range(ts):
+                np.testing.assert_array_equal(out[:, t * ts + k], exp_s[k].astype(np.float32))
+
+    def test_one_tape_node_on_its_input(self):
+        x = Tensor(np.full((2, 3, 4), 0.7, dtype=np.float32), requires_grad=True)
+        out = encode_sequence(x, 4, LifParams())
+        assert out._op == "lif"
+        assert out._parents == (x,)
+        assert ag._topo_order(out) == [x, out]
 
 
 class TestInvariantSweep:
