@@ -6,13 +6,18 @@ operation requires gradients, the operation records a node on a tape so that
 accumulate additively across fan-out and are cleared only by an explicit
 `zero_grad`.
 
-The op set is deliberately small: matmul, affine (matmul plus bias as one
-node), elementwise arithmetic, sigmoid, tanh, concatenation, row-wise
-softmax, reductions, gathers (`take` / `select_index` / `gather_sum`),
-`narrow`, `masked_fill`, reshape and transpose.  There is no general
+The op set is deliberately small, one code path per op: `add`, `sub`,
+`mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum` /
+`tmean`, the gathers `take` and `gather_sum`, `narrow`, `masked_fill`,
+`reshape`, `transpose` and `broadcast_to`.  `affine` (a @ w with an optional
+bias) is the one flattened-GEMM kernel; `matmul` hands it every 2-d right
+operand and itself runs only the batched product.  There is no general
 broadcasting engine; binary ops allow the usual numpy broadcast and
 un-broadcast the gradient by summing over expanded axes, which covers bias
-addition and scalar scaling.
+addition and scalar scaling.  A python scalar operand of `add`, `sub` or
+`mul`, on either side, is taken in the dtype of the tensor operand and is
+not a tape parent: the node's parents are the operands passed in as
+Tensors.
 
 Modules with a hand-written multi-step backward (the fused LIF and LSTM
 recurrences) build their node with `_result` and test `is_recording` first,
@@ -23,7 +28,7 @@ so that `grad_check` can refuse to finite-difference through them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,9 +125,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         return self.grad
 
-    def backward(self) -> None:
-        backward(self)
-
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
@@ -175,16 +177,19 @@ def _unbroadcast(g, shape):
 # -- elementwise arithmetic -----------------------------------------------
 
 
+def _operands(a, b) -> tuple:
+    """(a, b, parents) of a binary op.
+
+    A python scalar (or array) operand, on either side, becomes a constant of
+    the other operand's dtype; only operands passed in as Tensors are parents.
+    """
+    parents = tuple(x for x in (a, b) if isinstance(x, Tensor))
+    like = parents[0] if parents else None
+    return _as_tensor(a, like), _as_tensor(b, like), parents
+
+
 def add(a, b) -> Tensor:
-    if isinstance(a, Tensor) and isinstance(b, (int, float)):
-        c = np.asarray(b, dtype=a.data.dtype)
-
-        def bw_c(g):
-            a._accum(g)
-
-        return _result(a.data + c, (a,), bw_c, "add")
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+    a, b, parents = _operands(a, b)
     try:
         data = a.data + b.data
     except ValueError:
@@ -196,26 +201,11 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
-    return _result(data, (a, b), bw, "add")
+    return _result(data, parents, bw, "add")
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, Tensor) and isinstance(a, (int, float)):
-        c = np.asarray(a, dtype=b.data.dtype)
-
-        def bw_c(g):
-            b._accum_own(-g)
-
-        return _result(c - b.data, (b,), bw_c, "sub")
-    if isinstance(a, Tensor) and isinstance(b, (int, float)):
-        c = np.asarray(b, dtype=a.data.dtype)
-
-        def bw_c2(g):
-            a._accum(g)
-
-        return _result(a.data - c, (a,), bw_c2, "sub")
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+    a, b, parents = _operands(a, b)
     try:
         data = a.data - b.data
     except ValueError:
@@ -225,19 +215,13 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             a._accum(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
+            b._accum_own(_unbroadcast(-g, b.data.shape))
 
-    return _result(data, (a, b), bw, "sub")
+    return _result(data, parents, bw, "sub")
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise (or scalar) multiply."""
-    if isinstance(a, Tensor) and isinstance(b, (int, float)):
-        return scale(a, b)
-    if isinstance(b, Tensor) and isinstance(a, (int, float)):
-        return scale(b, a)
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
+    a, b, parents = _operands(a, b)
     try:
         data = a.data * b.data
     except ValueError:
@@ -250,17 +234,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b._accum_own(_unbroadcast(g * ad, bd.shape))
 
-    return _result(data, (a, b), bw, "mul")
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar."""
-    s = float(s)
-
-    def bw(g):
-        a._accum_own(g * s)
-
-    return _result(a.data * np.asarray(s, dtype=a.data.dtype), (a,), bw, "scale")
+    return _result(data, parents, bw, "mul")
 
 
 # -- matmul ----------------------------------------------------------------
@@ -269,56 +243,48 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """np.matmul semantics: 2-d matrices or stacked matrices on leading axes.
 
-    The common stacked-by-2d case collapses to a single GEMM by flattening
-    the leading axes, both forward and backward.
+    A 2-d right operand is a weight product, computed by `affine` (no bias)
+    as one GEMM over the flattened leading axes of `a`.
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
     ad, bd = a.data, b.data
     if ad.ndim < 1 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape)
-    flat = bd.ndim == 2 and ad.ndim >= 2
+    if bd.ndim == 2:
+        return affine(a, b)
     try:
-        if flat:
-            k = ad.shape[-1]
-            data = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (bd.shape[1],))
-        else:
-            data = np.matmul(ad, bd)
+        data = np.matmul(ad, bd)
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape)
 
     def bw(g):
-        if flat:
-            g2 = g.reshape(-1, bd.shape[1])
-            if a.requires_grad:
-                a._accum_own((g2 @ bd.T).reshape(ad.shape))
-            if b.requires_grad:
-                b._accum_own(ad.reshape(-1, ad.shape[-1]).T @ g2)
-        else:
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-                a._accum_own(_unbroadcast(ga, ad.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-                b._accum_own(_unbroadcast(gb, bd.shape))
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            a._accum_own(_unbroadcast(ga, ad.shape))
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+            b._accum_own(_unbroadcast(gb, bd.shape))
 
     return _result(data, (a, b), bw, "matmul")
 
 
-def affine(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """a @ w + b as one node, for a 2-d weight `w` and a bias `b` of width w.shape[1].
+def affine(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """a @ w (+ b) as one node, for a 2-d weight `w` and an optional bias `b`
+    of width w.shape[1].
 
-    Same float operations and gradients as `add(matmul(a, w), b)`, but the
-    bias is added in place, so the bias-free product is never a second array.
+    The leading axes of `a` are flattened into one GEMM, forward and
+    backward.  Same float operations and gradients as `add(matmul(a, w), b)`,
+    but the bias is added in place, so the bias-free product is never a
+    second array.
     """
-    ad, wd, bd = a.data, w.data, b.data
+    ad, wd = a.data, w.data
     if ad.ndim < 1 or wd.ndim != 2 or ad.shape[-1] != wd.shape[0]:
         raise ShapeError("affine", a.shape, w.shape)
-    if bd.shape != (wd.shape[1],):
+    if b is not None and b.data.shape != (wd.shape[1],):
         raise ShapeError("affine", w.shape, b.shape)
     k, n = wd.shape
     data = (ad.reshape(-1, k) @ wd).reshape(ad.shape[:-1] + (n,))
-    data += bd
+    if b is not None:
+        data += b.data
 
     def bw(g):
         g2 = g.reshape(-1, n)
@@ -326,17 +292,16 @@ def affine(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
             a._accum_own((g2 @ wd.T).reshape(ad.shape))
         if w.requires_grad:
             w._accum_own(ad.reshape(-1, k).T @ g2)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, bd.shape))
+        if b is not None and b.requires_grad:
+            b._accum(_unbroadcast(g, b.data.shape))
 
-    return _result(data, (a, w, b), bw, "affine")
+    return _result(data, (a, w) if b is None else (a, w, b), bw, "affine")
 
 
 # -- smooth nonlinearities --------------------------------------------------
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     # stable for any magnitude: sigma(x) = (tanh(x/2) + 1) / 2
     half = np.asarray(0.5, dtype=a.data.dtype)
     out = np.tanh(a.data * half) * half + half
@@ -347,19 +312,8 @@ def sigmoid(a: Tensor) -> Tensor:
     return _result(out, (a,), bw, "sigmoid")
 
 
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bw(g):
-        a._accum_own(g * (1.0 - out * out))
-
-    return _result(out, (a,), bw, "tanh")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Row-wise softmax along `axis` (max-shifted for stability)."""
-    a = _as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -408,7 +362,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = list(tensors)
     base = tensors[0].data.shape
     for t in tensors[1:]:
         s = t.data.shape
@@ -454,27 +408,16 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     src_shape = a.data.shape
 
     def bw(g):
-        if axis is None:
-            a._accum(np.broadcast_to(g, src_shape))
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            gg = g
-            if not keepdims:
-                for ax in sorted(ax % len(src_shape) for ax in axes):
-                    gg = np.expand_dims(gg, ax)
-            a._accum(np.broadcast_to(gg, src_shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, src_shape))
 
     return _result(data, (a,), bw, "sum")
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.data.shape[ax] for ax in axes]))
     s = tsum(a, axis=axis, keepdims=keepdims)
-    return scale(s, 1.0 / count)
+    return mul(s, 1.0 / (a.data.size // s.data.size))
 
 
 # -- gathers and masking ------------------------------------------------------
@@ -501,20 +444,6 @@ def take(a: Tensor, indices, axis: int) -> Tensor:
         np.add.at(buf_m, indices, g_m)
 
     return _result(data, (a,), bw, "take")
-
-
-def select_index(a: Tensor, i: int, axis: int) -> Tensor:
-    """Pick a single slice along `axis`, dropping that axis (cheap frame access)."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = int(i)
-    idx = tuple(idx)
-    data = a.data[idx].copy()
-
-    def bw(g):
-        buf = a._grad_buffer()
-        buf[idx] += g
-
-    return _result(data, (a,), bw, "select_index")
 
 
 def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:

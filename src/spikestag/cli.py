@@ -22,6 +22,11 @@ lines, and `train` on synthetic data also records `# synth_steps`.  `eval`,
 `predict` and `energy` take their configuration from the checkpoint; on
 synthetic data they need `--synth-steps` (no default), since the series
 length is in neither the checkpoint nor the config.
+
+Bad input exits with status 2 and one `error: ...` line on stderr, with no
+traceback: a malformed flag or config file, a malformed CSV, a missing or
+corrupt checkpoint, non-positive energy coefficients or batch size, and a
+series too short to hold a window of the split a command reads.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint as ckpt
 from .data import SeriesDataset, load_csv, make_windows, synth_generate
-from .energy import OpCounter, estimate_energy, write_report_csv, write_report_text
-from .errors import ContractError
+from .energy import (OpCounter, check_coefficients, estimate_energy, write_report_csv,
+                     write_report_text)
+from .errors import CheckpointFormatError, ContractError, IngestionError
 from .model import ABLATIONS, ForecastModel, ModelConfig, evaluate, train
 
 
@@ -54,6 +60,20 @@ def _parse_bool(text: str) -> bool:
 
 # one caster per ModelConfig field type, shared by flags and config-file values
 _CASTERS = {int: int, float: float, str: str, bool: _parse_bool}
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> list:
+    """Comma-separated integers, e.g. '1,2,3'."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _add_data_flags(p: argparse.ArgumentParser, synth_steps: int | None = None) -> None:
@@ -213,11 +233,10 @@ def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")]
     rows = {}
     for ablation in ABLATIONS:
         r2s, rses = [], []
-        for seed in seeds:
+        for seed in args.seeds:
             run_cfg = replace(cfg, ablation=ablation, seed=seed)
             dataset = _load_dataset(args, run_cfg)
             _, report, _ = _train_once(dataset, run_cfg, quiet=True)
@@ -232,7 +251,7 @@ def cmd_ablate(args) -> int:
         for ablation, (r2, rse) in rows.items():
             writer.writerow([ablation, f"{r2:.6f}", f"{rse:.6f}",
                              "*" if ablation == best else ""])
-    _echo_config(cfg, outdir, {"seeds": args.seeds})
+    _echo_config(cfg, outdir, {"seeds": ",".join(map(str, args.seeds))})
     print(f"best variant: {best}")
     return 0
 
@@ -241,9 +260,8 @@ def cmd_sweep_ts(args) -> int:
     cfg = _build_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    ts_values = [int(s) for s in args.ts_values.split(",")]
     rows = []
-    for ts in ts_values:
+    for ts in args.ts_values:
         run_cfg = replace(cfg, ts=ts)
         dataset = _load_dataset(args, run_cfg)
         _, report, _ = _train_once(dataset, run_cfg, quiet=True)
@@ -263,6 +281,7 @@ def cmd_sweep_ts(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    check_coefficients(args.e_mac, args.e_ac)
     model, _, windows = _load_checkpoint(args)
     starts = (windows.test_starts or windows.train_starts)[: args.batch]
     batch = windows.batch(starts)
@@ -312,25 +331,25 @@ def main(argv=None) -> int:
 
     p_abl = command("ablate", "train W1-W4 and compare", cmd_ablate)
     _add_config_flags(p_abl)
-    p_abl.add_argument("--seeds", type=str, default="1,2,3", help="comma-separated seeds")
+    p_abl.add_argument("--seeds", type=_int_list, default="1,2,3", help="comma-separated seeds")
 
     p_sweep = command("sweep-ts", "train across Ts values and compare", cmd_sweep_ts)
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--ts-values", type=str, default="4,8,12,16",
+    p_sweep.add_argument("--ts-values", type=_int_list, default="4,8,12,16",
                          help="comma-separated Ts values")
 
     p_en = command("energy", "count ops and estimate energy for a checkpoint", cmd_energy)
     p_en.add_argument("checkpoint", type=str)
     _add_data_flags(p_en)
     p_en.add_argument("--out", type=str, default="runs/latest", help="output directory")
-    p_en.add_argument("--batch", type=int, default=8, help="windows in the counted batch")
+    p_en.add_argument("--batch", type=_positive_int, default=8, help="windows in the counted batch")
     p_en.add_argument("--e-mac", type=float, default=4.6, help="pJ per multiply-accumulate")
     p_en.add_argument("--e-ac", type=float, default=0.9, help="pJ per accumulate")
 
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ContractError, FileNotFoundError) as exc:
+    except (ContractError, IngestionError, CheckpointFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -238,8 +238,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     nd = q.data.ndim
     perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # (..., N, T, d)
     qt, kt, vt = (ag.transpose(t, perm) for t in (q, k, v))
-    scores = ag.scale(ag.matmul(qt, ag.transpose(kt, tuple(range(nd - 2)) + (nd - 1, nd - 2))),
-                      1.0 / math.sqrt(d_k))
+    scores = ag.mul(ag.matmul(qt, ag.transpose(kt, tuple(range(nd - 2)) + (nd - 1, nd - 2))),
+                    1.0 / math.sqrt(d_k))
     attn = ag.softmax(scores, axis=-1)
     out = ag.matmul(attn, vt)  # (..., N, T, d)
     return ag.transpose(out, perm)  # back to (..., T, N, d)

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
+from .errors import ContractError
 
 E_MAC_PJ = 4.6
 E_AC_PJ = 0.9
@@ -230,10 +231,15 @@ class EnergyReport:
     e_ac_pj: float
 
 
+def check_coefficients(e_mac: float, e_ac: float) -> None:
+    """Raise ContractError unless both energy coefficients (pJ per op) are positive."""
+    if not (e_mac > 0 and e_ac > 0):
+        raise ContractError(f"energy coefficients must be positive, got e_mac={e_mac}, e_ac={e_ac}")
+
+
 def estimate_energy(counts: OpCounts, e_mac: float = E_MAC_PJ, e_ac: float = E_AC_PJ) -> EnergyReport:
     """Linear energy model over the counted ops, normalized per batch element."""
-    if e_mac <= 0 or e_ac <= 0:
-        raise ValueError("energy coefficients must be positive")
+    check_coefficients(e_mac, e_ac)
     b = max(counts.batch_elements, 1)
     per_layer = {}
     total_pj = 0.0

@@ -216,7 +216,7 @@ class ForecastModel:
         # calibrated on the final-frame readout, the one the head consumes
         if self.ssa_scale is None:
             self.ssa_scale = float(1.0 / (ssa_out.data.std() + 1e-6))
-        return ag.scale(ssa_out, self.ssa_scale)
+        return ag.mul(ssa_out, self.ssa_scale)
 
     def forward(self, batch: WindowBatch, counter=None) -> Tensor:
         """Normalized-scale predictions of shape (B, L, N).
@@ -260,7 +260,8 @@ class ForecastModel:
                 h_ssa = ag.matmul(ssa_out, self.ssa_proj)
                 feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)
 
-        final = ag.select_index(feat, 0, axis=t_axis)               # (B, N, h)
+        b, _, n, h = feat.shape                                     # one frame: (B, 1, N, h)
+        final = ag.reshape(feat, (b, n, h))
         pred = ag.affine(final, self.head_w, self.head_b)           # (B, N, L)
         return ag.transpose(pred, (0, 2, 1))                        # (B, L, N)
 
@@ -345,7 +346,10 @@ def _batched_starts(starts: list, batch_size: int):
 
 def evaluate(model: ForecastModel, windows: SplitWindows, starts: list,
              batch_size: int = 32):
-    """Global de-normalized (r2, rse) over the given window starts."""
+    """Global de-normalized (r2, rse) over the given window starts (at least one)."""
+    if not starts:
+        raise ContractError("evaluate: no windows to score; the series is too short for "
+                            "this split to hold one window")
     preds, targets = [], []
     with ag.no_grad():
         for chunk in _batched_starts(starts, batch_size):

@@ -59,7 +59,7 @@ def obs_forward(x: Tensor, neighborhoods: list, params: ObsParams) -> Tensor:
     v_nb = ag.take(v, idx, axis=-2)
 
     q_exp = ag.reshape(q, list(q.shape[:-1]) + [1, f])
-    scores = ag.scale(ag.tsum(ag.mul(q_exp, k_nb), axis=-1), 1.0 / math.sqrt(f))
+    scores = ag.mul(ag.tsum(ag.mul(q_exp, k_nb), axis=-1), 1.0 / math.sqrt(f))
     scores = ag.masked_fill(scores, pad, -1e9)
     attn = ag.softmax(scores, axis=-1)
     # fully-padded rows softmax to uniform junk; the mask zeroes them out

@@ -2,7 +2,7 @@
 the full-sequence form of the dual-path fusion tail.
 
 The recurrences are the frame-by-frame forms the fused multi-step kernels
-replaced: every frame records its own tape nodes (select, add, Heaviside,
+replaced: every frame records its own tape nodes (take, add, Heaviside,
 reset blend, stack; gate slices, sigmoids and products for the LSTM).  Tests
 use them as oracles: the fused kernels must reproduce their spikes and hidden
 states bit for bit and their gradients within float32 tolerance.
@@ -13,7 +13,8 @@ states bit for bit and their gradients within float32 tolerance.
 the gate and the attention projection over every frame and then selects the
 final one; the model computes that final frame alone.
 
-`stack` is the tape op the per-frame forms assemble their frames with, and
+`stack` is the tape op the per-frame forms assemble their frames with,
+`tanh` the one the per-frame LSTM applies to its cell, and
 `index_mask_aggregate` / `dense_oracle_aggregate` are the one-node and dense
 mask-matmul forms of the MSSA neighborhood aggregation.
 """
@@ -47,6 +48,16 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accum(g[tuple(slices)])
 
     return ag._result(data, tuple(tensors), bw, "stack")
+
+
+def tanh(a: Tensor) -> Tensor:
+    """Elementwise tanh as a tape node."""
+    out = np.tanh(a.data)
+
+    def bw(g):
+        a._accum_own(g * (1.0 - out * out))
+
+    return ag._result(out, (a,), bw, "tanh")
 
 
 def index_mask_aggregate(x_bin: Tensor, sample_set, w: Tensor) -> Tensor:
@@ -133,7 +144,7 @@ def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
                            dtype=potentials.data.dtype)
     frames = []
     for t in range(potentials.shape[-3]):
-        s, state = lif_step(lif, state, ag.select_index(potentials, t, axis=time_axis))
+        s, state = lif_step(lif, state, ag.take(potentials, t, axis=time_axis))
         frames.append(s)
     return stack(frames, axis=time_axis)
 
@@ -170,13 +181,13 @@ def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
     c = Tensor(np.zeros(state_shape, dtype=dtype), dtype=dtype)
     outs = []
     for t in range(gates_x.shape[-3]):
-        g = ag.add(ag.select_index(gates_x, t, axis=time_axis), ag.matmul(h, wh))
+        g = ag.add(ag.take(gates_x, t, axis=time_axis), ag.matmul(h, wh))
         i_g = ag.sigmoid(ag.narrow(g, -1, 0, h_dim))
         f_g = ag.sigmoid(ag.narrow(g, -1, h_dim, h_dim))
-        g_g = ag.tanh(ag.narrow(g, -1, 2 * h_dim, h_dim))
+        g_g = tanh(ag.narrow(g, -1, 2 * h_dim, h_dim))
         o_g = ag.sigmoid(ag.narrow(g, -1, 3 * h_dim, h_dim))
         c = ag.add(ag.mul(f_g, c), ag.mul(i_g, g_g))
-        h = ag.mul(o_g, ag.tanh(c))
+        h = ag.mul(o_g, tanh(c))
         outs.append(h)
     return stack(outs, axis=time_axis)
 
@@ -226,6 +237,6 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
             h_ssa = ag.matmul(ssa_out, model.ssa_proj)
             feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)
 
-    final = ag.select_index(feat_seq, t_frames - 1, axis=time_axis)
+    final = ag.take(feat_seq, t_frames - 1, axis=time_axis)
     pred = ag.add(ag.matmul(final, model.head_w), model.head_b)
     return ag.transpose(pred, (0, 2, 1))

@@ -5,7 +5,7 @@ from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.errors import ContractError, ShapeError
 
-from per_step import heaviside_surrogate, stack
+from per_step import heaviside_surrogate, stack, tanh
 
 
 def t(data, rg=True):
@@ -114,24 +114,25 @@ def _rand(shape, rng):
 
 
 SMOOTH_CASES = [
-    ("add", lambda x: ag.tsum(ag.add(x, ag.scale(x, 0.5))), (3, 4)),
+    ("add", lambda x: ag.tsum(ag.add(x, ag.mul(x, 0.5))), (3, 4)),
     ("sub", lambda x: ag.tsum(ag.sub(x, ag.mul(x, x))), (3, 4)),
     ("mul", lambda x: ag.tsum(ag.mul(x, x)), (5,)),
-    ("scale", lambda x: ag.tsum(ag.scale(x, -1.7)), (4,)),
+    ("mul_scalar", lambda x: ag.tsum(ag.mul(-1.7, ag.mul(x, x))), (4,)),
     ("matmul", lambda x: ag.tsum(ag.matmul(x, ag.transpose(x, (1, 0)))), (3, 4)),
+    ("matmul_batched", lambda x: ag.tsum(ag.mul(ag.matmul(x, ag.transpose(x, (0, 2, 1))), 0.5)), (2, 3, 4)),
     ("sigmoid", lambda x: ag.tsum(ag.sigmoid(x)), (6,)),
-    ("tanh", lambda x: ag.tsum(ag.tanh(x)), (6,)),
+    ("tanh", lambda x: ag.tsum(tanh(x)), (6,)),
     ("softmax", lambda x: ag.tsum(ag.mul(ag.softmax(x, axis=-1), x)), (2, 5)),
-    ("concat", lambda x: ag.tsum(ag.mul(ag.concat([x, x], axis=-1), ag.concat([x, ag.tanh(x)], axis=-1))), (2, 3)),
-    ("stack", lambda x: ag.tsum(ag.mul(stack([x, ag.tanh(x)], axis=0), stack([ag.sigmoid(x), x], axis=0))), (2, 3)),
+    ("concat", lambda x: ag.tsum(ag.mul(ag.concat([x, x], axis=-1), ag.concat([x, tanh(x)], axis=-1))), (2, 3)),
+    ("stack", lambda x: ag.tsum(ag.mul(stack([x, tanh(x)], axis=0), stack([ag.sigmoid(x), x], axis=0))), (2, 3)),
     ("mean", lambda x: ag.tmean(ag.mul(x, x)), (7,)),
     ("sum_axis", lambda x: ag.tsum(ag.mul(ag.tsum(x, axis=0), ag.tsum(x, axis=0))), (3, 4)),
     ("take", lambda x: ag.tsum(ag.mul(ag.take(x, np.array([[0, 2], [1, 1]]), axis=0), 1.5)), (3, 2)),
-    ("select_index", lambda x: ag.tsum(ag.mul(ag.select_index(x, 1, axis=0), ag.select_index(x, 0, axis=0))), (3, 4)),
+    ("take_index", lambda x: ag.tsum(ag.mul(ag.take(x, 1, axis=0), ag.take(x, -3, axis=0))), (3, 4)),
     ("narrow", lambda x: ag.tsum(ag.mul(ag.narrow(x, -1, 1, 2), ag.narrow(x, -1, 0, 2))), (3, 4)),
     ("masked_fill", lambda x: ag.tsum(ag.mul(ag.masked_fill(x, np.eye(3, dtype=bool), 0.5), x)), (3, 3)),
     ("transpose", lambda x: ag.tsum(ag.mul(ag.transpose(x, (1, 0)), 2.0)), (2, 4)),
-    ("reshape", lambda x: ag.tsum(ag.mul(ag.reshape(x, (6,)), ag.reshape(ag.tanh(x), (6,)))), (2, 3)),
+    ("reshape", lambda x: ag.tsum(ag.mul(ag.reshape(x, (6,)), ag.reshape(tanh(x), (6,)))), (2, 3)),
     ("broadcast_to", lambda x: ag.tsum(ag.mul(ag.broadcast_to(ag.reshape(x, (1, 4)), (3, 4)), 0.7)), (4,)),
     ("gather_sum", lambda x: ag.tsum(ag.mul(
         ag.gather_sum(x, np.array([[1, 2], [0, 0]]), np.array([[1.0, 1.0], [1.0, 0.0]]), axis=0), 1.3)), (3, 4)),
@@ -149,7 +150,7 @@ class TestGradCheck:
     def test_tanh_linear_chain(self):
         rng = np.random.default_rng(0)
         w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=False)
-        f = lambda x: ag.tsum(ag.tanh(ag.matmul(w, x)))
+        f = lambda x: ag.tsum(tanh(ag.matmul(w, x)))
         report = ag.grad_check(f, _rand((4, 2), rng))
         assert report.passed and report.max_rel_err < 1e-4
 
@@ -174,17 +175,25 @@ class TestAffine:
         return {k: rng.uniform(-2.0, 2.0, size=s).astype(np.float32)
                 for k, s in self.SHAPES.items()}
 
-    @pytest.mark.parametrize("wrt", ["a", "w", "b"])
-    def test_matches_finite_differences(self, wrt):
+    def _grad_check(self, wrt, with_bias):
         ops = self._operands(np.random.default_rng(21))
 
         def f(x):
             args = {k: Tensor(v.astype(np.float64), dtype=np.float64) for k, v in ops.items()}
             args[wrt] = x
-            out = ag.affine(args["a"], args["w"], args["b"])
-            return ag.tsum(ag.mul(out, ag.tanh(out)))
+            out = ag.affine(args["a"], args["w"], args["b"] if with_bias else None)
+            return ag.tsum(ag.mul(out, tanh(out)))
 
-        report = ag.grad_check(f, Tensor(ops[wrt], requires_grad=True))
+        return ag.grad_check(f, Tensor(ops[wrt], requires_grad=True))
+
+    @pytest.mark.parametrize("wrt", ["a", "w", "b"])
+    def test_matches_finite_differences(self, wrt):
+        report = self._grad_check(wrt, with_bias=True)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("wrt", ["a", "w"])
+    def test_without_bias_matches_finite_differences(self, wrt):
+        report = self._grad_check(wrt, with_bias=False)
         assert report.passed, report
 
     def test_bit_identical_to_matmul_plus_add(self):
@@ -206,3 +215,34 @@ class TestAffine:
         a, w, b = (Tensor(np.zeros(s, dtype=np.float32)) for s in shapes)
         with pytest.raises(ShapeError):
             ag.affine(a, w, b)
+
+
+class TestScalarOperands:
+    """A python scalar operand of add/sub/mul, on either side, is a constant
+    in the tensor's dtype and no tape parent."""
+
+    @staticmethod
+    def _run(op, scalar, dtype, scalar_left):
+        x = Tensor(np.array([0.25, -1.5, 2.0], dtype=dtype), requires_grad=True, dtype=dtype)
+        out = op(scalar, x) if scalar_left else op(x, scalar)
+        ag.backward(ag.tsum(ag.mul(out, out)))
+        return x, out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("op", [ag.add, ag.sub, ag.mul], ids=["add", "sub", "mul"])
+    def test_either_side(self, op, dtype):
+        c = 1.0 / 3.0
+        const = Tensor(np.asarray(c, dtype=dtype), dtype=dtype)
+        outs = {}
+        for left in (True, False):
+            x, out = self._run(op, c, dtype, left)
+            assert out.dtype == dtype and x.grad.dtype == dtype
+            assert out._parents == (x,)
+            assert len(ag._topo_order(out)) == 2  # x and out: no constant leaf
+            x_ref, ref = self._run(op, const, dtype, left)
+            np.testing.assert_array_equal(out.data, ref.data)
+            np.testing.assert_array_equal(x.grad, x_ref.grad)
+            outs[left] = (out.data, x.grad)
+        sign = -1 if op is ag.sub else 1  # c - x is exactly -(x - c)
+        np.testing.assert_array_equal(outs[True][0], sign * outs[False][0])
+        np.testing.assert_array_equal(outs[True][1], outs[False][1])

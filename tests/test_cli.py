@@ -6,7 +6,7 @@ import pytest
 from spikestag import cli
 from spikestag.checkpoint import load_model
 from spikestag.data import SeriesDataset, load_csv, make_windows, save_csv, synth_generate
-from spikestag.model import ModelConfig
+from spikestag.model import ForecastModel, ModelConfig
 
 # a model small enough that one train run takes a fraction of a second
 TINY_FLAGS = ["--nodes", "4", "--input-len", "4", "--horizon", "2", "--emb-dim", "4",
@@ -154,3 +154,53 @@ def test_sweep_ts_writes_rows_and_stability(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "2", "stability_max_minus_min_r2"]
     r2s = [float(r[1]) for r in rows[1:3]]
     assert float(rows[3][1]) == pytest.approx(max(r2s) - min(r2s), abs=2e-6)
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A tiny trained run, a truncated copy of its checkpoint and a CSV with a non-numeric cell."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(root / "run")]) == 0
+    blob = (root / "run" / "checkpoint.stag").read_bytes()
+    (root / "truncated.stag").write_bytes(blob[:len(blob) // 2])
+    save_csv(synth_generate(4, 60, 1), root / "good.csv")
+    lines = (root / "good.csv").read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
+    (root / "bad.csv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+CKPT = "{root}/run/checkpoint.stag"
+BAD_INPUT_CASES = {
+    "malformed_csv": (["train", *TINY_FLAGS, "--data", "{root}/bad.csv", "--out", "{root}/o"],
+                      "non-numeric value"),
+    "truncated_checkpoint": (["eval", "{root}/truncated.stag", "--synth-steps", "60"],
+                             "truncated or corrupt checkpoint"),
+    "energy_e_mac_zero": (["energy", CKPT, "--synth-steps", "60", "--e-mac", "0",
+                           "--out", "{root}/o"], "energy coefficients must be positive"),
+    "energy_batch_zero": (["energy", CKPT, "--synth-steps", "60", "--batch", "0",
+                           "--out", "{root}/o"], "argument --batch"),
+    "eval_no_test_window": (["eval", CKPT, "--synth-steps", "20"], "no windows to score"),
+    "ablate_seeds_not_ints": (["ablate", *TINY_FLAGS, "--seeds", "abc", "--out", "{root}/o"],
+                              "argument --seeds"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_CASES))
+def test_bad_input_exits_2_before_any_forward(case, bad_inputs, capsys, monkeypatch):
+    argv, message = BAD_INPUT_CASES[case]
+    argv = [arg.format(root=bad_inputs) for arg in argv]
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("bad input reached a forward pass")
+
+    monkeypatch.setattr(ForecastModel, "forward", no_forward)
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed flag value itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and message in err, err
+    assert "Traceback" not in err
