@@ -11,7 +11,9 @@ The op set is deliberately small, one code path per op: `add`, `sub`,
 `tmean`, the gathers `take` and `gather_sum`, `narrow`, `masked_fill`,
 `reshape`, `transpose` and `broadcast_to`.  `affine` (a @ w with an optional
 bias) is the one flattened-GEMM kernel; `matmul` hands it every 2-d right
-operand and itself runs only the batched product.  There is no general
+operand and itself runs only the batched product.  `gather_sum` adds its k
+gathered slots into the output one slot at a time, so it never holds the
+(..., n, k, ...) array of all of them.  There is no general
 broadcasting engine; binary ops allow the usual numpy broadcast and
 un-broadcast the gradient by summing over expanded axes, which covers bias
 addition and scalar scaling.  A python scalar operand of `add`, `sub` or
@@ -451,7 +453,11 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
 
     `indices` has shape (n, k) and selects along `axis`; `valid` is a {0,1}
     mask of the same shape (padding rows of ragged neighbor sets).  The
-    forward pass gathers then sums; it never forms a dense n-by-n product.
+    forward loops over the k slots: it gathers one slot, scales it by that
+    slot's `valid` column and adds it into the zero-started output, in slot
+    order, the order in which a sum over the gathered (..., n, k, ...) array
+    adds them.  So it holds one gathered slot at a time, never the whole
+    gathered array nor a dense n-by-n product.
     """
     indices = np.asarray(indices, dtype=np.intp)
     valid = np.asarray(valid, dtype=a.data.dtype)
@@ -462,11 +468,14 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
             f"gather_sum: index out of range for axis {axis} of extent {a.data.shape[axis]}"
         )
     ax = axis % a.data.ndim
-    gathered = np.take(a.data, indices, axis=ax)  # (..., n, k, ...)
-    vshape = [1] * gathered.ndim
+    vshape = [1] * a.data.ndim
     vshape[ax] = indices.shape[0]
-    vshape[ax + 1] = indices.shape[1]
-    data = (gathered * valid.reshape(vshape)).sum(axis=ax + 1)
+    data = np.zeros(a.data.shape[:ax] + (indices.shape[0],) + a.data.shape[ax + 1:],
+                    dtype=a.data.dtype)
+    for j in range(indices.shape[1]):
+        slot = np.take(a.data, indices[:, j], axis=ax)   # (..., n, ...)
+        slot *= valid[:, j].reshape(vshape)
+        data += slot
 
     # backward scatters with the transposed 0/1 mask; small dense matmul on
     # the node axis only, off the forward path

@@ -25,8 +25,9 @@ length is in neither the checkpoint nor the config.
 
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
-corrupt checkpoint, non-positive energy coefficients or batch size, and a
-series too short to hold a window of the split a command reads.
+corrupt checkpoint, non-positive energy coefficients or batch size, a
+series too short to hold a window of the split a command reads, and test
+targets that are constant, on which R2 and RSE are undefined.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from . import checkpoint as ckpt
 from .data import SeriesDataset, load_csv, make_windows, synth_generate
 from .energy import (OpCounter, check_coefficients, estimate_energy, write_report_csv,
                      write_report_text)
-from .errors import CheckpointFormatError, ContractError, IngestionError
+from .errors import CheckpointFormatError, ContractError, IngestionError, UndefinedMetricError
 from .model import ABLATIONS, ForecastModel, ModelConfig, evaluate, train
 
 
@@ -214,8 +215,10 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, dataset, windows = _load_checkpoint(args)
-    start = windows.test_starts[-1] if windows.test_starts else 0
-    batch = windows.batch([start])
+    if not windows.test_starts:
+        raise ContractError("predict: no test window to forecast from; the series is too "
+                            "short for the test split to hold one window")
+    batch = windows.batch([windows.test_starts[-1]])
     forecast = model.predict(batch)  # (L, N)
     out = Path(args.out_file)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -349,7 +352,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ContractError, IngestionError, CheckpointFormatError, FileNotFoundError) as exc:
+    except (ContractError, IngestionError, CheckpointFormatError, UndefinedMetricError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

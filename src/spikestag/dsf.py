@@ -1,7 +1,13 @@
 """Dual-path fusion: LSTM recovery of continuous states, spiking
 self-attention over re-encoded spikes, and a learnable gate blending the two.
 
-The LSTM runs over the flattened spike frame sequence per node.  The
+The LSTM runs over the flattened spike frame sequence per node, as one tape
+node with its input projection folded in.  It forms the input-side gate
+pre-activations `LSTM_CHUNK` frames at a time and returns only the frames
+its caller reads, every `stride`-th: every ts-th frame for the re-encoder
+(W3/W4), the last alone for W1.  So without a tape it never holds a
+(..., T', N, 4h) array; with one it keeps the gate activations, cells and
+hidden states of every frame for the backward.  The
 self-attention branch projects binary frames through LIF neurons to get
 binary Q/K/V, scores them with QK^T/sqrt(d_k), applies a row softmax and
 reads out the score-weighted V as continuous (membrane-valued) features.
@@ -125,64 +131,87 @@ def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
     return [arr[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
 
 
-def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
-    """LSTM recurrence over the frame axis (-3) as one tape node.
+# Frames whose input-side gate pre-activations x W_x + b are formed at once:
+# that buffer is (..., LSTM_CHUNK, N, 4h) whatever the sequence length.
+LSTM_CHUNK = 32
 
-    `gates_x` holds the input-side pre-activations x W_x + b, (..., T, N, 4h)
-    in gate order (i, f, g, o); `wh` is the fused (h, 4h) recurrent weight.
-    States start at zero.  The forward repeats the float operations of the
-    per-frame cell, so hidden states are bit-identical to it.  The recorded
-    node keeps the gate activations, the cell states and the output; with no
-    tape it keeps only the output.  The backward runs one dG W_h^T product
-    per frame and forms dW_h as a single H_prev^T dG product over all frames.
+
+def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
+    """LSTM recurrence over the frame axis (-3) of `x` as one tape node.
+
+    `x` is (..., T', N, d_in); `wx` (d_in, 4h), `b` (4h,) and `wh` (h, 4h)
+    are the fused weights in gate order (i, f, g, o).  States start at zero.
+    The input-side pre-activations x W_x + b are formed `LSTM_CHUNK` frames
+    at a time, so no (..., T', N, 4h) array of them exists.  Returns the
+    hidden states of frames stride-1, 2*stride-1, ..., shape (..., T' //
+    stride, N, h).  The forward repeats the float operations of the input
+    GEMM and the per-frame cell, so hidden states are bit-identical to them.
+
+    The recorded node keeps the gate activations, the cell states and the
+    hidden states of every frame; with no tape it keeps only the returned
+    frames.  The backward runs one dG W_h^T product per frame, then forms
+    dW_h, dW_x and dx as single products over all frames and db as one sum.
     """
-    gx = gates_x.data
-    axis = gx.ndim - 3
-    h_dim = wh.shape[0]
-    whd = wh.data
-    record = ag.is_recording(gates_x, wh)
-    hidden = np.empty(gx.shape[:-1] + (h_dim,), dtype=gx.dtype)
-    acts = np.empty_like(gx) if record else None
-    cells = np.empty_like(hidden) if record else None
+    xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
+    axis = xd.ndim - 3
+    h_dim = whd.shape[0]
+    dtype = np.result_type(xd, wxd)
+    record = ag.is_recording(x, wx, b, wh)
     frames = lambda arr: np.moveaxis(arr, axis, 0)
-    gx_f, h_f = frames(gx), frames(hidden)
-    acts_f = frames(acts) if record else None
-    cells_f = frames(cells) if record else None
-    state_shape = h_f.shape[1:]
-    h = np.zeros(state_shape, dtype=gx.dtype)
-    c = np.zeros(state_shape, dtype=gx.dtype)
-    for t in range(len(gx_f)):
-        g = gx_f[t] + (h.reshape(-1, h_dim) @ whd).reshape(state_shape[:-1] + (4 * h_dim,))
-        act = acts_f[t] if record else np.empty_like(g)
-        _sigmoid_into(g[..., :2 * h_dim], act[..., :2 * h_dim])
-        np.tanh(g[..., 2 * h_dim:3 * h_dim], out=act[..., 2 * h_dim:3 * h_dim])
-        _sigmoid_into(g[..., 3 * h_dim:], act[..., 3 * h_dim:])
-        i_g, f_g, g_g, o_g = _gate_blocks(act, h_dim)
-        c = f_g * c + i_g * g_g
-        h = o_g * np.tanh(c)
-        h_f[t] = h
-        if record:
-            cells_f[t] = c
+    x_f = frames(xd)
+    t_frames = len(x_f)
+    state_shape = x_f.shape[1:-1] + (h_dim,)
+    gate_shape = state_shape[:-1] + (4 * h_dim,)
+    out = np.empty(xd.shape[:axis] + (t_frames // stride,) + state_shape[-2:], dtype=dtype)
+    out_f = frames(out)
+    if record:
+        hidden = np.empty(xd.shape[:-1] + (h_dim,), dtype=dtype)
+        acts = np.empty(xd.shape[:-1] + (4 * h_dim,), dtype=dtype)
+        cells = np.empty_like(hidden)
+        h_f, acts_f, cells_f = frames(hidden), frames(acts), frames(cells)
+    gx_buf = np.empty((min(LSTM_CHUNK, t_frames),) + gate_shape, dtype=dtype)
+    h = np.zeros(state_shape, dtype=dtype)
+    c = np.zeros(state_shape, dtype=dtype)
+    for t0 in range(0, t_frames, LSTM_CHUNK):
+        x_c = x_f[t0:t0 + LSTM_CHUNK]
+        gx = gx_buf[:len(x_c)]
+        np.matmul(x_c.reshape(-1, x_c.shape[-1]), wxd, out=gx.reshape(-1, 4 * h_dim))
+        gx += bd
+        for t in range(t0, t0 + len(x_c)):
+            g = gx[t - t0] + (h.reshape(-1, h_dim) @ whd).reshape(gate_shape)
+            act = acts_f[t] if record else np.empty_like(g)
+            _sigmoid_into(g[..., :2 * h_dim], act[..., :2 * h_dim])
+            np.tanh(g[..., 2 * h_dim:3 * h_dim], out=act[..., 2 * h_dim:3 * h_dim])
+            _sigmoid_into(g[..., 3 * h_dim:], act[..., 3 * h_dim:])
+            i_g, f_g, g_g, o_g = _gate_blocks(act, h_dim)
+            c = f_g * c + i_g * g_g
+            h = o_g * np.tanh(c)
+            if record:
+                h_f[t] = h
+                cells_f[t] = c
+            if (t + 1) % stride == 0:
+                out_f[t // stride] = h
 
-    def bw(g_h):
+    def bw(g_out):
         # per frame, so each frame's gates stay in cache while all of their
         # factors are formed (full-array passes were slower, being bound by
         # memory bandwidth)
         d_gates = np.empty_like(acts)
-        dg = np.empty(state_shape[:-1] + (4 * h_dim,), dtype=gx.dtype)
+        dg = np.empty(gate_shape, dtype=dtype)
         dg_flat = dg.reshape(-1, 4 * h_dim)
         dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
         d_i, d_f, d_g, d_o = _gate_blocks(dg, h_dim)
-        tmp = np.empty(state_shape, dtype=gx.dtype)
-        dh = np.zeros(state_shape, dtype=gx.dtype)   # carries dG_{t+1} W_h^T
-        dc = np.zeros(state_shape, dtype=gx.dtype)   # carries dc_{t+1} * f_{t+1}
-        g_h_f, dg_f = frames(g_h), frames(d_gates)
+        tmp = np.empty(state_shape, dtype=dtype)
+        dh = np.zeros(state_shape, dtype=dtype)   # carries dG_{t+1} W_h^T
+        dc = np.zeros(state_shape, dtype=dtype)   # carries dc_{t+1} * f_{t+1}
+        g_out_f, dg_f = frames(g_out), frames(d_gates)
         wh_t = whd.T
-        for t in range(len(dg_f) - 1, -1, -1):
+        for t in range(t_frames - 1, -1, -1):
             act = acts_f[t]
             i_a, f_a, g_a, o_a = _gate_blocks(act, h_dim)
             tanh_c = np.tanh(cells_f[t])
-            dh += g_h_f[t]
+            if (t + 1) % stride == 0:
+                dh += g_out_f[t // stride]
             np.multiply(tanh_c, tanh_c, out=tmp)
             np.subtract(1.0, tmp, out=tmp)
             tmp *= o_a
@@ -205,26 +234,35 @@ def _lstm(gates_x: Tensor, wh: Tensor) -> Tensor:
             dg_f[t] = dg
             dh = (dg_flat @ wh_t).reshape(state_shape)
             dc *= f_a
+        d_flat = d_gates.reshape(-1, 4 * h_dim)
         if wh.requires_grad:
             h_prev = np.zeros_like(hidden)
             frames(h_prev)[1:] = h_f[:-1]
-            wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_gates.reshape(-1, 4 * h_dim))
-        if gates_x.requires_grad:
-            gates_x._accum_own(d_gates)
+            wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_flat)
+        if x.requires_grad:
+            x._accum_own((d_flat @ wxd.T).reshape(xd.shape))
+        if wx.requires_grad:
+            wx._accum_own(xd.reshape(-1, xd.shape[-1]).T @ d_flat)
+        if b.requires_grad:
+            b._accum(ag._unbroadcast(d_gates, bd.shape))
 
-    return ag._result(hidden, (gates_x, wh), bw, "lstm")
+    return ag._result(out, (x, wx, b, wh), bw, "lstm")
 
 
-def lstm_forward(x: Tensor, params: LstmParams) -> Tensor:
-    """Standard LSTM recurrence over (..., T_frames, N, d_in) spike frames.
+def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1) -> Tensor:
+    """Standard LSTM recurrence over (..., T', N, d_in) spike frames.
 
-    Hidden and cell states start at zero; returns hidden states for every
-    frame, shape (..., T_frames, N, h_dim).
+    Hidden and cell states start at zero.  Returns the hidden states of
+    every `stride`-th frame, frames stride-1, 2*stride-1, ..., shape
+    (..., T' // stride, N, h_dim): all of them at stride 1, the last alone at
+    stride T'.  The recurrence streams its input gates (see `_lstm`), so
+    without a tape its largest buffers are one chunk of gates and the
+    returned frames.
     """
     wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
-    return _lstm(ag.affine(x, wx, b), wh)  # input-side gates (..., T, N, 4h)
+    return _lstm(x, wx, b, wh, stride)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:

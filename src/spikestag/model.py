@@ -247,14 +247,16 @@ class ForecastModel:
             ssa_out = self._scaled_ssa(ssa_forward(s_mssa, self.ssa_params, lif))
             feat = ag.matmul(ssa_out, self.ssa_proj)
         else:
-            h_lstm = lstm_forward(s_mssa, self.lstm_params)
-            h_last = ag.narrow(h_lstm, t_axis, t_frames - 1, 1)    # (B, 1, N, h)
+            # W1 reads the final frame only; W3/W4 re-encode the last frame
+            # of every series step
+            stride = t_frames if ab == "W1" else cfg.ts
+            h_lstm = lstm_forward(s_mssa, self.lstm_params, stride)  # (B, T'/stride, N, h)
+            del s_mssa      # without a tape nothing else holds the spikes
+            h_last = ag.narrow(h_lstm, t_axis, h_lstm.shape[t_axis] - 1, 1)    # (B, 1, N, h)
             if ab == "W1":
                 feat = h_last
             else:
-                boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
-                h_series = ag.take(h_lstm, boundary, axis=t_axis)
-                re_encoded = encode_sequence(h_series, cfg.ts, lif)
+                re_encoded = encode_sequence(h_lstm, cfg.ts, lif)
                 ag.observe_spikes("dsf.encoder", re_encoded)
                 ssa_out = self._scaled_ssa(ssa_forward(re_encoded, self.ssa_params, lif))
                 h_ssa = ag.matmul(ssa_out, self.ssa_proj)

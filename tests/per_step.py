@@ -14,9 +14,10 @@ the gate and the attention projection over every frame and then selects the
 final one; the model computes that final frame alone.
 
 `stack` is the tape op the per-frame forms assemble their frames with,
-`tanh` the one the per-frame LSTM applies to its cell, and
+`tanh` the one the per-frame LSTM applies to its cell,
 `index_mask_aggregate` / `dense_oracle_aggregate` are the one-node and dense
-mask-matmul forms of the MSSA neighborhood aggregation.
+mask-matmul forms of the MSSA neighborhood aggregation, and `gathered_sum`
+is the gather-everything form of `autograd.gather_sum`'s slot loop.
 """
 
 from __future__ import annotations
@@ -171,8 +172,11 @@ def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     return encode_steps(x, steps, lif)
 
 
-def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
-    """Per-frame stand-in for `dsf._lstm`: zero initial states, gate order (i, f, g, o)."""
+def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
+    """Per-frame stand-in for `dsf._lstm`: the input `affine` over all frames,
+    one cell per frame from zero states (gate order i, f, g, o), then a `take`
+    of frames stride-1, 2*stride-1, ..."""
+    gates_x = ag.affine(x, wx, b)
     h_dim = wh.shape[0]
     time_axis = gates_x.data.ndim - 3
     state_shape = gates_x.shape[:-3] + (gates_x.shape[-2], h_dim)
@@ -189,7 +193,19 @@ def lstm_recurrence(gates_x: Tensor, wh: Tensor) -> Tensor:
         c = ag.add(ag.mul(f_g, c), ag.mul(i_g, g_g))
         h = ag.mul(o_g, tanh(c))
         outs.append(h)
-    return stack(outs, axis=time_axis)
+    frames = np.arange(stride - 1, len(outs), stride, dtype=np.intp)
+    return ag.take(stack(outs, axis=time_axis), frames, axis=time_axis)
+
+
+def gathered_sum(a: np.ndarray, indices, valid, axis: int) -> np.ndarray:
+    """`autograd.gather_sum`'s forward as one gather of every slot, a mask
+    product and a sum over the slot axis."""
+    indices = np.asarray(indices, dtype=np.intp)
+    axis %= a.ndim
+    gathered = np.take(a, indices, axis=axis)      # (..., n, k, ...)
+    vshape = [1] * gathered.ndim
+    vshape[axis:axis + 2] = indices.shape
+    return (gathered * np.asarray(valid, dtype=a.dtype).reshape(vshape)).sum(axis=axis + 1)
 
 
 def ssa_forward_full(s: Tensor, params, lif: LifParams) -> Tensor:

@@ -181,6 +181,8 @@ BAD_INPUT_CASES = {
     "energy_batch_zero": (["energy", CKPT, "--synth-steps", "60", "--batch", "0",
                            "--out", "{root}/o"], "argument --batch"),
     "eval_no_test_window": (["eval", CKPT, "--synth-steps", "20"], "no windows to score"),
+    "predict_no_test_window": (["predict", CKPT, "{root}/f.csv", "--synth-steps", "20"],
+                               "no test window to forecast from"),
     "ablate_seeds_not_ints": (["ablate", *TINY_FLAGS, "--seeds", "abc", "--out", "{root}/o"],
                               "argument --seeds"),
 }
@@ -203,4 +205,17 @@ def test_bad_input_exits_2_before_any_forward(case, bad_inputs, capsys, monkeypa
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and message in err, err
+    assert "Traceback" not in err
+
+
+def test_eval_on_constant_targets_exits_2(bad_inputs, capsys):
+    ds = synth_generate(4, 60, 1)
+    save_csv(SeriesDataset(ds.timestamps, ds.values * 0.0 + 1.0, ds.sample_rate_s,
+                           ds.node_names), bad_inputs / "constant.csv")
+    capsys.readouterr()
+    code = cli.main(["eval", CKPT.format(root=bad_inputs),
+                     "--data", str(bad_inputs / "constant.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "constant target" in err, err
     assert "Traceback" not in err

@@ -5,13 +5,14 @@ from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.energy import OpCounter
 from spikestag.errors import ContractError
-from spikestag.graph import AdaptiveGraph
+from spikestag.graph import AdaptiveGraph, padded_index_mask
 from spikestag.model import ForecastModel, ModelConfig
 from spikestag.mssa import HopWeights, mssa_forward
 from spikestag.spiking import LifParams
 
-from per_step import dense_oracle_aggregate, index_mask_aggregate
+from per_step import dense_oracle_aggregate, gathered_sum, index_mask_aggregate
 
+from test_recurrences import traced_peak
 from test_spiking import lif_sim
 
 
@@ -75,6 +76,35 @@ class TestDenseOracle:
         x = rand_binary(np.random.default_rng(5), (4, 3))
         w = np.ones((3, 2), dtype=np.float32)
         assert not dense_oracle_aggregate(x, np.zeros((4, 4)), w).any()
+
+
+class TestGatherSum:
+    # ragged sets padded to k = 3 slots: rows 1 and 3 end in padding, row 4 is empty
+    SETS = [[0, 3, 5], [2, 6], [6, 1, 4], [5], []]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_slot_loop_matches_gathered_sum(self, binary):
+        rng = np.random.default_rng(13)
+        shape = (2, 9, 7, 5)
+        a = rand_binary(rng, shape) if binary else rng.standard_normal(shape).astype(np.float32)
+        idx, valid = padded_index_mask(self.SETS, 7)
+        assert idx.shape == (5, 3) and valid.sum() == 9
+        out = ag.gather_sum(Tensor(a), idx, valid, axis=2)
+        want = gathered_sum(a, idx, valid, axis=2)
+        assert out.shape == (2, 9, 5, 5)
+        # bit patterns, so that the sign of a zero counts too
+        np.testing.assert_array_equal(out.data.view(np.uint32), want.view(np.uint32))
+
+    def test_no_grad_holds_no_gathered_array(self):
+        rng = np.random.default_rng(14)
+        a = Tensor(rand_binary(rng, (4, 64, 8, 32)), requires_grad=True)
+        idx, valid = padded_index_mask([[j, (j + 1) % 8, (j + 3) % 8, (j + 4) % 8]
+                                        for j in range(8)], 8)
+        gathered_bytes = a.data.nbytes * idx.shape[1]      # (4, 64, 8, k, 32) float32
+        with ag.no_grad():
+            peak, out = traced_peak(lambda: ag.gather_sum(a, idx, valid, axis=2))
+        assert out._backward is None
+        assert peak < gathered_bytes
 
 
 class TestMssaForward:

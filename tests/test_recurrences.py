@@ -138,57 +138,71 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def lstm_weights(rng, d_in, h_dim):
+    """Fused (wx, b, wh) arrays in gate order (i, f, g, o)."""
+    wx = (rng.standard_normal((d_in, 4 * h_dim)) / np.sqrt(d_in)).astype(np.float32)
+    b = (rng.standard_normal(4 * h_dim) * 0.5).astype(np.float32)
+    wh = (rng.standard_normal((h_dim, 4 * h_dim)) / np.sqrt(h_dim)).astype(np.float32)
+    return wx, b, wh
+
+
 class TestFusedLstm:
+    # T' = 70 crosses two boundaries of the LSTM_CHUNK-frame gate buffer
     @pytest.mark.parametrize("lead,t_frames,n,d_in,h_dim", [
         ((), 6, 3, 2, 4),
         ((2,), 9, 5, 3, 7),
         ((3,), 1, 2, 4, 5),
         ((2, 2), 5, 4, 6, 16),
+        ((2,), 70, 3, 5, 6),
     ])
     def test_matches_per_frame_oracle(self, lead, t_frames, n, d_in, h_dim):
+        assert 70 > dsf.LSTM_CHUNK
         rng = np.random.default_rng(t_frames * 100 + h_dim)
-        shape = lead + (t_frames, n, 4 * h_dim)
-        gx = (rng.standard_normal(shape) * 1.5).astype(np.float32)
-        wh = (rng.standard_normal((h_dim, 4 * h_dim)) / np.sqrt(h_dim)).astype(np.float32)
-        weight = rng.standard_normal(lead + (t_frames, n, h_dim)).astype(np.float32)
-        results = []
-        for kernel in (dsf._lstm, per_step.lstm_recurrence):
-            g_leaf = Tensor(gx.copy(), requires_grad=True)
-            w_leaf = Tensor(wh.copy(), requires_grad=True)
-            out = kernel(g_leaf, w_leaf)
-            ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
-            results.append((out.data, g_leaf.grad, w_leaf.grad))
-        (h, d_gx, d_wh), (h_ref, d_gx_ref, d_wh_ref) = results
-        np.testing.assert_array_equal(h, h_ref)
-        assert rel_err(d_gx, d_gx_ref) < LSTM_GRAD_TOL
-        assert rel_err(d_wh, d_wh_ref) < LSTM_GRAD_TOL
+        x = (rng.standard_normal(lead + (t_frames, n, d_in)) * 1.5).astype(np.float32)
+        arrays = (x,) + lstm_weights(rng, d_in, h_dim)
+        for stride in (1, 3, t_frames):
+            weight = rng.standard_normal(
+                lead + (t_frames // stride, n, h_dim)).astype(np.float32)
+            results = []
+            for kernel in (dsf._lstm, per_step.lstm_recurrence):
+                leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out = kernel(*leaves, stride)
+                ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+                results.append((out.data, [leaf.grad for leaf in leaves]))
+            (h, grads), (h_ref, grads_ref) = results
+            np.testing.assert_array_equal(h, h_ref)
+            for name, g, g_ref in zip(("x", "wx", "b", "wh"), grads, grads_ref):
+                assert rel_err(g, g_ref) < LSTM_GRAD_TOL, (stride, name)
 
     def test_lstm_forward_parameter_grads_match_oracle(self, monkeypatch):
         rng = np.random.default_rng(60)
         params = LstmParams.init(5, 8, rng)
         x = (rng.random((2, 12, 3, 5)) < 0.4).astype(np.float32)
-        grads = []
-        for kernel in (dsf._lstm, per_step.lstm_recurrence):
-            monkeypatch.setattr(dsf, "_lstm", kernel)
-            for t in params.tensors().values():
-                t.zero_grad()
-            out = lstm_forward(Tensor(x), params)
-            ag.backward(ag.tsum(ag.mul(out, out)))
-            grads.append({k: t.grad.copy() for k, t in params.tensors().items()})
-        for name in grads[0]:
-            assert rel_err(grads[0][name], grads[1][name]) < LSTM_GRAD_TOL, name
+        for stride in (1, 4):
+            grads = []
+            for kernel in (dsf._lstm, per_step.lstm_recurrence):
+                monkeypatch.setattr(dsf, "_lstm", kernel)
+                for t in params.tensors().values():
+                    t.zero_grad()
+                out = lstm_forward(Tensor(x), params, stride)
+                ag.backward(ag.tsum(ag.mul(out, out)))
+                grads.append({k: t.grad.copy() for k, t in params.tensors().items()})
+            for name in grads[0]:
+                assert rel_err(grads[0][name], grads[1][name]) < LSTM_GRAD_TOL, (stride, name)
 
     def test_no_grad_keeps_no_gate_buffer(self):
         rng = np.random.default_rng(61)
-        gx = Tensor(rng.standard_normal((4, 256, 8, 64)).astype(np.float32), requires_grad=True)
-        wh = Tensor((rng.standard_normal((16, 64)) * 0.2).astype(np.float32), requires_grad=True)
-        out_bytes = gx.data.nbytes // 4
+        params = LstmParams.init(16, 32, rng)
+        x = Tensor((rng.random((4, 256, 8, 16)) < 0.4).astype(np.float32), requires_grad=True)
+        gates_bytes = x.data.size // 16 * 4 * 32 * 4      # (4, 256, 8, 4h) float32
         with ag.no_grad():
-            peak_off, out = traced_peak(lambda: dsf._lstm(gx, wh))
-        assert out._backward is None
-        peak_on, _ = traced_peak(lambda: dsf._lstm(gx, wh))
-        assert peak_off < 1.25 * out_bytes      # the hidden states plus per-frame temporaries
-        assert peak_on >= 6 * out_bytes         # plus four gate activations and the cells
+            peak_off, out = traced_peak(lambda: lstm_forward(x, params, 4))
+        assert out._backward is None and out.shape == (4, 64, 8, 32)
+        assert peak_off < gates_bytes / 4
+        # the tape keeps the four gate activations, the cells and the hidden states
+        peak_on, out = traced_peak(lambda: lstm_forward(x, params, 4))
+        assert out._backward is not None
+        assert peak_on >= 1.5 * gates_bytes
 
 
 def small_batch(cfg, size=2):
@@ -249,7 +263,8 @@ class TestModelStep:
         assert counts[0] == counts[1]
 
     def test_default_step_tape_size(self):
-        # each spike encoder is one node on its input
+        # each spike encoder is one node on its input, and the LSTM one node
+        # on its spikes and fused weights that returns the frames read
         model, batch = small_batch(ModelConfig())
         _, loss = train_step(model, batch)
-        assert len(ag._topo_order(loss)) == 100
+        assert len(ag._topo_order(loss)) == 98

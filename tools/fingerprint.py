@@ -11,16 +11,18 @@ and seeds 1-2 (24 cases), one batch of the synthetic series goes through:
 Every array is hashed as sha256 over its dtype, shape and bytes: the
 predictions of steps 1-4, the loss, the clip norm, every parameter gradient,
 every `LayerCount` of the counted forward (fields in declaration order, and
-the order of the layers), the tape size of step 2 and the checkpoint bytes.
+the order of the layers) and the checkpoint bytes.  The tape size of step 2
+is recorded as the plain node count.
 
     python3 tools/fingerprint.py --out FP.json [--root DIR]
     python3 tools/fingerprint.py --compare A.json B.json
 
 `--root` is the checkout whose `src/spikestag` is imported (default: the
 repository this script lives in), so a second checkout can be fingerprinted
-with the same script.  `--compare` prints every field whose digest differs
-or that only one file has, and exits 1 if there is any.  Uses numpy and the
-standard library only.
+with the same script.  `--compare` prints every field whose value differs or
+that only one file has, as `case: field: A -> B` (digests shortened to 12
+characters, a missing field as None), and exits 1 if there is any.  Uses
+numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def fingerprint_case(name: str, seed: int, ablation: str, tmp: Path) -> dict:
     ag.backward(loss)
     out["pred.taped"] = digest(pred.data)
     out["loss"] = digest(loss.data)
-    out["tape.nodes"] = digest(len(ag._topo_order(loss)))
+    out["tape.nodes"] = len(ag._topo_order(loss))
     for pname, p in params.items():
         out[f"grad.{pname}"] = digest(p.grad if p.grad is not None else np.zeros(0))
     out["clip_norm"] = digest(clip_grad_norm(params, 1.0))
@@ -121,12 +123,14 @@ def run(root: Path) -> dict:
 def compare(a_path: str, b_path: str) -> int:
     a = json.loads(Path(a_path).read_text())
     b = json.loads(Path(b_path).read_text())
+    show = lambda v: v[:12] if isinstance(v, str) else v
     differing = []
     for case in sorted(set(a) | set(b)):
         fa, fb = a.get(case, {}), b.get(case, {})
         for field in sorted(set(fa) | set(fb)):
-            if fa.get(field) != fb.get(field):
-                differing.append(f"{case}: {field}")
+            va, vb = fa.get(field), fb.get(field)
+            if va != vb:
+                differing.append(f"{case}: {field}: {show(va)} -> {show(vb)}")
     total = sum(len(fields) for fields in a.values())
     for line in differing:
         print(line)
