@@ -2,9 +2,12 @@
 
 A `Tensor` wraps a numpy array (float32 by default) and, when any input of an
 operation requires gradients, the operation records a node on a tape so that
-`backward` can later push gradients to every reachable leaf.  Gradients
-accumulate additively across fan-out and are cleared only by an explicit
-`zero_grad`.
+`backward` can later push gradients to every reachable leaf.  Leaf gradients
+(parameters and inputs) accumulate additively across fan-out and across
+backward calls, and are cleared only by an explicit `zero_grad`.  Interior
+gradients and the buffers a node saved for its backward are released as
+backward passes the node, so a tape is single-use: run the forward again
+before a second backward.
 
 The op set is deliberately small, one code path per op: `add`, `sub`,
 `mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum` /
@@ -526,15 +529,35 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
+def _consumed(g) -> None:
+    """Backward of a node whose tape an earlier `backward` has already walked."""
+    raise ContractError("backward: tape already consumed by an earlier backward; "
+                        "run the forward again")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every requires_grad ancestor of a scalar loss."""
+    """Accumulate dloss/dleaf into `.grad` of every requires_grad leaf of a scalar loss.
+
+    The tape is released as the walk passes it: once a node's backward has
+    run, its gradient is dropped and its closure, with every buffer it saved,
+    is replaced by `_consumed`.  Leaves (parameters and inputs) keep their
+    accumulated `.grad`.  A tape is therefore single-use: a second backward
+    through any consumed node raises ContractError before any gradient moves.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     order = _topo_order(loss)
+    if any(node._backward is _consumed for node in order):
+        _consumed(None)
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = _consumed
 
 
 def graph_has_custom(root: Tensor) -> bool:

@@ -166,9 +166,10 @@ def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> N
 def _write_metrics_csv(path: Path, report) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "r2", "rse"])
+        writer.writerow(["epoch", "loss", "r2", "rse", "grad_norm"])
         for e in report.epochs:
-            writer.writerow([e.epoch, f"{e.loss:.8f}", f"{e.r2:.6f}", f"{e.rse:.6f}"])
+            writer.writerow([e.epoch, f"{e.loss:.8f}", f"{e.r2:.6f}", f"{e.rse:.6f}",
+                             f"{e.grad_norm:.6f}"])
 
 
 def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
@@ -177,7 +178,8 @@ def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
     cfg = replace(cfg, n_nodes=dataset.n_nodes)
     model = ForecastModel(cfg)
     log = None if quiet else (lambda e: print(
-        f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f}"))
+        f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f} "
+        f"grad_norm={e.grad_norm:.4f}"))
     report, windows = train(model, dataset, log_fn=log)
     return model, report, windows
 

@@ -149,8 +149,10 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
 
     The recorded node keeps the gate activations, the cell states and the
     hidden states of every frame; with no tape it keeps only the returned
-    frames.  The backward runs one dG W_h^T product per frame, then forms
-    dW_h, dW_x and dx as single products over all frames and db as one sum.
+    frames.  The backward runs one dG W_h^T product per frame, writing each
+    frame's dG over its gate activations, then forms dW_h, dW_x and dx as
+    single products over all frames and db as one sum.  Reusing that buffer
+    means the backward can run only once (see `autograd.backward`).
     """
     xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
     axis = xd.ndim - 3
@@ -195,8 +197,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
     def bw(g_out):
         # per frame, so each frame's gates stay in cache while all of their
         # factors are formed (full-array passes were slower, being bound by
-        # memory bandwidth)
-        d_gates = np.empty_like(acts)
+        # memory bandwidth); the tape is single-use, so each frame's dG
+        # overwrites its gate activations once they are read
         dg = np.empty(gate_shape, dtype=dtype)
         dg_flat = dg.reshape(-1, 4 * h_dim)
         dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
@@ -204,7 +206,7 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
         tmp = np.empty(state_shape, dtype=dtype)
         dh = np.zeros(state_shape, dtype=dtype)   # carries dG_{t+1} W_h^T
         dc = np.zeros(state_shape, dtype=dtype)   # carries dc_{t+1} * f_{t+1}
-        g_out_f, dg_f = frames(g_out), frames(d_gates)
+        g_out_f = frames(g_out)
         wh_t = whd.T
         for t in range(t_frames - 1, -1, -1):
             act = acts_f[t]
@@ -231,12 +233,14 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
             dg_ifg *= dc[..., None, :]
             d_o *= tanh_c
             d_o *= dh
-            dg_f[t] = dg
+            dc *= f_a                   # f_a is a view into act: use it first
+            act[...] = dg
             dh = (dg_flat @ wh_t).reshape(state_shape)
-            dc *= f_a
+        d_gates = acts                  # now dG of every frame
         d_flat = d_gates.reshape(-1, 4 * h_dim)
         if wh.requires_grad:
-            h_prev = np.zeros_like(hidden)
+            h_prev = cells              # the cells are spent: reuse them for h_{t-1}
+            frames(h_prev)[0] = 0.0
             frames(h_prev)[1:] = h_f[:-1]
             wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_flat)
         if x.requires_grad:

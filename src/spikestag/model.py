@@ -332,6 +332,7 @@ class EpochLog:
     loss: float
     r2: float
     rse: float
+    grad_norm: float    # mean global gradient norm before clipping, over the epoch's steps
 
 
 @dataclass
@@ -339,6 +340,10 @@ class TrainReport:
     epochs: list = field(default_factory=list)
     test_r2: float = float("nan")
     test_rse: float = float("nan")
+
+
+def _mean_or_nan(values: list) -> float:
+    return float(np.mean(values)) if values else float("nan")
 
 
 def _batched_starts(starts: list, batch_size: int):
@@ -373,9 +378,10 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
     """Fit the model on the dataset; returns (TrainReport, SplitWindows).
 
     Minimizes MSE on z-score normalized targets with Adam, clips the global
-    gradient norm at 1.0, evaluates de-normalized R2/RSE on the validation
-    split each epoch and aborts with a diagnostic if any parameter goes
-    non-finite.  Deterministic for a fixed config seed.  Raises ContractError
+    gradient norm at 1.0 (each epoch logs the mean norm before clipping),
+    evaluates de-normalized R2/RSE on the validation split each epoch and
+    aborts with a diagnostic if any parameter goes non-finite.
+    Deterministic for a fixed config seed.  Raises ContractError
     before the first step when a node's local sample set is empty.
     """
     cfg = model.config
@@ -395,7 +401,7 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
 
     for epoch in range(1, cfg.epochs + 1):
         order = [windows.train_starts[i] for i in rng.permutation(len(windows.train_starts))]
-        losses = []
+        losses, norms = [], []
         n_batches = 0
         for chunk in _batched_starts(order, cfg.batch_size):
             if cfg.max_batches and n_batches >= cfg.max_batches:
@@ -405,7 +411,7 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
             loss = mse_loss(pred, batch.normalized_targets())
             model.zero_grad()
             ag.backward(loss)
-            clip_grad_norm(params, 1.0)
+            norms.append(clip_grad_norm(params, 1.0))
             opt.step()
             for name, p in params.items():
                 if not np.all(np.isfinite(p.data)):
@@ -416,7 +422,7 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
             r2, rse = evaluate(model, windows, windows.val_starts, cfg.batch_size)
         else:
             r2, rse = float("nan"), float("nan")
-        entry = EpochLog(epoch, float(np.mean(losses)) if losses else float("nan"), r2, rse)
+        entry = EpochLog(epoch, _mean_or_nan(losses), r2, rse, _mean_or_nan(norms))
         report.epochs.append(entry)
         if log_fn:
             log_fn(entry)

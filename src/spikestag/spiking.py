@@ -70,9 +70,11 @@ SpikeTrain = Tensor
 
 
 def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Closed-form surrogate derivative g(x)."""
-    c = (math.pi / 2.0) * alpha
-    return (alpha / 2.0) / (1.0 + (c * x) ** 2)
+    """Closed-form surrogate derivative g(x), formed in one new array like `x`."""
+    y = np.multiply(x, (math.pi / 2.0) * alpha, out=np.empty_like(x))
+    np.square(y, out=y)
+    y += 1.0
+    return np.divide(alpha / 2.0, y, out=y)
 
 
 def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
@@ -84,7 +86,9 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
     The forward repeats the float32 operations of the per-step update, so
     spikes are bit-identical to it; the recorded node keeps U (and the spike
-    output) for the backward, which sums dU over each step's sub-steps.
+    output) for the backward, which sums dU over each step's sub-steps.  The
+    backward reuses U's buffer for its recurrence factors, so it can run
+    only once (see `autograd.backward`).
     """
     xd = x.data
     if steps is None:
@@ -113,16 +117,19 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
 
     def bw(g_s):
         # dU_t = a_t * dU_{t+1} + b_t, every factor computed before the loop;
-        # a = (u_reset - beta U) g + beta (1 - S) is built in place
-        sg = surrogate_grad(u_all - lif.u_th, lif.alpha).astype(u_all.dtype, copy=False)
-        a = u_all * -lif.beta
+        # the tape is single-use, so a = (u_reset - beta U) g + beta (1 - S)
+        # is built in U's buffer and dU in the surrogate's
+        sg = surrogate_grad(u_all - lif.u_th, lif.alpha)
+        a = u_all
+        a *= -lif.beta
         a += lif.u_reset
         a *= sg
         keep = 1.0 - spikes
         keep *= lif.beta
         a += keep
         del keep
-        du = g_s.reshape(shape) * sg
+        du = sg
+        du *= g_s.reshape(shape)
         del sg
         a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
         for t in range(len(du_frames) - 2, -1, -1):

@@ -4,8 +4,10 @@ import pytest
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.errors import ContractError, ShapeError
+from spikestag.model import ModelConfig, mse_loss
 
 from per_step import heaviside_surrogate, stack, tanh
+from test_recurrences import small_batch
 
 
 def t(data, rg=True):
@@ -107,6 +109,43 @@ class TestBackward:
         a, b = run(), run()
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
+
+
+class TestTapeRelease:
+    """Backward frees each interior node once it has run; the tape is single-use."""
+
+    @staticmethod
+    def _w4_step():
+        model, batch = small_batch(ModelConfig())
+        pred = model.forward(batch)
+        return model, batch, pred, mse_loss(pred, batch.normalized_targets())
+
+    def test_interior_nodes_released_leaves_kept(self):
+        model, _, _, loss = self._w4_step()
+        order = ag._topo_order(loss)
+        interior = [n for n in order if n._backward is not None]
+        assert len(interior) > 50
+        ag.backward(loss)
+        for node in interior:
+            assert node.grad is None and node._backward is ag._consumed, node
+        for name, p in model.parameters().items():
+            assert p.grad is not None and p.grad.shape == p.shape, name
+
+    def test_second_backward_raises(self):
+        model, _, _, loss = self._w4_step()
+        ag.backward(loss)
+        grads = {name: p.grad.copy() for name, p in model.parameters().items()}
+        with pytest.raises(ContractError, match="tape already consumed"):
+            ag.backward(loss)
+        # refused before any gradient moved
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.grad, grads[name]), name
+
+    def test_second_loss_on_consumed_forward_raises(self):
+        _, batch, pred, loss = self._w4_step()
+        ag.backward(loss)
+        with pytest.raises(ContractError, match="run the forward again"):
+            ag.backward(mse_loss(pred, batch.normalized_targets()))
 
 
 def _rand(shape, rng):

@@ -82,6 +82,10 @@ def test_train_eval_predict_energy(tmp_path, capsys):
     assert load_model(ckpt).config.n_nodes == 4
     for name in ("metrics.csv", "summary.txt", "run_config.txt"):
         assert (out / name).is_file()
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and float(rows[0]["grad_norm"]) > 0.0
+    assert "grad_norm=" in capsys.readouterr().out
 
     data = ["--synth-steps", "60"]
     assert cli.main(["eval", ckpt, *data]) == 0

@@ -158,6 +158,20 @@ class TestTraining:
             train(model, tiny_dataset())
         assert exc.value.param_name in model.parameters()
 
+    def test_epoch_logs_mean_pre_clip_grad_norm(self, monkeypatch):
+        norms = []
+
+        def recorded(params, max_norm=1.0):
+            norms.append(clip_grad_norm(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(spikestag.model, "clip_grad_norm", recorded)
+        logged = []
+        report, _ = train(ForecastModel(TINY), tiny_dataset(), log_fn=logged.append)
+        assert len(norms) == TINY.max_batches and len(report.epochs) == 1
+        assert report.epochs[0].grad_norm == float(np.mean(norms)) > 0.0
+        assert logged == report.epochs
+
     def test_loss_decreases_on_synthetic(self):
         cfg = replace(TINY, epochs=3, max_batches=6, batch_size=8)
         model = ForecastModel(cfg)

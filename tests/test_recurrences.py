@@ -115,6 +115,23 @@ class TestFusedLif:
         assert peak_off < 1.25 * out_bytes      # the spikes plus per-frame temporaries
         assert peak_on >= 2 * out_bytes         # the spikes plus U for the backward
 
+    def test_chain_backward_frees_each_layer(self):
+        # each layer's gradient and U go once its backward has run, so the
+        # peak stays near three arrays of this size (the top layer's gradient
+        # and two working arrays); keeping every layer's gradient until
+        # backward returns costs about seven
+        rng = np.random.default_rng(52)
+        x = Tensor(rng.uniform(-1, 2, size=(4, 64, 8, 16)).astype(np.float32), requires_grad=True)
+
+        def chain():
+            s = x
+            for _ in range(4):
+                s = lif_over_frames(s, LifParams())
+            assert 0.0 < s.data.mean() < 1.0
+            return ag.tsum(s)
+
+        assert backward_peak(chain) < 3.5 * x.data.nbytes
+
     def test_encoding_holds_spikes_and_membrane_only(self):
         # the frames are written in time order, so no reordered copy is kept
         rng = np.random.default_rng(51)
@@ -134,6 +151,19 @@ def traced_peak(fn):
     try:
         out = fn()
         return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def backward_peak(build_loss):
+    """Peak traced during the backward of `build_loss()`, above the level its forward left."""
+    tracemalloc.start()
+    try:
+        loss = build_loss()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ag.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
 
@@ -203,6 +233,17 @@ class TestFusedLstm:
         peak_on, out = traced_peak(lambda: lstm_forward(x, params, 4))
         assert out._backward is not None
         assert peak_on >= 1.5 * gates_bytes
+
+    def test_backward_reuses_gate_buffer(self):
+        # dG is written over the gate activations and h_{t-1} over the cells,
+        # so the backward allocates no (..., T', N, 4h) array of its own
+        rng = np.random.default_rng(62)
+        params = LstmParams.init(16, 32, rng)
+        x = Tensor((rng.random((4, 256, 8, 16)) < 0.4).astype(np.float32), requires_grad=True)
+        gates_bytes = x.data.size // 16 * 4 * 32 * 4      # (4, 256, 8, 4h) float32
+        peak = backward_peak(lambda: ag.tsum(lstm_forward(x, params, 4)))
+        assert x.grad is not None and params.w_hi.grad is not None
+        assert peak < gates_bytes / 2
 
 
 def small_batch(cfg, size=2):

@@ -1,0 +1,78 @@
+"""Traced peak memory of one taped W4 train step.
+
+Builds the default W4 model for `--nodes` nodes on the synthetic series, runs
+one no-grad forward on a batch of `--batch` train windows (this calibrates
+`ssa_scale` and leaves no tape), then traces one taped step with tracemalloc:
+forward, `mse_loss` and backward.  Prints the traced memory held once the
+loss exists and the peak of the whole step, in MiB; both count only what the
+step allocates, not the model or the data.
+
+    python3 tools/peak.py --nodes 16 --batch 8 [--root DIR]
+
+λ is the smallest whole number at or above 0.625 * N (and at least the config
+default), the bound at which every seed tried keeps every local sample set
+non-empty; the seed is the config default.  Run one configuration per process,
+so that no earlier step's buffers or allocator state show in the numbers.
+`--root` is the checkout whose `src/spikestag` is imported (default: the
+repository this script lives in).  Uses numpy and the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import tracemalloc
+from pathlib import Path
+
+SYNTH_STEPS = 1000
+MB = 2**20
+
+
+def measure(nodes: int, batch_size: int) -> dict:
+    from spikestag import autograd as ag
+    from spikestag.data import make_windows, synth_generate
+    from spikestag.model import ForecastModel, ModelConfig, mse_loss
+
+    lam = float(max(ModelConfig.lam, math.ceil(0.625 * nodes)))
+    cfg = ModelConfig(n_nodes=nodes, batch_size=batch_size, lam=lam, ablation="W4")
+    windows = make_windows(synth_generate(nodes, SYNTH_STEPS, cfg.seed), cfg.t_in, cfg.horizon,
+                           stride=cfg.stride)
+    model = ForecastModel(cfg)
+    model.set_norm_stats(windows.mean, windows.std)
+    batch = windows.batch(windows.train_starts[:batch_size])
+    target = batch.normalized_targets()
+    with ag.no_grad():
+        model.forward(batch)
+
+    tracemalloc.start()
+    try:
+        loss = mse_loss(model.forward(batch), target)
+        held = tracemalloc.get_traced_memory()[0]
+        model.zero_grad()
+        ag.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"nodes": nodes, "batch": batch_size, "lam": lam,
+            "empty_local_sets": sum(not s for s in model.graph.samples_local),
+            "held_mb": held / MB, "peak_mb": peak / MB}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--nodes", type=int, required=True)
+    parser.add_argument("--batch", type=int, required=True)
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/spikestag is measured")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.root) / "src"))
+    r = measure(args.nodes, args.batch)
+    print(f"N={r['nodes']} B={r['batch']} lam={r['lam']:g} "
+          f"(empty local sets: {r['empty_local_sets']}): "
+          f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
