@@ -26,14 +26,12 @@ Tensors.
 
 Modules with a hand-written multi-step backward (the fused LIF and LSTM
 recurrences) build their node with `_result` and test `is_recording` first,
-so that without a tape they keep no buffers for the backward.  Nodes whose
-backward is a surrogate rather than the true derivative are flagged custom,
-so that `grad_check` can refuse to finite-difference through them.
+so that without a tape they keep no buffers for the backward.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +70,7 @@ class Tensor:
     allocated during backward and has the same shape and dtype as `data`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_custom")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
@@ -86,7 +84,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
         self._op = "leaf"
-        self._custom = False
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -103,9 +100,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad, dtype=dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -149,12 +143,11 @@ def observe_spikes(layer: str, tensor: Tensor) -> None:
         _OBSERVER.spikes(layer, tensor)
 
 
-def _result(data, parents: tuple, backward_fn, op: str, custom: bool = False) -> Tensor:
+def _result(data, parents: tuple, backward_fn, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    out._custom = custom
     if is_recording(*parents):
         out.requires_grad = True
         out._parents = parents
@@ -558,71 +551,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
         node.grad = None
         node._backward = _consumed
-
-
-def graph_has_custom(root: Tensor) -> bool:
-    """True if any node reachable from `root` carries a custom (surrogate) backward."""
-    return any(n._custom for n in _topo_order(root))
-
-
-# -- gradient checking --------------------------------------------------------
-
-
-class GradCheckReport:
-    """Outcome of a finite-difference comparison."""
-
-    __slots__ = ("max_rel_err", "tol", "passed")
-
-    def __init__(self, max_rel_err: float, tol: float):
-        self.max_rel_err = float(max_rel_err)
-        self.tol = float(tol)
-        self.passed = self.max_rel_err < tol
-
-    def __repr__(self):
-        return f"GradCheckReport(max_rel_err={self.max_rel_err:.3e}, tol={self.tol:.1e}, passed={self.passed})"
-
-
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-3,
-    tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare the analytic gradient of scalar-valued `f` at `x` against
-    central finite differences.
-
-    The check runs on float64 copies so the difference quotient resolves the
-    stated tolerance; the op implementations are dtype-generic, so this
-    exercises the same code path the float32 model uses.  Functions containing
-    a custom-gradient (surrogate) node are rejected: finite differences are
-    meaningless across a step discontinuity.
-    """
-    x64 = Tensor(x.data.astype(np.float64), requires_grad=True, dtype=np.float64)
-    y = f(x64)
-    if graph_has_custom(y):
-        raise ContractError("grad_check: function contains a custom-gradient (surrogate) node")
-    if y.data.size != 1:
-        raise ContractError("grad_check: f must return a scalar")
-    backward(y)
-    analytic = x64.grad.copy() if x64.grad is not None else np.zeros_like(x64.data)
-
-    numeric = np.zeros_like(x64.data)
-    flat = x64.data.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        with no_grad():
-            fp = f(x64).item()
-        flat[i] = orig - h
-        with no_grad():
-            fm = f(x64).item()
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * h)
-
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-    rel = np.abs(analytic - numeric) / denom
-    return GradCheckReport(rel.max() if rel.size else 0.0, tol)
 
 
 def set_observer(obs):

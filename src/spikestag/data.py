@@ -135,16 +135,6 @@ def load_csv(path) -> SeriesDataset:
     return SeriesDataset(ts, np.asarray(rows, dtype=np.float32), rate, names)
 
 
-def save_csv(ds: SeriesDataset, path) -> None:
-    """Write a dataset back out in the loader's schema."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + list(ds.node_names))
-        for t, row in zip(ds.timestamps, ds.values):
-            iso = str(np.datetime_as_string(t, unit="s")) + "+00:00"
-            writer.writerow([iso] + [repr(float(v)) for v in row])
-
-
 def make_windows(
     ds: SeriesDataset,
     t_in: int,

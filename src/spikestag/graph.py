@@ -32,6 +32,9 @@ import numpy as np
 
 from .errors import ContractError, SingularThresholdError
 
+# sub-seeds `init_live_embeddings` draws before it keeps its last attempt
+MAX_TRIES = 200
+
 
 @dataclass
 class AdaptiveGraph:
@@ -119,20 +122,18 @@ def build_graph(e: np.ndarray, lam: float, k1: int, k2: int) -> AdaptiveGraph:
     return AdaptiveGraph(candidates, local, semi)
 
 
-def init_live_embeddings(
-    n_nodes: int, dim: int, lam: float, k1: int, k2: int, seed: int,
-    max_tries: int = 200,
-) -> tuple:
+def init_live_embeddings(n_nodes: int, dim: int, lam: float, k1: int, k2: int, seed: int) -> tuple:
     """(embeddings, graph): a seeded (n_nodes, dim) float32 draw and its graph.
 
     Pruning by the self-loop-normalized threshold can leave unlucky nodes with
     empty candidate sets, which silences their aggregation permanently: the
     graph is built once from the embeddings and never changes.  The retry
-    scans deterministic sub-seeds until all nodes have at least one candidate
-    and one semi-global sample, falling back to the last attempt without a
-    word; `train()` is what refuses a graph with an empty local set.
+    scans up to MAX_TRIES deterministic sub-seeds until all nodes have at
+    least one candidate and one semi-global sample, falling back to the last
+    attempt without a word; `train()` is what refuses a graph with an empty
+    local set.
     """
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         rng = np.random.default_rng([seed, 1, attempt])
         e = rng.standard_normal((n_nodes, dim)).astype(np.float32)
         g = build_graph(e, lam, k1, k2)

@@ -16,10 +16,10 @@ derivative of a sigmoid-shaped function.  The reset path keeps its (1 - S)
 factor inside the graph, so gradients flow through the surrogate there too.
 
 Every LIF layer runs multi-step: one call loops over all frames in numpy and
-records a single tape node (flagged custom, since its backward is a
-surrogate).  The node keeps the membrane potentials U and the spikes S; with
-no tape it keeps nothing.  Its backward is closed-form backpropagation
-through time.  With gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
+records a single "lif" tape node, whose backward uses the surrogate.  The
+node keeps the membrane potentials U and the spikes S; with no tape it keeps
+nothing.  Its backward is closed-form backpropagation through time.  With
+gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
 
     gh[t-1] = dL/dU[t] = dL/dI[t] = a_t * gh[t] + b_t
     a_t = beta * (1 - S[t]) + (u_reset - beta * U[t]) * g_t
@@ -78,7 +78,7 @@ def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
-    """Multi-step LIF from a zero state, recorded as one custom tape node.
+    """Multi-step LIF from a zero state, recorded as one "lif" tape node.
 
     With `steps` None, `x` is (..., T, N, d) per-frame input and the output has
     the same shape.  Otherwise each of the T frames of `x` is a constant input
@@ -143,7 +143,7 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
         du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
         x._accum_own(du_x)
 
-    return ag._result(spikes.reshape(out_shape), (x,), bw, "lif", custom=True)
+    return ag._result(spikes.reshape(out_shape), (x,), bw, "lif")
 
 
 def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:

@@ -103,14 +103,14 @@ class LifState:
 
 
 def heaviside_surrogate(x: Tensor, alpha: float = 2.0, shift: float = 0.0) -> Tensor:
-    """step(x - shift) forward (step(0) = 1), surrogate derivative backward; flagged custom."""
+    """step(x - shift) forward (step(0) = 1), surrogate derivative backward."""
     arr = x.data
     data = (arr >= shift).astype(arr.dtype)
 
     def bw(g):
         x._accum_own(g * surrogate_grad(arr - shift, alpha).astype(arr.dtype))
 
-    return ag._result(data, (x,), bw, "heaviside", custom=True)
+    return ag._result(data, (x,), bw, "heaviside")
 
 
 def _reset_blend(u: Tensor, s: Tensor, beta: float, u_reset: float) -> Tensor:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spikestag.autograd import Tensor
 from spikestag.errors import ContractError, ShapeError
 from spikestag.model import ModelConfig, mse_loss
 
+from gradcheck import TOL, fd_error
 from per_step import heaviside_surrogate, stack, tanh
 from test_recurrences import small_batch
 
@@ -180,9 +183,22 @@ SMOOTH_CASES = [
 
 @pytest.mark.parametrize("name,fn,shape", SMOOTH_CASES, ids=[c[0] for c in SMOOTH_CASES])
 def test_smooth_ops_match_finite_differences(name, fn, shape):
-    rng = np.random.default_rng(hash(name) % 2**32)
-    report = ag.grad_check(fn, _rand(shape, rng), h=1e-3, tol=1e-4)
-    assert report.passed, f"{name}: {report}"
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    err = fd_error(fn, _rand(shape, rng))
+    assert err < TOL, f"{name}: {err:.3e}"
+
+
+def _wrong_softmax(drop_dot: bool, factor: float):
+    """ag.softmax with a deliberately wrong backward."""
+    def softmax(a):
+        out = ag.softmax(a).data
+
+        def bw(g):
+            dot = 0.0 if drop_dot else (g * out).sum(axis=-1, keepdims=True)
+            a._accum_own(factor * out * (g - dot))
+
+        return ag._result(out, (a,), bw, "softmax")
+    return softmax
 
 
 class TestGradCheck:
@@ -190,21 +206,34 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
         w = Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=False)
         f = lambda x: ag.tsum(tanh(ag.matmul(w, x)))
-        report = ag.grad_check(f, _rand((4, 2), rng))
-        assert report.passed and report.max_rel_err < 1e-4
+        assert fd_error(f, _rand((4, 2), rng)) < TOL
 
     def test_identity_zero_error(self):
         # power-of-two step keeps x +/- h exact, so a linear f differences exactly
-        report = ag.grad_check(lambda x: ag.tsum(x), t([1.0, 2.0, 3.0]), h=2.0**-10)
-        assert report.max_rel_err == 0.0
+        assert fd_error(lambda x: ag.tsum(x), t([1.0, 2.0, 3.0]), h=2.0**-10) == 0.0
 
     def test_rejects_surrogate_nodes(self):
-        with pytest.raises(ContractError):
-            ag.grad_check(lambda x: ag.tsum(heaviside_surrogate(x)), t([0.3, -0.2]))
+        with pytest.raises(ContractError, match="heaviside"):
+            fd_error(lambda x: ag.tsum(heaviside_surrogate(x)), t([0.3, -0.2]))
 
     def test_rejects_non_scalar(self):
-        with pytest.raises(ContractError):
-            ag.grad_check(lambda x: ag.mul(x, x), t([1.0, 2.0]))
+        with pytest.raises(ContractError, match="scalar"):
+            fd_error(lambda x: ag.mul(x, x), t([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gradient_fails(self, bad):
+        def square(a):
+            return ag._result(a.data * a.data, (a,),
+                              lambda g: a._accum_own(np.full_like(a.data, bad)), "square")
+        assert fd_error(lambda x: ag.tsum(square(x)), t([1.0, 2.0])) == np.inf
+
+    @pytest.mark.parametrize("drop_dot,factor", [(True, 1.0), (False, 1.01)],
+                             ids=["dot_dropped", "scaled_1.01"])
+    def test_wrong_softmax_backward_fails(self, drop_dot, factor):
+        softmax = _wrong_softmax(drop_dot, factor)
+        f = lambda x: ag.tsum(ag.mul(softmax(x), x))
+        for seed in range(20):
+            assert fd_error(f, _rand((2, 5), np.random.default_rng(seed))) > TOL, seed
 
 
 class TestAffine:
@@ -214,26 +243,24 @@ class TestAffine:
         return {k: rng.uniform(-2.0, 2.0, size=s).astype(np.float32)
                 for k, s in self.SHAPES.items()}
 
-    def _grad_check(self, wrt, with_bias):
+    def _fd_error(self, wrt, with_bias):
         ops = self._operands(np.random.default_rng(21))
 
         def f(x):
-            args = {k: Tensor(v.astype(np.float64), dtype=np.float64) for k, v in ops.items()}
+            args = {k: Tensor(v, dtype=np.float64) for k, v in ops.items()}
             args[wrt] = x
             out = ag.affine(args["a"], args["w"], args["b"] if with_bias else None)
             return ag.tsum(ag.mul(out, tanh(out)))
 
-        return ag.grad_check(f, Tensor(ops[wrt], requires_grad=True))
+        return fd_error(f, Tensor(ops[wrt], requires_grad=True))
 
     @pytest.mark.parametrize("wrt", ["a", "w", "b"])
     def test_matches_finite_differences(self, wrt):
-        report = self._grad_check(wrt, with_bias=True)
-        assert report.passed, report
+        assert self._fd_error(wrt, with_bias=True) < TOL
 
     @pytest.mark.parametrize("wrt", ["a", "w"])
     def test_without_bias_matches_finite_differences(self, wrt):
-        report = self._grad_check(wrt, with_bias=False)
-        assert report.passed, report
+        assert self._fd_error(wrt, with_bias=False) < TOL
 
     def test_bit_identical_to_matmul_plus_add(self):
         ops = self._operands(np.random.default_rng(22))

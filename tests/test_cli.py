@@ -5,8 +5,10 @@ import pytest
 
 from spikestag import cli
 from spikestag.checkpoint import load_model
-from spikestag.data import SeriesDataset, load_csv, make_windows, save_csv, synth_generate
+from spikestag.data import SeriesDataset, load_csv, make_windows, synth_generate
 from spikestag.model import ForecastModel, ModelConfig
+
+from test_data import save_csv
 
 # a model small enough that one train run takes a fraction of a second
 TINY_FLAGS = ["--nodes", "4", "--input-len", "4", "--horizon", "2", "--emb-dim", "4",

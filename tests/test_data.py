@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from spikestag.data import (
     make_windows,
     metric_r2,
     metric_rse,
-    save_csv,
     synth_coupling_pairs,
     synth_generate,
 )
@@ -21,6 +22,16 @@ def write_csv(tmp_path, rows, header="timestamp,a,b"):
     path = tmp_path / "data.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+def save_csv(ds: SeriesDataset, path) -> None:
+    """Write a dataset in the loader's schema, each value as repr(float(v))."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp"] + list(ds.node_names))
+        for t, row in zip(ds.timestamps, ds.values):
+            iso = str(np.datetime_as_string(t, unit="s")) + "+00:00"
+            writer.writerow([iso] + [repr(float(v)) for v in row])
 
 
 class TestLoadCsv:
