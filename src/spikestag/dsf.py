@@ -7,8 +7,14 @@ pre-activations `LSTM_CHUNK` frames at a time and returns only the frames
 its caller reads, every `stride`-th: every ts-th frame for the re-encoder
 (W3/W4), the last alone for W1.  So without a tape it never holds a
 (..., T', N, 4h) array; with one it keeps the gate activations, cells and
-hidden states of every frame for the backward.  The
-self-attention branch projects binary frames through LIF neurons to get
+hidden states of every frame for the backward.  Its forward is gate-major
+(states and gates hold one row per gate unit and one column per node and
+batch entry, so each gate block is contiguous) and folds the inner 1/2 of
+each sigmoid into copies of the i, f and o weights, so one tanh covers all
+four gates.  It saves for the backward in the row layout (..., N, 4h),
+which fixes the gradient bits (see `_lstm`).
+
+The self-attention branch projects binary frames through LIF neurons to get
 binary Q/K/V, scores them with QK^T/sqrt(d_k), applies a row softmax and
 reads out the score-weighted V as continuous (membrane-valued) features.
 The gate G = sigmoid(W [h_lstm ; h_ssa] + b) mixes the branches entrywise.
@@ -40,7 +46,10 @@ class LstmParams:
 
     Stored per gate (input, forget, cell, output); the forward fuses them into
     a single (d_in, 4h) / (h, 4h) pair so the recurrence does one matmul per
-    step.
+    step.  The fused order stays (i, f, g, o).  Any order gives the same
+    forward bits, but the backward's dG W_h^T sums over the 4h columns in
+    their fused order, so another order changes the gradient bits: (o, i, f,
+    g) was measured to.
     """
 
     w_xi: Tensor
@@ -117,22 +126,13 @@ class GateParams:
         return {"w_g": self.w_g, "bias": self.bias}
 
 
-def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
-    """out = sigmoid(x) with the float operations of `autograd.sigmoid`."""
-    half = np.asarray(0.5, dtype=x.dtype)
-    np.multiply(x, half, out=out)
-    np.tanh(out, out=out)
-    out *= half
-    out += half
-
-
 def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
     """Views of the (i, f, g, o) blocks along the last axis of a (..., 4h) array."""
     return [arr[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
 
 
 # Frames whose input-side gate pre-activations x W_x + b are formed at once:
-# that buffer is (..., LSTM_CHUNK, N, 4h) whatever the sequence length.
+# that buffer is (LSTM_CHUNK, 4h, rows) whatever the sequence length.
 LSTM_CHUNK = 32
 
 
@@ -141,18 +141,33 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
 
     `x` is (..., T', N, d_in); `wx` (d_in, 4h), `b` (4h,) and `wh` (h, 4h)
     are the fused weights in gate order (i, f, g, o).  States start at zero.
-    The input-side pre-activations x W_x + b are formed `LSTM_CHUNK` frames
-    at a time, so no (..., T', N, 4h) array of them exists.  Returns the
-    hidden states of frames stride-1, 2*stride-1, ..., shape (..., T' //
-    stride, N, h).  The forward repeats the float operations of the input
-    GEMM and the per-frame cell, so hidden states are bit-identical to them.
+    Returns the hidden states of frames stride-1, 2*stride-1, ..., shape
+    (..., T' // stride, N, h).
+
+    The forward is gate-major over rows = (..., N): h and c are (h, rows)
+    and each frame's gates (4h, rows), formed as W_h'^T h^T plus the frame's
+    input gates into buffers allocated once, so every gate block and every
+    cell operation is one contiguous pass.  The input gates W_x'^T x^T + b'
+    are formed `LSTM_CHUNK` frames at a time by one batched product over the
+    chunk, transposed once into a reused buffer, so no (..., T', N, 4h)
+    array of them exists.  W_x', b' and W_h' are copies of the weights with
+    the i, f and o columns halved.  Since sigmoid(z) = tanh(z/2)/2 + 1/2
+    and halving is exact (barring subnormals), one tanh over all 4h rows and
+    a t/2 + 1/2 pass over the i, f and o rows repeat the float operations of
+    `autograd.sigmoid`.  Each entry of W'^T x^T sums the same products in
+    the same order as x W' does, so hidden states are bit-identical to the
+    per-frame row-major cell; that rests on the BLAS (numpy 2.4's bundled
+    OpenBLAS gives it; `tools/fingerprint.py` records which BLAS ran).
 
     The recorded node keeps the gate activations, the cell states and the
-    hidden states of every frame; with no tape it keeps only the returned
-    frames.  The backward runs one dG W_h^T product per frame, writing each
-    frame's dG over its gate activations, then forms dW_h, dW_x and dx as
-    single products over all frames and db as one sum.  Reusing that buffer
-    means the backward can run only once (see `autograd.backward`).
+    hidden states of every frame, written back transposed into (..., T', N,
+    ·) buffers: the backward's bulk dW_h, dW_x and dx products reduce over
+    all rows of all frames, so their row order fixes the gradient bits.
+    With no tape the node keeps only the returned frames.  The backward runs
+    one dG W_h^T product per frame, writing each frame's dG over its gate
+    activations, then forms dW_h, dW_x and dx as single products over all
+    frames and db as one sum.  Reusing that buffer means the backward can
+    run only once (see `autograd.backward`).
     """
     xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
     axis = xd.ndim - 3
@@ -161,9 +176,10 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
     record = ag.is_recording(x, wx, b, wh)
     frames = lambda arr: np.moveaxis(arr, axis, 0)
     x_f = frames(xd)
-    t_frames = len(x_f)
+    t_frames, d_in = len(x_f), xd.shape[-1]
     state_shape = x_f.shape[1:-1] + (h_dim,)
     gate_shape = state_shape[:-1] + (4 * h_dim,)
+    rows = math.prod(state_shape[:-1])
     out = np.empty(xd.shape[:axis] + (t_frames // stride,) + state_shape[-2:], dtype=dtype)
     out_f = frames(out)
     if record:
@@ -171,28 +187,44 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
         acts = np.empty(xd.shape[:-1] + (4 * h_dim,), dtype=dtype)
         cells = np.empty_like(hidden)
         h_f, acts_f, cells_f = frames(hidden), frames(acts), frames(cells)
-    gx_buf = np.empty((min(LSTM_CHUNK, t_frames),) + gate_shape, dtype=dtype)
-    h = np.zeros(state_shape, dtype=dtype)
-    c = np.zeros(state_shape, dtype=dtype)
+    # halve the i, f and o columns: the inner 1/2 of each sigmoid
+    fold = np.full(4 * h_dim, 0.5, dtype=dtype)
+    fold[2 * h_dim:3 * h_dim] = 1.0
+    wx_fold, wh_fold, b_fold = (wxd * fold).T, (whd * fold).T, (bd * fold)[:, None]
+    chunk = min(LSTM_CHUNK, t_frames)
+    x_buf = np.empty((chunk, d_in, rows), dtype=xd.dtype)
+    gx_buf = np.empty((chunk, 4 * h_dim, rows), dtype=dtype)
+    gates = np.empty((4 * h_dim, rows), dtype=dtype)
+    i_g, f_g, g_g, o_g = gates.reshape(4, h_dim, rows)
+    h = np.zeros((h_dim, rows), dtype=dtype)
+    c = np.zeros_like(h)
+    tmp = np.empty_like(h)
+    row_major = lambda arr: arr.T.reshape(state_shape[:-1] + (len(arr),))  # (k, rows) -> (..., N, k)
     for t0 in range(0, t_frames, LSTM_CHUNK):
         x_c = x_f[t0:t0 + LSTM_CHUNK]
+        xt = x_buf[:len(x_c)]
+        np.copyto(xt.reshape(xt.shape[:2] + state_shape[:-1]), np.moveaxis(x_c, -1, 1))
         gx = gx_buf[:len(x_c)]
-        np.matmul(x_c.reshape(-1, x_c.shape[-1]), wxd, out=gx.reshape(-1, 4 * h_dim))
-        gx += bd
+        np.matmul(wx_fold, xt, out=gx)
+        gx += b_fold
         for t in range(t0, t0 + len(x_c)):
-            g = gx[t - t0] + (h.reshape(-1, h_dim) @ whd).reshape(gate_shape)
-            act = acts_f[t] if record else np.empty_like(g)
-            _sigmoid_into(g[..., :2 * h_dim], act[..., :2 * h_dim])
-            np.tanh(g[..., 2 * h_dim:3 * h_dim], out=act[..., 2 * h_dim:3 * h_dim])
-            _sigmoid_into(g[..., 3 * h_dim:], act[..., 3 * h_dim:])
-            i_g, f_g, g_g, o_g = _gate_blocks(act, h_dim)
-            c = f_g * c + i_g * g_g
-            h = o_g * np.tanh(c)
+            np.matmul(wh_fold, h, out=gates)
+            gates += gx[t - t0]
+            np.tanh(gates, out=gates)
+            for block in (gates[:2 * h_dim], o_g):
+                block *= 0.5
+                block += 0.5
+            c *= f_g
+            np.multiply(i_g, g_g, out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            np.multiply(o_g, tmp, out=h)
             if record:
-                h_f[t] = h
-                cells_f[t] = c
+                acts_f[t] = row_major(gates)
+                cells_f[t] = row_major(c)
+                h_f[t] = row_major(h)
             if (t + 1) % stride == 0:
-                out_f[t // stride] = h
+                out_f[t // stride] = row_major(h)
 
     def bw(g_out):
         # per frame, so each frame's gates stay in cache while all of their
@@ -204,14 +236,16 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
         dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
         d_i, d_f, d_g, d_o = _gate_blocks(dg, h_dim)
         tmp = np.empty(state_shape, dtype=dtype)
+        tanh_c = np.empty(state_shape, dtype=dtype)
         dh = np.zeros(state_shape, dtype=dtype)   # carries dG_{t+1} W_h^T
+        dh_flat = dh.reshape(-1, h_dim)
         dc = np.zeros(state_shape, dtype=dtype)   # carries dc_{t+1} * f_{t+1}
         g_out_f = frames(g_out)
         wh_t = whd.T
         for t in range(t_frames - 1, -1, -1):
             act = acts_f[t]
             i_a, f_a, g_a, o_a = _gate_blocks(act, h_dim)
-            tanh_c = np.tanh(cells_f[t])
+            np.tanh(cells_f[t], out=tanh_c)
             if (t + 1) % stride == 0:
                 dh += g_out_f[t // stride]
             np.multiply(tanh_c, tanh_c, out=tmp)
@@ -235,7 +269,7 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
             d_o *= dh
             dc *= f_a                   # f_a is a view into act: use it first
             act[...] = dg
-            dh = (dg_flat @ wh_t).reshape(state_shape)
+            np.matmul(dg_flat, wh_t, out=dh_flat)
         d_gates = acts                  # now dG of every frame
         d_flat = d_gates.reshape(-1, 4 * h_dim)
         if wh.requires_grad:

@@ -74,11 +74,11 @@ class ModelConfig:
         if self.ablation not in ABLATIONS:
             raise ContractError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         for name in ("n_nodes", "t_in", "horizon", "emb_dim", "d1", "d2",
-                     "h_dim", "d_k", "ts", "batch_size", "epochs"):
+                     "h_dim", "d_k", "ts", "batch_size", "epochs", "stride"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be positive")
-        if self.k1 < 0 or self.k2 < 0 or self.lam < 0:
-            raise ContractError("k1, k2 and lam must be non-negative")
+        if self.k1 < 0 or self.k2 < 0 or self.lam < 0 or self.max_batches < 0:
+            raise ContractError("k1, k2, lam and max_batches must be non-negative")
 
     def lif(self) -> LifParams:
         return LifParams(beta=self.beta, u_th=self.u_th, u_reset=self.u_reset, alpha=self.alpha)

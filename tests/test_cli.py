@@ -191,6 +191,10 @@ BAD_INPUT_CASES = {
                                "no test window to forecast from"),
     "ablate_seeds_not_ints": (["ablate", *TINY_FLAGS, "--seeds", "abc", "--out", "{root}/o"],
                               "argument --seeds"),
+    "train_stride_zero": (["train", *TINY_FLAGS, "--stride", "0", "--out", "{root}/o"],
+                          "stride must be positive"),
+    "train_max_batches_negative": (["train", *TINY_FLAGS, "--max-batches", "-1",
+                                    "--out", "{root}/o"], "must be non-negative"),
 }
 
 
@@ -210,7 +214,7 @@ def test_bad_input_exits_2_before_any_forward(case, bad_inputs, capsys, monkeypa
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in err and message in err, err
+    assert err.count("error:") == 1 and message in err, err
     assert "Traceback" not in err
 
 

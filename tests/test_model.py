@@ -32,8 +32,9 @@ class TestConfig:
             ModelConfig(ablation="W9").validate()
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ContractError):
-            ModelConfig(t_in=0).validate()
+        for bad in ({"t_in": 0}, {"stride": 0}, {"max_batches": -1}):
+            with pytest.raises(ContractError):
+                ModelConfig(**bad).validate()
 
     def test_feature_width(self):
         assert ModelConfig(minute_covariate=False).feature_width == 9

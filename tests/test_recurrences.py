@@ -200,8 +200,17 @@ class TestFusedLstm:
                 out = kernel(*leaves, stride)
                 ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
                 results.append((out.data, [leaf.grad for leaf in leaves]))
+                # the sigmoid fold halves copies of the weights, never the weights
+                for leaf, a in zip(leaves, arrays):
+                    assert leaf.data.tobytes() == a.tobytes()
+            with ag.no_grad():
+                leaves = [Tensor(a.copy()) for a in arrays]
+                h_no_grad = dsf._lstm(*leaves, stride).data
+            for leaf, a in zip(leaves, arrays):
+                assert leaf.data.tobytes() == a.tobytes()
             (h, grads), (h_ref, grads_ref) = results
             np.testing.assert_array_equal(h, h_ref)
+            np.testing.assert_array_equal(h_no_grad, h_ref)
             for name, g, g_ref in zip(("x", "wx", "b", "wh"), grads, grads_ref):
                 assert rel_err(g, g_ref) < LSTM_GRAD_TOL, (stride, name)
 

@@ -19,10 +19,15 @@ is recorded as the plain node count.
 
 `--root` is the checkout whose `src/spikestag` is imported (default: the
 repository this script lives in), so a second checkout can be fingerprinted
-with the same script.  `--compare` prints every field whose value differs or
-that only one file has, as `case: field: A -> B` (digests shortened to 12
-characters, a missing field as None), and exits 1 if there is any.  Uses
-numpy and the standard library only.
+with the same script.  `--out` also records an `_env` entry: the numpy
+version and the BLAS name and version.  Some bits rest on the BLAS: the
+LSTM forms its gates as W^T h^T, which matches the h W of the per-frame
+reference only if the BLAS sums each entry in the same order for both
+layouts.  `--compare` prints both `_env` entries, and a warning line when
+they differ; then every field whose value differs or that only one file
+has, as `case: field: A -> B` (digests shortened to 12 characters, a
+missing field as None), and exits 1 if there is any.  `_env` is not counted
+as a field.  Uses numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 SYNTH_STEPS = 1000
+ENV_KEY = "_env"
 SEEDS = (1, 2)
 ABLATIONS = ("W1", "W2", "W3", "W4")
 # name -> (ModelConfig overrides, whether the batch comes from the test split)
@@ -105,6 +111,12 @@ def fingerprint_case(name: str, seed: int, ablation: str, tmp: Path) -> dict:
     return out
 
 
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas_name": blas["name"],
+            "blas_version": blas["version"]}
+
+
 def run(root: Path) -> dict:
     sys.path.insert(0, str(root / "src"))
     import spikestag
@@ -123,6 +135,11 @@ def run(root: Path) -> dict:
 def compare(a_path: str, b_path: str) -> int:
     a = json.loads(Path(a_path).read_text())
     b = json.loads(Path(b_path).read_text())
+    env_a, env_b = a.pop(ENV_KEY, None), b.pop(ENV_KEY, None)
+    print(f"A {ENV_KEY}: {env_a}")
+    print(f"B {ENV_KEY}: {env_b}")
+    if env_a != env_b:
+        print(f"warning: {ENV_KEY} differs, so bits that rest on the BLAS may differ too")
     show = lambda v: v[:12] if isinstance(v, str) else v
     differing = []
     for case in sorted(set(a) | set(b)):
@@ -150,7 +167,7 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     if not args.out:
         parser.error("--out is required unless --compare is given")
-    result = run(Path(args.root))
+    result = {ENV_KEY: environment(), **run(Path(args.root))}
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     return 0
 
