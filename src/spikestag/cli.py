@@ -26,8 +26,10 @@ length is in neither the checkpoint nor the config.
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
 corrupt checkpoint, non-positive energy coefficients or batch size, a
-series too short to hold a window of the split a command reads, and test
-targets that are constant, on which R2 and RSE are undefined.
+series too short to hold a window of the split a command reads, test
+targets that are constant, on which R2 and RSE are undefined, and a learning
+rate, λ or LIF constant out of range.  Training that diverges (a parameter
+turns non-finite) exits with status 1 and one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from . import checkpoint as ckpt
 from .data import SeriesDataset, load_csv, make_windows, synth_generate
 from .energy import (OpCounter, check_coefficients, estimate_energy, write_report_csv,
                      write_report_text)
-from .errors import CheckpointFormatError, ContractError, IngestionError, UndefinedMetricError
+from .errors import (CheckpointFormatError, ContractError, DivergenceError, IngestionError,
+                     UndefinedMetricError)
 from .model import ABLATIONS, ForecastModel, ModelConfig, evaluate, train
 
 
@@ -358,6 +361,9 @@ def main(argv=None) -> int:
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

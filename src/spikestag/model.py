@@ -11,6 +11,7 @@ Ablations select what happens after the spiking aggregation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,12 @@ class ModelConfig:
                 raise ContractError(f"config field {name} must be positive")
         if self.k1 < 0 or self.k2 < 0 or self.lam < 0 or self.max_batches < 0:
             raise ContractError("k1, k2, lam and max_batches must be non-negative")
+        # lr = 0 is legal: it trains nothing and keeps every parameter as drawn
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ContractError(f"lr must be finite and non-negative, got {self.lr}")
+        if not math.isfinite(self.lam):
+            raise ContractError(f"lam must be finite, got {self.lam}")
+        self.lif()
 
     def lif(self) -> LifParams:
         return LifParams(beta=self.beta, u_th=self.u_th, u_reset=self.u_reset, alpha=self.alpha)

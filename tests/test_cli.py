@@ -1,6 +1,7 @@
 import csv
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from spikestag import cli
@@ -195,6 +196,14 @@ BAD_INPUT_CASES = {
                           "stride must be positive"),
     "train_max_batches_negative": (["train", *TINY_FLAGS, "--max-batches", "-1",
                                     "--out", "{root}/o"], "must be non-negative"),
+    "train_lr_negative": (["train", *TINY_FLAGS, "--lr", "-1", "--out", "{root}/o"],
+                          "lr must be finite and non-negative"),
+    "train_lr_nan": (["train", *TINY_FLAGS, "--lr", "nan", "--out", "{root}/o"],
+                     "lr must be finite and non-negative"),
+    "train_beta_two": (["train", *TINY_FLAGS, "--beta", "2", "--out", "{root}/o"],
+                       "beta must be in (0, 1]"),
+    "train_lam_inf": (["train", *TINY_FLAGS, "--lam", "inf", "--out", "{root}/o"],
+                      "lam must be finite"),
 }
 
 
@@ -228,4 +237,16 @@ def test_eval_on_constant_targets_exits_2(bad_inputs, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and "constant target" in err, err
+    assert "Traceback" not in err
+
+
+def test_diverging_train_exits_1_with_one_error_line(tmp_path, capsys):
+    capsys.readouterr()
+    # lr = 1e12 overflows on purpose; the divergence check is what is tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["train", *TINY_FLAGS, "--lr", "1e12", "--epochs", "3",
+                         "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("error:") == 1 and "training diverged" in err, err
     assert "Traceback" not in err

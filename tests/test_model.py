@@ -32,7 +32,9 @@ class TestConfig:
             ModelConfig(ablation="W9").validate()
 
     def test_rejects_non_positive(self):
-        for bad in ({"t_in": 0}, {"stride": 0}, {"max_batches": -1}):
+        for bad in ({"t_in": 0}, {"stride": 0}, {"max_batches": -1}, {"lr": -1.0},
+                    {"lr": float("nan")}, {"lr": float("inf")}, {"lam": float("inf")},
+                    {"lam": float("nan")}, {"beta": 2.0}, {"u_th": 0.0}, {"alpha": float("nan")}):
             with pytest.raises(ContractError):
                 ModelConfig(**bad).validate()
 

@@ -5,7 +5,12 @@ one no-grad forward on a batch of `--batch` train windows (this calibrates
 `ssa_scale` and leaves no tape), then traces one taped step with tracemalloc:
 forward, `mse_loss` and backward.  Prints the traced memory held once the
 loss exists and the peak of the whole step, in MiB; both count only what the
-step allocates, not the model or the data.
+step allocates, not the model or the data.  Also prints `maxrss_mb`, the
+process's peak resident set from `resource.getrusage` (where the platform
+has it), which counts everything: the interpreter, numpy, the model, and the
+heap that the allocator keeps mapped after the arrays in it are freed
+(`spikestag` raises glibc's trim threshold on import).  tracemalloc cannot see
+that kept heap, so only `maxrss_mb` shows it.
 
     python3 tools/peak.py --nodes 16 --batch 8 [--root DIR]
 
@@ -56,7 +61,18 @@ def measure(nodes: int, batch_size: int) -> dict:
         tracemalloc.stop()
     return {"nodes": nodes, "batch": batch_size, "lam": lam,
             "empty_local_sets": sum(not s for s in model.graph.samples_local),
-            "held_mb": held / MB, "peak_mb": peak / MB}
+            "held_mb": held / MB, "peak_mb": peak / MB, "maxrss_mb": maxrss_mb()}
+
+
+def maxrss_mb() -> float | None:
+    """Peak resident set of this process in MiB, or None without `resource`."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    scale = 1 if sys.platform == "darwin" else 1024
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale / MB
 
 
 def main(argv=None) -> int:
@@ -71,6 +87,8 @@ def main(argv=None) -> int:
     print(f"N={r['nodes']} B={r['batch']} lam={r['lam']:g} "
           f"(empty local sets: {r['empty_local_sets']}): "
           f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
+    if r["maxrss_mb"] is not None:
+        print(f"maxrss_mb {r['maxrss_mb']:.1f}")
     return 0
 
 
