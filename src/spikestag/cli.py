@@ -29,7 +29,9 @@ corrupt checkpoint, non-positive energy coefficients or batch size, a
 series too short to hold a window of the split a command reads, test
 targets that are constant, on which R2 and RSE are undefined, and a learning
 rate, λ or LIF constant out of range.  Training that diverges (a parameter
-turns non-finite) exits with status 1 and one `error: ...` line.
+turns non-finite) exits with status 1 and one `error: ...` line; training
+runs with numpy's overflow, invalid-value and divide-by-zero warnings off,
+so nothing else is printed on the way there.
 """
 
 from __future__ import annotations
@@ -183,7 +185,10 @@ def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
     log = None if quiet else (lambda e: print(
         f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f} "
         f"grad_norm={e.grad_norm:.4f}"))
-    report, windows = train(model, dataset, log_fn=log)
+    # a parameter that turns non-finite ends training with DivergenceError,
+    # so the float warnings on the way there would only repeat that
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report, windows = train(model, dataset, log_fn=log)
     return model, report, windows
 
 

@@ -308,11 +308,16 @@ class Adam:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[k] / b1t
-            v_hat = self.v[k] / b2t
+            g, m, v = p.grad, self.m[k], self.v[k]
+            # the moments are updated in place (the same float operations), so
+            # these long-lived arrays never move between steps: moving them
+            # fragments the heap, which then grows for a few more steps
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            m_hat = m / b1t
+            v_hat = v / b2t
             p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
 
 

@@ -18,7 +18,21 @@ factor inside the graph, so gradients flow through the surrogate there too.
 Every LIF layer runs multi-step: one call loops over all frames in numpy and
 records a single "lif" tape node, whose backward uses the surrogate.  The
 node keeps the membrane potentials U and the spikes S; with no tape it keeps
-nothing.  Its backward is closed-form backpropagation through time.  With
+nothing.  The loop allocates its state buffers once per call, and each frame
+writes into them in place:
+
+    U = I[t] + H;  fired = U >= u_th;  S[t] = fired;  keep = not fired
+    H = beta * U;  H *= keep;  H += u_reset * S   (only if u_reset != 0)
+
+These are the float32 operations of the update above in the same order, so
+spikes, U and H are bit-identical to it, with one exception: at u_reset == 0
+the skipped `+ 0 * S` would turn a -0.0 in H into +0.0, so H, and through it
+U, may hold -0.0 where the update above has +0.0.  That sign cannot reach a
+spike, a prediction or a gradient: H only feeds U, and U only feeds the
+threshold comparison and the surrogate and reset factors of the backward,
+each of which reads -0.0 and +0.0 alike.
+
+The node's backward is closed-form backpropagation through time.  With
 gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
 
     gh[t-1] = dL/dU[t] = dL/dI[t] = a_t * gh[t] + b_t
@@ -48,7 +62,8 @@ from .errors import ContractError
 
 @dataclass(frozen=True)
 class LifParams:
-    """Neuron constants: decay in (0,1), threshold above reset, surrogate sharpness > 0."""
+    """Neuron constants: decay in (0,1], finite threshold above finite reset,
+    finite surrogate sharpness > 0."""
 
     beta: float = 0.5
     u_th: float = 1.0
@@ -56,6 +71,9 @@ class LifParams:
     alpha: float = 2.0
 
     def __post_init__(self):
+        for name in ("u_th", "u_reset", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"LifParams: {name} must be finite, got {getattr(self, name)}")
         # beta == 1.0 (no leak) is allowed for encoder-style accumulation
         if not 0.0 < self.beta <= 1.0:
             raise ContractError(f"LifParams: beta must be in (0, 1], got {self.beta}")
@@ -84,8 +102,11 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     the same shape.  Otherwise each of the T frames of `x` is a constant input
     driving a fresh neuron for `steps` sub-steps, and the output is (...,
     T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
-    The forward repeats the float32 operations of the per-step update, so
-    spikes are bit-identical to it; the recorded node keeps U (and the spike
+    The forward writes each frame (or sub-step) into U, H, keep and fired
+    buffers allocated once per call, with the float32 operations of the
+    per-step update, so spikes are bit-identical to it; only the sign of a
+    zero in H may differ at u_reset == 0, which nothing downstream reads
+    (see the module docstring).  The recorded node keeps U (and the spike
     output) for the backward, which sums dU over each step's sub-steps.  The
     backward reuses U's buffer for its recurrence factors, so it can run
     only once (see `autograd.backward`).
@@ -106,14 +127,24 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     u_all = np.empty(shape, dtype=xd.dtype) if record else None
     s_frames = np.moveaxis(spikes, axis, 0)
     u_frames = np.moveaxis(u_all, axis, 0) if record else None
-    h = np.zeros(s_frames.shape[1:], dtype=xd.dtype)
+    state = s_frames.shape[1:]
+    u = np.empty(state, dtype=xd.dtype)
+    h = np.zeros(state, dtype=xd.dtype)
+    keep = np.empty(state, dtype=xd.dtype)
+    fired = np.empty(state, dtype=bool)
     for t, i_t in enumerate(inputs):
-        u = i_t + h
-        s = (u >= lif.u_th).astype(u.dtype)
-        h = (lif.beta * u) * (1.0 - s) + lif.u_reset * s
-        s_frames[t] = s
+        np.add(i_t, h, out=u)
+        np.greater_equal(u, lif.u_th, out=fired)
+        s_frames[t] = fired
         if record:
             u_frames[t] = u
+        np.logical_not(fired, out=keep)
+        np.multiply(u, lif.beta, out=h)
+        h *= keep
+        if lif.u_reset != 0.0:
+            # u_reset * S, formed in U's buffer: U is spent for this frame
+            np.multiply(s_frames[t], lif.u_reset, out=u)
+            h += u
 
     def bw(g_s):
         # dU_t = a_t * dU_{t+1} + b_t, every factor computed before the loop;

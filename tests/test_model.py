@@ -34,7 +34,9 @@ class TestConfig:
     def test_rejects_non_positive(self):
         for bad in ({"t_in": 0}, {"stride": 0}, {"max_batches": -1}, {"lr": -1.0},
                     {"lr": float("nan")}, {"lr": float("inf")}, {"lam": float("inf")},
-                    {"lam": float("nan")}, {"beta": 2.0}, {"u_th": 0.0}, {"alpha": float("nan")}):
+                    {"lam": float("nan")}, {"beta": 2.0}, {"u_th": 0.0}, {"alpha": float("nan")},
+                    {"u_th": float("inf")}, {"alpha": float("inf")},
+                    {"u_reset": float("-inf")}):
             with pytest.raises(ContractError):
                 ModelConfig(**bad).validate()
 

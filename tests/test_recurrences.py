@@ -10,6 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import per_step
 from gradcheck import fd_error
@@ -58,7 +61,66 @@ LIF_PARAMS = [
 ]
 
 
+# the kinds of LIF input entry: a drawn value, or an edge value that the
+# in-place update must treat exactly as the per-step oracle does
+DRAWN, POS_ZERO, NEG_ZERO, POS_SUBNORMAL, NEG_SUBNORMAL, AT_TH, AT_TH_MINUS_H = range(7)
+SUBNORMAL = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def edge_inputs(kinds, values, lif, steps):
+    """Float32 LIF input with one entry per (..., T, N, d) kind code and drawn value.
+
+    An AT_TH_MINUS_H entry of frame t is u_th - H[t-1] for the state the
+    neuron carries into that frame, so U[t] lands on the threshold up to the
+    rounding of the sum.  With `steps` every step drives a fresh neuron, so
+    such an entry is u_th / (1 + beta) instead: the second sub-step without a
+    spike, U = x + beta x, lands there.
+    """
+    x = values.copy()
+    for kind, value in ((POS_ZERO, 0.0), (NEG_ZERO, -0.0), (POS_SUBNORMAL, SUBNORMAL),
+                        (NEG_SUBNORMAL, -SUBNORMAL), (AT_TH, lif.u_th)):
+        x[kinds == kind] = value
+    at = kinds == AT_TH_MINUS_H
+    if steps is not None:
+        x[at] = np.float32(lif.u_th) / np.float32(1.0 + lif.beta)
+        return x
+    h = np.zeros(x.shape[:-3] + x.shape[-2:], dtype=np.float32)
+    for x_t, at_t in zip(np.moveaxis(x, -3, 0), np.moveaxis(at, -3, 0)):
+        x_t[at_t] = (np.float32(lif.u_th) - h)[at_t]
+        u = x_t + h
+        s = (u >= lif.u_th).astype(np.float32)
+        h = (lif.beta * u) * (1.0 - s) + lif.u_reset * s
+    return x
+
+
 class TestFusedLif:
+    @pytest.mark.parametrize("steps", [None, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("u_reset", [0.0, -0.0, 0.2, -0.25])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_edge_inputs_match_per_step_oracle(self, u_reset, beta, steps, data):
+        """No-grad, taped and per-step spikes are bit-equal on ±0, subnormal
+        and at-threshold inputs; the gradient agrees within LIF_GRAD_TOL."""
+        lif = LifParams(beta=beta, u_th=data.draw(st.sampled_from([0.25, 1.0])),
+                        u_reset=u_reset)
+        shape = (data.draw(st.sampled_from([(), (2,)]))
+                 + tuple(data.draw(st.integers(1, n)) for n in (6, 3, 3)))
+        kinds = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(DRAWN, AT_TH_MINUS_H)))
+        values = data.draw(hnp.arrays(np.float32, shape,
+                                      elements=st.floats(-1.0, 2.0, width=32)))
+        x = edge_inputs(kinds, values, lif, steps)
+        out_shape = shape if steps is None else shape[:-3] + (shape[-3] * steps,) + shape[-2:]
+        weight = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+            out_shape).astype(np.float32)
+        with ag.no_grad():
+            s_no_grad = spiking._lif(Tensor(x), lif, steps).data
+        s, gx = forward_backward(lambda t: spiking._lif(t, lif, steps), x, weight)
+        s_ref, gx_ref = forward_backward(lambda t: per_step.lif_kernel(t, lif, steps), x, weight)
+        np.testing.assert_array_equal(s_no_grad, s_ref)
+        np.testing.assert_array_equal(s, s_ref)
+        assert rel_err(gx, gx_ref) < LIF_GRAD_TOL
+
     @pytest.mark.parametrize("shape", LIF_SHAPES)
     @pytest.mark.parametrize("overrides", LIF_PARAMS)
     def test_frames_match_per_step_oracle(self, shape, overrides):

@@ -1,0 +1,122 @@
+"""Median time of the fused LIF and LSTM kernels at the benchmark's shapes.
+
+For each of the train-n8, infer-ts8 and train-n32 configs, times three
+kernel calls on synthetic inputs of that config's shapes (batch B, window T,
+sub-steps ts, nodes N):
+
+  lif            `spiking._lif` per frame on (B, T*ts, N, d1) potentials,
+                 the shape of the MSSA hops;
+  lif steps=ts   `spiking._lif` with `steps=ts` on (B, T, N, h_dim) values,
+                 the shape of the DSF re-encoder;
+  lstm           `dsf._lstm` on (B, T*ts, N, d2) spikes with the stride W4
+                 uses (ts).
+
+Each call is timed as a no-grad forward, a taped forward, and the backward
+of that taped node alone (called directly on a fixed upstream gradient, so no
+other tape node is timed).  Prints the median over `--repeats` rounds, in
+ms, after one untimed round.
+
+    python3 tools/kernels.py [--repeats 21] [--root DIR]
+
+The configs are `tools/fingerprint.py`'s.  BLAS is pinned to one thread
+before numpy is imported, as `bench/run.py` does.  `--root` is the checkout whose `src/spikestag` is imported (default:
+the repository this script lives in), so a second checkout can be timed with
+the same script.  Uses numpy and the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+PHASES = ("no_grad_ms", "taped_ms", "backward_ms")
+
+
+def kernel_cases(cfg, rng):
+    """(label, input shape, leaves, call) for the three kernels at `cfg`'s shapes."""
+    import numpy as np
+    from spikestag import dsf, spiking
+    from spikestag.autograd import Tensor
+    from spikestag.dsf import LstmParams
+
+    def leaf(a):
+        return Tensor(a.astype(np.float32), requires_grad=True)
+
+    b, t, n, ts = cfg.batch_size, cfg.t_in, cfg.n_nodes, cfg.ts
+    lif = cfg.lif()
+    potentials = leaf(rng.standard_normal((b, t * ts, n, cfg.d1)) * 0.5)
+    hidden = leaf(rng.uniform(-1.0, 1.0, (b, t, n, cfg.h_dim)))
+    spikes = leaf(rng.random((b, t * ts, n, cfg.d2)) < 0.3)
+    p = LstmParams.init(cfg.d2, cfg.h_dim, rng)
+    # the fused (i, f, g, o) weights `dsf.lstm_forward` passes to the kernel
+    wx, wh, bias = (leaf(np.concatenate([getattr(p, kind + gate).data for gate in "ifgo"],
+                                        axis=-1))
+                    for kind in ("w_x", "w_h", "b_"))
+    return [
+        ("lif", potentials.shape, [potentials], lambda: spiking._lif(potentials, lif)),
+        (f"lif steps={ts}", hidden.shape, [hidden], lambda: spiking._lif(hidden, lif, ts)),
+        (f"lstm stride={ts}", spikes.shape, [spikes, wx, bias, wh],
+         lambda: dsf._lstm(spikes, wx, bias, wh, ts)),
+    ]
+
+
+def time_case(leaves, call, repeats: int, rng) -> dict:
+    import numpy as np
+    from spikestag import autograd as ag
+
+    times = {phase: [] for phase in PHASES}
+    g_out = None
+    for _ in range(repeats + 1):
+        with ag.no_grad():
+            t0 = time.perf_counter()
+            call()
+            t1 = time.perf_counter()
+        out = call()
+        t2 = time.perf_counter()
+        if g_out is None:
+            g_out = rng.standard_normal(out.shape).astype(np.float32)
+        g = g_out.copy()
+        for x in leaves:
+            x.grad = None
+        t3 = time.perf_counter()
+        out._backward(g)
+        t4 = time.perf_counter()
+        for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t4 - t3)):
+            times[phase].append(dt * 1e3)
+    return {phase: statistics.median(ms[1:]) for phase, ms in times.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeats", type=int, default=21, help="timed rounds per kernel")
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="checkout whose src/spikestag is timed")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(Path(args.root) / "src"))
+    import numpy as np  # after the thread pin
+    import spikestag
+    from fingerprint import CONFIGS  # the benchmark configs, from this directory
+    from spikestag.model import ModelConfig
+
+    print(f"timing {Path(spikestag.__file__).parent}, median of {args.repeats}", file=sys.stderr)
+    print(f"{'config':<10} {'kernel':<16} {'input shape':<18} " + " ".join(
+        f"{phase:>11}" for phase in PHASES))
+    for name, (overrides, _) in CONFIGS.items():
+        rng = np.random.default_rng(1)
+        for label, shape, leaves, call in kernel_cases(ModelConfig(**overrides), rng):
+            ms = time_case(leaves, call, args.repeats, rng)
+            print(f"{name:<10} {label:<16} {str(tuple(shape)):<18} " + " ".join(
+                f"{ms[phase]:11.2f}" for phase in PHASES), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
