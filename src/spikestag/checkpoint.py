@@ -6,7 +6,7 @@ Format v2, the one `save_model` writes (integers little-endian):
     version       u32       2
     header_len    u32       byte length of the header
     header        UTF-8 JSON {"config": {<every ModelConfig field>},
-                              "ssa_scale": <float or null>}
+                              "ssa_scale": <finite positive float or null>}
     tensor_count  u32
     tensors       per tensor: name length u16, UTF-8 name, rank u8, dims as
                   u32s, raw float32 values in row-major order
@@ -26,12 +26,13 @@ config ints above 2**24 and most of its floats come back rounded to float32.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, ContractError
 from .model import ABLATIONS, ForecastModel, ModelConfig
 
 MAGIC = b"STAG"
@@ -71,8 +72,21 @@ def _read_records(blob: bytes, off: int) -> dict:
     return tensors
 
 
+def _valid_scale(scale) -> bool:
+    """An attention gain is unset (None) or a finite positive float: a NaN,
+    infinite, zero or negative one makes every prediction non-finite or
+    flips the attention branch."""
+    return scale is None or (type(scale) is float and math.isfinite(scale) and scale > 0)
+
+
 def save_model(path, model: ForecastModel) -> None:
-    header = json.dumps({"config": asdict(model.config), "ssa_scale": model.ssa_scale})
+    """Write `model` in format v2; ContractError for an `ssa_scale` that is
+    set but not a finite positive float."""
+    if not _valid_scale(model.ssa_scale):
+        raise ContractError(f"save_model: ssa_scale must be unset or finite and positive, "
+                            f"got {model.ssa_scale!r}")
+    header = json.dumps({"config": asdict(model.config), "ssa_scale": model.ssa_scale},
+                        allow_nan=False)
     tensors = {"emb/e": model.embeddings}
     tensors.update((name, p.data) for name, p in model.parameters().items())
     if model.norm_mean is not None:
@@ -98,8 +112,9 @@ def _config_from_header(header) -> tuple:
             raise CheckpointFormatError(f"header config field {name} must be {kind.__name__}, "
                                         f"got {v!r}")
     scale = header["ssa_scale"]
-    if scale is not None and type(scale) is not float:
-        raise CheckpointFormatError(f"header ssa_scale must be a float or null, got {scale!r}")
+    if not _valid_scale(scale):
+        raise CheckpointFormatError(
+            f"header ssa_scale must be null or a finite positive float, got {scale!r}")
     return ModelConfig(**values), scale
 
 
@@ -118,7 +133,10 @@ def _config_from_v1(tensors: dict) -> tuple:
         else:
             values[f.name] = kind(v)
     scale = tensors.get("calib/ssa_scale")
-    return ModelConfig(**values), None if scale is None else float(scale[0])
+    scale = None if scale is None else float(scale[0])
+    if not _valid_scale(scale):
+        raise CheckpointFormatError(f"calib/ssa_scale must be finite and positive, got {scale!r}")
+    return ModelConfig(**values), scale
 
 
 def _parse(blob: bytes) -> tuple:

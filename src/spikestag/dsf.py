@@ -25,6 +25,12 @@ frames, O(T') per node instead of the O(T'^2) of scoring every frame, and
 the gate runs on the final frame of both branches.  Q/K/V still run their
 LIF recurrence over every frame, and report their spikes
 (`autograd.observe_spikes`) for the energy module to count.
+
+Without a tape the model feeds this block its frames in chunks (see
+`ForecastModel.forward`).  The LSTM and the Q/K/V LIF layers then carry
+their states from chunk to chunk in a `spiking.Carry`, and attention keeps
+only the final query frame and the K and V spikes of every frame, as bool,
+reading out once the window's last chunk is in.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ShapeError
-from .spiking import LifParams, lif_over_frames
+from .errors import ContractError, ShapeError
+from .spiking import Carry, LifParams, lif_over_frames
 
 
 @dataclass
@@ -136,11 +142,15 @@ def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
 LSTM_CHUNK = 32
 
 
-def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
+def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
+          carry: tuple | None = None) -> Tensor:
     """LSTM recurrence over the frame axis (-3) of `x` as one tape node.
 
     `x` is (..., T', N, d_in); `wx` (d_in, 4h), `b` (4h,) and `wh` (h, 4h)
-    are the fused weights in gate order (i, f, g, o).  States start at zero.
+    are the fused weights in gate order (i, f, g, o).  States start at zero,
+    or at `carry`, a gate-major (h, c) pair of (h, rows) arrays, rows =
+    (..., N) flattened, which the call leaves holding the final states; a
+    carry needs a call that records no tape (ContractError otherwise).
     Returns the hidden states of frames stride-1, 2*stride-1, ..., shape
     (..., T' // stride, N, h).
 
@@ -174,6 +184,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
     h_dim = whd.shape[0]
     dtype = np.result_type(xd, wxd)
     record = ag.is_recording(x, wx, b, wh)
+    if carry is not None and record:
+        raise ContractError("_lstm: a carried state needs a call that records no tape")
     frames = lambda arr: np.moveaxis(arr, axis, 0)
     x_f = frames(xd)
     t_frames, d_in = len(x_f), xd.shape[-1]
@@ -196,8 +208,11 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
     gx_buf = np.empty((chunk, 4 * h_dim, rows), dtype=dtype)
     gates = np.empty((4 * h_dim, rows), dtype=dtype)
     i_g, f_g, g_g, o_g = gates.reshape(4, h_dim, rows)
-    h = np.zeros((h_dim, rows), dtype=dtype)
-    c = np.zeros_like(h)
+    if carry is None:
+        carry = (np.zeros((h_dim, rows), dtype=dtype), np.zeros((h_dim, rows), dtype=dtype))
+    h, c = carry
+    if any((a.shape, a.dtype) != ((h_dim, rows), dtype) for a in carry):
+        raise ContractError(f"_lstm: carried states must be {dtype}{(h_dim, rows)}")
     tmp = np.empty_like(h)
     row_major = lambda arr: arr.T.reshape(state_shape[:-1] + (len(arr),))  # (k, rows) -> (..., N, k)
     for t0 in range(0, t_frames, LSTM_CHUNK):
@@ -287,20 +302,27 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
     return ag._result(out, (x, wx, b, wh), bw, "lstm")
 
 
-def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1) -> Tensor:
+def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1,
+                 carry: Carry | None = None) -> Tensor:
     """Standard LSTM recurrence over (..., T', N, d_in) spike frames.
 
-    Hidden and cell states start at zero.  Returns the hidden states of
-    every `stride`-th frame, frames stride-1, 2*stride-1, ..., shape
-    (..., T' // stride, N, h_dim): all of them at stride 1, the last alone at
-    stride T'.  The recurrence streams its input gates (see `_lstm`), so
-    without a tape its largest buffers are one chunk of gates and the
-    returned frames.
+    Hidden and cell states start at zero, or, given `carry` (no tape), at
+    its `lstm.h` and `lstm.c` entries, which the call leaves holding the
+    final states.  Returns the hidden states of every `stride`-th frame,
+    frames stride-1, 2*stride-1, ..., shape (..., T' // stride, N, h_dim):
+    all of them at stride 1, the last alone at stride T'.  The recurrence
+    streams its input gates (see `_lstm`), so without a tape its largest
+    buffers are one chunk of gates and the returned frames.
     """
     wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
     wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
     b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
-    return _lstm(x, wx, b, wh, stride)
+    state = None
+    if carry is not None:
+        shape = (wh.shape[0], math.prod(x.shape[:-3]) * x.shape[-2])   # (h, rows)
+        dtype = np.result_type(x.data, wx.data)
+        state = (carry.get("lstm.h", shape, dtype), carry.get("lstm.c", shape, dtype))
+    return _lstm(x, wx, b, wh, stride, state)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
@@ -321,18 +343,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     return ag.transpose(out, perm)  # back to (..., T, N, d)
 
 
-def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams) -> tuple:
+def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams, carry: Carry | None = None) -> tuple:
     """Binary Q, K and V: LIF spikes of the projected input over every frame,
-    reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v`."""
+    reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v` (their LIF states
+    carried under those names, given `carry`)."""
     out = []
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        spikes = lif_over_frames(ag.matmul(s, w), lif)
+        spikes = lif_over_frames(ag.matmul(s, w), lif, carry, f"ssa.{name}")
         ag.observe_spikes(f"ssa.{name}", spikes)
         out.append(spikes)
     return tuple(out)
 
 
-def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams) -> Tensor:
+def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
+                carry: Carry | None = None) -> Tensor | None:
     """Spiking self-attention read out at the final frame; continuous features.
 
     Q/K/V are binary (LIF of the projected input spikes, run over every frame
@@ -341,11 +365,34 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams) -> Tensor:
     softmax, and the output keeps the pre-threshold (continuous) weighted sum
     of V.  Returns shape (..., 1, N, d_k): the one frame the forecast head
     reads, at O(T') score cost per node instead of O(T'^2).
+
+    Given `carry` (no tape), `s` is one chunk of the `carry.frames` frames of
+    a (B, T', N, f) window, taken in order.  The Q/K/V LIF states carry over,
+    and K and V go into `bool` stores of every frame (exact for spikes, a
+    quarter of float32).  The call returns None until the chunk that ends
+    the window, which it reads out against the stores one batch row at a
+    time (`attention_core` on that row's K and V cast to float32), so each
+    (b, n) product has the shape it has without chunks and the readout is
+    bit-identical.
     """
-    q, k, v = qkv_spikes(s, params, lif)
+    q, k, v = qkv_spikes(s, params, lif, carry)
     t_axis = q.data.ndim - 3
     q_last = ag.narrow(q, t_axis, q.shape[t_axis] - 1, 1)
-    return attention_core(q_last, k, v, params.d_k)
+    if carry is None:
+        return attention_core(q_last, k, v, params.d_k)
+    shape = k.shape[:1] + (carry.frames,) + k.shape[2:]
+    k_all, v_all = carry.get("ssa.k_all", shape, bool), carry.get("ssa.v_all", shape, bool)
+    done = carry.states.get("ssa.frames", 0)
+    end = carry.states["ssa.frames"] = done + k.shape[1]
+    k_all[:, done:end] = k.data
+    v_all[:, done:end] = v.data
+    del q, k, v
+    if end < carry.frames:
+        return None
+    rows = [attention_core(Tensor(q_last.data[i:i + 1]), Tensor(k_all[i:i + 1]),
+                           Tensor(v_all[i:i + 1]), params.d_k).data
+            for i in range(len(k_all))]
+    return Tensor(np.concatenate(rows))
 
 
 def gate_fuse(h_lstm: Tensor, h_ssa: Tensor, params: GateParams) -> Tensor:

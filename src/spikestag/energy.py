@@ -3,8 +3,11 @@
 Every counting rule lives here.  The model's layers only report their spikes:
 the autograd observer receives the output of each spiking layer
 (`mssa.encoder`, `mssa.hop1`, `mssa.hop2`, `dsf.encoder`, `ssa.q`, `ssa.k`,
-`ssa.v`).  `OpCounter.count_forward` then derives every layer's tallies from
-the model's config, its graph and those spikes.
+`ssa.v`).  A no-grad forward runs its frame pipeline in chunks, so a layer
+may report several chunks of frames; the counter keeps them all and joins
+them on the frame axis.  `OpCounter.count_forward` then derives every
+layer's tallies from the model's config, its graph and those spikes, which
+are the same however the frames were chunked.
 
 Counting rules:
   * dense layers: input_width * output_width multiply-accumulates per
@@ -92,13 +95,13 @@ class OpCounter:
 
     Entered as a context manager it is the autograd observer (nesting is
     safe; leaving restores the previous one) and keeps the spikes each layer
-    reports.  `ForecastModel.forward(batch, counter=...)` enters it and then
-    calls `count_forward`.
+    reports, every chunk of them.  `ForecastModel.forward(batch, counter=...)`
+    enters it and then calls `count_forward`.
     """
 
     def __init__(self):
         self.counts = OpCounts()
-        self._spikes = {}      # layer -> spike array of the current forward
+        self._spikes = {}      # layer -> the current forward's spike chunks, in frame order
         self._prev = []        # observers to restore, one per open entry
 
     def __enter__(self):
@@ -112,7 +115,12 @@ class OpCounter:
     # observer interface -----------------------------------------------------
 
     def spikes(self, layer: str, tensor) -> None:
-        self._spikes[layer] = tensor.data
+        self._spikes.setdefault(layer, []).append(tensor.data)
+
+    def layer_spikes(self, layer: str) -> np.ndarray:
+        """Every frame `layer` has reported in the current forward, (..., T', N, d)."""
+        chunks = self._spikes[layer]
+        return np.concatenate(chunks, axis=chunks[0].ndim - 3)
 
     # counting rules ---------------------------------------------------------
 
@@ -122,6 +130,8 @@ class OpCounter:
         Reads `model.config`, `model.graph` and the reported spikes, which it
         then drops; also sets `batch_elements` and `param_count`.
         """
+        for layer in self._spikes:      # each layer's chunks go once joined
+            self._spikes[layer] = self.layer_spikes(layer)
         cfg, graph, spikes = model.config, model.graph, self._spikes
         n, f, h = cfg.n_nodes, cfg.feature_width, cfg.h_dim
         positions = b * t * cfg.ts * n          # every frame of every node

@@ -19,12 +19,12 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import SeriesDataset, SplitWindows, WindowBatch, covariate_indices, make_windows, metric_r2, metric_rse
-from .dsf import GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
+from .dsf import LSTM_CHUNK, GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
 from .errors import ContractError, DivergenceError
 from .graph import AdaptiveGraph, build_graph, init_live_embeddings
 from .mssa import HopWeights, mssa_forward
 from .obs import ObsParams, obs_forward
-from .spiking import LifParams, encode_sequence
+from .spiking import Carry, LifParams, encode_sequence
 
 ABLATIONS = ("W1", "W2", "W3", "W4")
 COV_WIDTH = 4
@@ -228,9 +228,21 @@ class ForecastModel:
     def forward(self, batch: WindowBatch, counter=None) -> Tensor:
         """Normalized-scale predictions of shape (B, L, N).
 
+        The covariate embedding runs once over the window.  Everything after
+        it up to the attention readout (observation attention, MSSA encoder
+        and hops, LSTM, re-encoder, Q/K/V) is causal along the time axis, so
+        with no tape it runs in chunks of `LSTM_CHUNK // ts` series steps
+        (`LSTM_CHUNK` frames; at least one step), each recurrence carrying
+        its state to the next chunk (`spiking.Carry`), while attention keeps
+        K and V as bool and reads out after the last chunk
+        (`dsf.ssa_forward`).  Memory then grows with the window only by
+        those bool stores and the embedded features, and predictions are
+        bit-identical to one chunk.  A forward that records a tape runs the
+        same loop with one chunk spanning the window and no carry.
+
         Given `counter`, an `energy.OpCounter`, the forward runs with the
         counter entered, so the spikes of its layers are reported to it,
-        and then has it count the forward's operations
+        chunk by chunk, and then has it count the forward's operations
         (`OpCounter.count_forward`).  The caller need not enter it.
         """
         if counter is not None:
@@ -240,33 +252,44 @@ class ForecastModel:
             return pred
         cfg = self.config
         lif = cfg.lif()
-        z = Tensor(batch.normalized_inputs())
-        x = self.embed_inputs(z, batch.input_times)
-        x_obs = obs_forward(x, self.graph.samples_local, self.obs_params)
-        s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts)
+        x = self.embed_inputs(Tensor(batch.normalized_inputs()), batch.input_times)
+        t_axis = x.data.ndim - 3
+        t_steps = x.shape[t_axis]
+        if ag.is_recording(*self.parameters().values()):
+            chunk, carry = t_steps, None
+        else:
+            chunk, carry = max(1, LSTM_CHUNK // cfg.ts), Carry(t_steps * cfg.ts)
 
         # everything after the recurrences works on the final frame only,
-        # the one the head reads
-        t_frames = x.shape[1] * cfg.ts
-        t_axis = x.data.ndim - 3
+        # the one the head reads; the last chunk leaves it in h_lstm/ssa_out
         ab = cfg.ablation
-        if ab == "W2":
-            ssa_out = self._scaled_ssa(ssa_forward(s_mssa, self.ssa_params, lif))
-            feat = ag.matmul(ssa_out, self.ssa_proj)
-        else:
-            # W1 reads the final frame only; W3/W4 re-encode the last frame
-            # of every series step
-            stride = t_frames if ab == "W1" else cfg.ts
-            h_lstm = lstm_forward(s_mssa, self.lstm_params, stride)  # (B, T'/stride, N, h)
+        for start in range(0, t_steps, chunk):
+            steps = min(chunk, t_steps - start)
+            x_chunk = x if steps == t_steps else ag.narrow(x, t_axis, start, steps)
+            x_obs = obs_forward(x_chunk, self.graph.samples_local, self.obs_params)
+            s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, carry)
+            if ab == "W2":
+                ssa_out = ssa_forward(s_mssa, self.ssa_params, lif, carry)
+                continue
+            # W1 reads the chunk's final frame only; W3/W4 re-encode the
+            # last frame of every series step
+            stride = steps * cfg.ts if ab == "W1" else cfg.ts
+            h_lstm = lstm_forward(s_mssa, self.lstm_params, stride, carry)  # (B, T'/stride, N, h)
             del s_mssa      # without a tape nothing else holds the spikes
+            if ab != "W1":
+                re_encoded = encode_sequence(h_lstm, cfg.ts, lif)
+                ag.observe_spikes("dsf.encoder", re_encoded)
+                ssa_out = ssa_forward(re_encoded, self.ssa_params, lif, carry)
+                del re_encoded
+
+        if ab == "W2":
+            feat = ag.matmul(self._scaled_ssa(ssa_out), self.ssa_proj)
+        else:
             h_last = ag.narrow(h_lstm, t_axis, h_lstm.shape[t_axis] - 1, 1)    # (B, 1, N, h)
             if ab == "W1":
                 feat = h_last
             else:
-                re_encoded = encode_sequence(h_lstm, cfg.ts, lif)
-                ag.observe_spikes("dsf.encoder", re_encoded)
-                ssa_out = self._scaled_ssa(ssa_forward(re_encoded, self.ssa_params, lif))
-                h_ssa = ag.matmul(ssa_out, self.ssa_proj)
+                h_ssa = ag.matmul(self._scaled_ssa(ssa_out), self.ssa_proj)
                 feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)
 
         b, _, n, h = feat.shape                                     # one frame: (B, 1, N, h)

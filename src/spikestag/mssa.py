@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .graph import AdaptiveGraph, padded_index_mask
-from .spiking import LifParams, encode_sequence, lif_over_frames
+from .spiking import Carry, LifParams, encode_sequence, lif_over_frames
 
 
 @dataclass
@@ -47,12 +47,13 @@ class HopWeights:
         return {"w1": self.w1, "w2": self.w2}
 
 
-def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str) -> Tensor:
+def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str,
+         carry: Carry | None = None) -> Tensor:
     """One sample-index-sum-project-fire hop over all frames at once; its
-    spikes are reported under `layer`."""
+    spikes are reported, and its LIF state carried, under `layer`."""
     idx, valid = padded_index_mask(sets, spikes.shape[-2])
     summed = ag.gather_sum(spikes, idx, valid, axis=spikes.data.ndim - 2)
-    out = lif_over_frames(ag.matmul(summed, w), lif)
+    out = lif_over_frames(ag.matmul(summed, w), lif, carry, layer)
     ag.observe_spikes(layer, out)
     return out
 
@@ -63,14 +64,17 @@ def mssa_forward(
     weights: HopWeights,
     lif: LifParams,
     ts: int,
+    carry: Carry | None = None,
 ) -> Tensor:
     """Encode observation features to spikes, then run the two hops.
 
     `x_obs` is (..., T, N, f) continuous; the output spikes are
     (..., T*ts, N, d2) with the LIF state of each hop evolving across frames.
+    Every step is encoded on its own, so given `carry` (no tape) `x_obs` may
+    be one chunk of the window's steps: the hops carry their LIF states in it.
     """
     encoded = encode_sequence(x_obs, ts, lif)
     ag.observe_spikes("mssa.encoder", encoded)
-    s1 = _hop(encoded, graph.samples_local, weights.w1, lif, layer="mssa.hop1")
-    s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif, layer="mssa.hop2")
+    s1 = _hop(encoded, graph.samples_local, weights.w1, lif, layer="mssa.hop1", carry=carry)
+    s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif, layer="mssa.hop2", carry=carry)
     return s2

@@ -41,6 +41,11 @@ gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
 
 where a_t and b_t are computed for all frames before the backward loop.
 
+A no-grad forward may feed a layer its frames in chunks: given a carried H
+(`_lif`'s `carry`, or a `Carry` keyed by layer), each call starts from the
+state the previous chunk left, so the chunks' spikes are those of one call
+over the whole sequence, bit for bit.
+
 `encode_sequence` aligns each series step with `ts` SNN sub-steps by driving
 a fresh LIF neuron with the step's constant value for `ts` sub-steps, one
 binary frame per sub-step, so a window of length T becomes T*ts frames.  The
@@ -95,13 +100,19 @@ def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.divide(alpha / 2.0, y, out=y)
 
 
-def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
-    """Multi-step LIF from a zero state, recorded as one "lif" tape node.
+def _lif(x: Tensor, lif: LifParams, steps: int | None = None,
+         carry: np.ndarray | None = None) -> Tensor:
+    """Multi-step LIF, recorded as one "lif" tape node.
 
     With `steps` None, `x` is (..., T, N, d) per-frame input and the output has
     the same shape.  Otherwise each of the T frames of `x` is a constant input
     driving a fresh neuron for `steps` sub-steps, and the output is (...,
     T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
+    The state H starts at zero, or, in frame mode, at `carry`, an (..., N, d)
+    array that the call leaves holding the final H: so a sequence run in
+    pieces with one carry gives the spikes of one call over all of it.  A
+    carry needs a call that records no tape (the backward has no state
+    gradient); otherwise it raises ContractError.
     The forward writes each frame (or sub-step) into U, H, keep and fired
     buffers allocated once per call, with the float32 operations of the
     per-step update, so spikes are bit-identical to it; only the sign of a
@@ -123,13 +134,18 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
         inputs = (xd,) * steps
     axis = len(shape) - 3
     record = ag.is_recording(x)
+    if carry is not None and (record or steps is not None):
+        raise ContractError("_lif: a carried state needs frame mode and no tape")
     spikes = np.empty(shape, dtype=xd.dtype)
     u_all = np.empty(shape, dtype=xd.dtype) if record else None
     s_frames = np.moveaxis(spikes, axis, 0)
     u_frames = np.moveaxis(u_all, axis, 0) if record else None
     state = s_frames.shape[1:]
+    if carry is not None and (carry.shape, carry.dtype) != (state, xd.dtype):
+        raise ContractError(f"_lif: carried state is {carry.dtype}{carry.shape}, "
+                            f"expected {xd.dtype}{state}")
     u = np.empty(state, dtype=xd.dtype)
-    h = np.zeros(state, dtype=xd.dtype)
+    h = np.zeros(state, dtype=xd.dtype) if carry is None else carry
     keep = np.empty(state, dtype=xd.dtype)
     fired = np.empty(state, dtype=bool)
     for t, i_t in enumerate(inputs):
@@ -177,13 +193,34 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     return ag._result(spikes.reshape(out_shape), (x,), bw, "lif")
 
 
-def lif_over_frames(potentials: Tensor, lif: LifParams) -> Tensor:
+class Carry:
+    """The state a no-grad forward carries from one chunk of frames to the
+    next: each recurrence's state under its layer name, zero on first use,
+    and `frames`, the frame count of the whole window."""
+
+    def __init__(self, frames: int):
+        self.frames = frames
+        self.states: dict = {}
+
+    def get(self, layer: str, shape: tuple, dtype=np.float32) -> np.ndarray:
+        if layer not in self.states:
+            self.states[layer] = np.zeros(shape, dtype=dtype)
+        return self.states[layer]
+
+
+def lif_over_frames(potentials: Tensor, lif: LifParams, carry: Carry | None = None,
+                    layer: str = "") -> Tensor:
     """Run an LIF layer across the frame axis (axis -3 is time here).
 
     `potentials` is (..., T_frames, N, d); the neuron state is (..., N, d) and
-    carries across the whole sequence starting from zero.
+    carries across the whole sequence starting from zero.  Given `carry`, the
+    state starts from and is left in its `layer` entry, so the frames may come
+    in chunks (no tape; see `_lif`).
     """
-    return _lif(potentials, lif)
+    h = None
+    if carry is not None:
+        h = carry.get(layer, potentials.shape[:-3] + potentials.shape[-2:], potentials.dtype)
+    return _lif(potentials, lif, carry=h)
 
 
 def encode_sequence(x: Tensor, ts: int, params: LifParams) -> Tensor:

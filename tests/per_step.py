@@ -165,17 +165,25 @@ def encode_steps(x: Tensor, ts: int, params: LifParams) -> Tensor:
     return ag.reshape(sub_steps, shape)
 
 
-def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
-    """Per-step stand-in for `spiking._lif`."""
+def _no_carry(carry) -> None:
+    if carry is not None:
+        raise ContractError("the per-step oracles start from zero states only")
+
+
+def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None, carry=None) -> Tensor:
+    """Per-step stand-in for `spiking._lif` (no carried state)."""
+    _no_carry(carry)
     if steps is None:
         return lif_over_frames(x, lif)
     return encode_steps(x, steps, lif)
 
 
-def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int) -> Tensor:
-    """Per-frame stand-in for `dsf._lstm`: the input `affine` over all frames,
-    one cell per frame from zero states (gate order i, f, g, o), then a `take`
-    of frames stride-1, 2*stride-1, ..."""
+def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
+                    carry=None) -> Tensor:
+    """Per-frame stand-in for `dsf._lstm` (no carried state): the input
+    `affine` over all frames, one cell per frame from zero states (gate order
+    i, f, g, o), then a `take` of frames stride-1, 2*stride-1, ..."""
+    _no_carry(carry)
     gates_x = ag.affine(x, wx, b)
     h_dim = wh.shape[0]
     time_axis = gates_x.data.ndim - 3

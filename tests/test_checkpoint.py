@@ -9,9 +9,9 @@ import pytest
 import spikestag.graph
 import spikestag.model
 from spikestag import autograd as ag
-from spikestag.checkpoint import MAGIC, load_model, save_model
+from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_model, save_model
 from spikestag.data import make_windows, synth_generate
-from spikestag.errors import CheckpointFormatError
+from spikestag.errors import CheckpointFormatError, ContractError
 from spikestag.model import ForecastModel, ModelConfig
 
 TINY = ModelConfig(n_nodes=4, t_in=6, horizon=2, emb_dim=4, d1=4, d2=4, h_dim=6, d_k=4,
@@ -52,6 +52,10 @@ def load_blob(tmp_path, blob: bytes):
 
 def v2_blob(header: bytes) -> bytes:
     return MAGIC + struct.pack("<II", 2, len(header)) + header + struct.pack("<I", 0)
+
+
+# attention gains that would make every prediction NaN or flip the branch
+BAD_SCALES = [float("nan"), float("inf"), -float("inf"), -2.0, 0.0]
 
 
 def forbid_redraw(monkeypatch):
@@ -189,3 +193,36 @@ class TestRejects:
                     len(blob) - 1):
             with pytest.raises(CheckpointFormatError):
                 load_blob(tmp_path, blob[:cut])
+
+
+class TestSsaScale:
+    """`ssa_scale` is unset or a finite positive float, on save and on load."""
+
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    def test_save_refuses(self, tmp_path, scale):
+        model = ForecastModel(TINY)
+        model.ssa_scale = scale
+        with pytest.raises(ContractError, match="ssa_scale"):
+            save_model(tmp_path / "m.stag", model)
+        assert not (tmp_path / "m.stag").exists()
+
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    def test_v2_load_refuses(self, tmp_path, scale):
+        # the blob of a valid model with only the header's ssa_scale replaced
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.dumps({"config": asdict(TINY), "ssa_scale": scale}).encode()
+        bad = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len:]
+        with pytest.raises(CheckpointFormatError, match="ssa_scale"):
+            load_blob(tmp_path, bad)
+
+    @pytest.mark.parametrize("scale", BAD_SCALES)
+    def test_v1_load_refuses(self, tmp_path, scale):
+        tensors = _read_records(V1_FIXTURE.read_bytes(), 8)
+        tensors["calib/ssa_scale"] = np.array([scale], dtype=np.float32)
+        path = tmp_path / "v1.stag"
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", 1))
+            _write_records(fh, tensors)
+        with pytest.raises(CheckpointFormatError, match="ssa_scale"):
+            load_model(path)

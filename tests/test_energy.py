@@ -105,7 +105,7 @@ def test_hop_events_count_every_gathered_spike(graph, monkeypatch):
     count_forward = OpCounter.count_forward
 
     def snapshot(self, *args):
-        seen.update(self._spikes)
+        seen.update((layer, self.layer_spikes(layer)) for layer in self._spikes)
         return count_forward(self, *args)
 
     monkeypatch.setattr(OpCounter, "count_forward", snapshot)

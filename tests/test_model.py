@@ -1,12 +1,18 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
+
+import per_step
 
 import spikestag.graph
 import spikestag.model
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.data import SeriesDataset, make_windows, synth_generate
+from spikestag.dsf import LSTM_CHUNK
+from spikestag.energy import OpCounter
 from spikestag.errors import ContractError, DivergenceError
 from spikestag.model import Adam, ForecastModel, ModelConfig, clip_grad_norm, mse_loss, train
 
@@ -119,6 +125,66 @@ class TestForward:
         assert not any(n.startswith("lstm/") or n.startswith("gate/") for n in names2)
         names4 = set(ForecastModel(replace(TINY, ablation="W4")).parameters())
         assert {"gate/w_g", "gate/bias", "ssa/w_q", "lstm/w_xi"} <= names4
+
+
+def chunked_case(ablation, ts, t_in=23, batch_size=3):
+    """A default-width model with a fixed attention gain and a batch of
+    `batch_size` train windows; t_in = 23 makes T * ts no multiple of
+    LSTM_CHUNK, so the last chunk of a no-grad forward is a short one."""
+    cfg = ModelConfig(t_in=t_in, ts=ts, ablation=ablation, batch_size=batch_size)
+    windows = make_windows(synth_generate(cfg.n_nodes, t_in + 200, cfg.seed), t_in, cfg.horizon)
+    model = ForecastModel(cfg)
+    model.set_norm_stats(windows.mean, windows.std)
+    if ablation != "W1":
+        model.ssa_scale = 3.0
+    return model, windows.batch(windows.train_starts[:batch_size])
+
+
+class TestChunkedForward:
+    """A no-grad forward runs its frames chunk by chunk with carried state;
+    a taped one runs them as one chunk."""
+
+    @pytest.mark.parametrize("ts", [4, 8])
+    @pytest.mark.parametrize("ablation", ["W1", "W2", "W3", "W4"])
+    def test_matches_taped_forward_and_oracle_counts(self, ablation, ts):
+        assert (23 * ts) % LSTM_CHUNK != 0
+        model, batch = chunked_case(ablation, ts)
+        taped = model.forward(batch)
+        assert taped._backward is not None
+        with ag.no_grad():
+            chunked = model.forward(batch).data
+        assert chunked.tobytes() == taped.data.tobytes()
+        counts = []
+        for forward in (ForecastModel.forward, per_step.full_sequence_forward):
+            counter = OpCounter()
+            with ag.no_grad():
+                pred = forward(model, batch, counter=counter)
+            counts.append({name: vars(lc) for name, lc in counter.counts.layers.items()})
+        assert pred.data.shape == chunked.shape
+        assert counts[0] == counts[1]
+
+    def test_memory_per_frame_is_the_bool_key_value_stores(self):
+        """The traced peak of a no-grad W4 forward grows per added frame by
+        2*B*N*d_k bytes (K and V kept as bool) plus a slack: one batch row's
+        K and V read out as float32 (2*N*d_k*4 bytes), the embedded features
+        of the window (B*N*f*4/ts bytes), and 10% on top.  A forward that
+        holds every frame's float32 spikes grows by about ten times that."""
+        peaks, frames = [], []
+        for t_in in (64, 128):
+            model, batch = chunked_case("W4", 8, t_in=t_in, batch_size=16)
+            with ag.no_grad():
+                tracemalloc.start()
+                try:
+                    model.forward(batch)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            frames.append(t_in * model.config.ts)
+        cfg = model.config
+        stores = 2 * cfg.batch_size * cfg.n_nodes * cfg.d_k
+        row = 2 * cfg.n_nodes * cfg.d_k * 4
+        features = cfg.batch_size * cfg.n_nodes * cfg.feature_width * 4 / cfg.ts
+        assert (peaks[1] - peaks[0]) / (frames[1] - frames[0]) < 1.1 * (stores + row + features)
 
 
 class TestTraining:

@@ -148,6 +148,36 @@ class TestFusedLif:
             np.testing.assert_array_equal(s, s_ref)
             assert rel_err(gx, gx_ref) < LIF_GRAD_TOL
 
+    @pytest.mark.parametrize("shape", LIF_SHAPES)
+    @pytest.mark.parametrize("overrides", LIF_PARAMS)
+    def test_carry_splits_the_sequence_bit_for_bit(self, shape, overrides):
+        """Two calls with one carried H give the spikes and the final H of
+        one call over the whole sequence, wherever the cut falls."""
+        rng = np.random.default_rng(70 + len(shape) * 10 + len(overrides))
+        lif = random_lif(rng, **overrides)
+        x = rng.uniform(-1.0, 2.0, size=shape).astype(np.float32)
+        t_axis = len(shape) - 3
+        state = shape[:t_axis] + shape[t_axis + 1:]
+        h_whole = np.zeros(state, dtype=np.float32)
+        with ag.no_grad():
+            s_whole = spiking._lif(Tensor(x), lif, carry=h_whole).data
+            np.testing.assert_array_equal(spiking._lif(Tensor(x), lif).data, s_whole)
+            for cut in range(1, shape[t_axis]):
+                h = np.zeros(state, dtype=np.float32)
+                parts = [spiking._lif(Tensor(part), lif, carry=h).data
+                         for part in np.split(x, [cut], axis=t_axis)]
+                assert np.concatenate(parts, axis=t_axis).tobytes() == s_whole.tobytes()
+                assert h.tobytes() == h_whole.tobytes()
+
+    def test_carry_refused_on_taped_or_sub_step_call(self):
+        x = Tensor(np.full((3, 2, 4), 0.6, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ContractError, match="carried state"):
+            spiking._lif(x, LifParams(), carry=np.zeros((2, 4), dtype=np.float32))
+        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
+            spiking._lif(x, LifParams(), steps=2, carry=np.zeros((2, 4), dtype=np.float32))
+        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
+            spiking._lif(x, LifParams(), carry=np.zeros((4, 2), dtype=np.float32))
+
     def test_grad_check_refuses_fused_node(self):
         x = Tensor(np.array([[[0.3, -0.2]], [[0.9, 0.1]]], dtype=np.float32), requires_grad=True)
         for fn in (lambda t: lif_over_frames(t, LifParams()),
@@ -275,6 +305,42 @@ class TestFusedLstm:
             np.testing.assert_array_equal(h_no_grad, h_ref)
             for name, g, g_ref in zip(("x", "wx", "b", "wh"), grads, grads_ref):
                 assert rel_err(g, g_ref) < LSTM_GRAD_TOL, (stride, name)
+
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_carry_splits_the_sequence_bit_for_bit(self, stride):
+        """Two calls with one carried (h, c) give the hidden states and the
+        final (h, c) of one call, for cuts on and across LSTM_CHUNK."""
+        rng = np.random.default_rng(63 + stride)
+        n, d_in, h_dim = 3, 5, 6
+        x = (rng.random((2, 70, n, d_in)) < 0.4).astype(np.float32)
+        weights = [Tensor(a) for a in lstm_weights(rng, d_in, h_dim)]
+
+        def run(parts):
+            state = tuple(np.zeros((h_dim, 2 * n), dtype=np.float32) for _ in range(2))
+            outs = [dsf._lstm(Tensor(part), *weights, stride, state).data for part in parts]
+            return np.concatenate(outs, axis=1), state
+
+        with ag.no_grad():
+            out, (h, c) = run([x])
+            np.testing.assert_array_equal(dsf._lstm(Tensor(x), *weights, stride).data, out)
+            # the carried h is the last hidden state, gate-major
+            last = dsf._lstm(Tensor(x), *weights, 70).data
+            assert h.T.tobytes() == last.reshape(2 * n, h_dim).tobytes()
+            # a cut falls on a stride boundary, as the model's chunks do
+            for cut in (c for c in (5, dsf.LSTM_CHUNK, 35, 40, 65) if c % stride == 0):
+                out_cut, (h_cut, c_cut) = run(np.split(x, [cut], axis=1))
+                assert out_cut.tobytes() == out.tobytes(), cut
+                assert h_cut.tobytes() == h.tobytes() and c_cut.tobytes() == c.tobytes(), cut
+
+    def test_carry_refused_on_taped_call(self):
+        rng = np.random.default_rng(64)
+        wx, b, wh = lstm_weights(rng, 2, 3)
+        x = Tensor(np.ones((1, 4, 2, 2), dtype=np.float32))
+        state = (np.zeros((3, 2), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
+        with pytest.raises(ContractError, match="carried state"):
+            dsf._lstm(x, Tensor(wx, requires_grad=True), Tensor(b), Tensor(wh), 1, state)
+        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
+            dsf._lstm(x, Tensor(wx), Tensor(b), Tensor(wh), 1, (state[0], state[1].T))
 
     def test_lstm_forward_parameter_grads_match_oracle(self, monkeypatch):
         rng = np.random.default_rng(60)
