@@ -25,13 +25,13 @@ length is in neither the checkpoint nor the config.
 
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
-corrupt checkpoint, non-positive energy coefficients or batch size, a
-series too short to hold a window of the split a command reads, test
-targets that are constant, on which R2 and RSE are undefined, and a learning
-rate, λ or LIF constant out of range.  Training that diverges (a parameter
-turns non-finite) exits with status 1 and one `error: ...` line; training
-runs with numpy's overflow, invalid-value and divide-by-zero warnings off,
-so nothing else is printed on the way there.
+corrupt checkpoint, energy coefficients that are not finite and positive, a
+non-positive batch size, a series too short to hold a window of the split a
+command reads, test targets that are constant, on which R2 and RSE are
+undefined, and a learning rate, λ or LIF constant out of range.  Training
+that diverges (a parameter turns non-finite) exits with status 1 and one
+`error: ...` line; training runs with numpy's overflow, invalid-value and
+divide-by-zero warnings off, so nothing else is printed on the way there.
 """
 
 from __future__ import annotations
@@ -297,6 +297,9 @@ def cmd_energy(args) -> int:
     check_coefficients(args.e_mac, args.e_ac)
     model, _, windows = _load_checkpoint(args)
     starts = (windows.test_starts or windows.train_starts)[: args.batch]
+    if not starts:
+        raise ContractError("energy: no window to count; the series is too short for the "
+                            "test or the train split to hold one window")
     batch = windows.batch(starts)
     counter = OpCounter()
     with ag.no_grad():

@@ -4,10 +4,12 @@ Every counting rule lives here.  The model's layers only report their spikes:
 the autograd observer receives the output of each spiking layer
 (`mssa.encoder`, `mssa.hop1`, `mssa.hop2`, `dsf.encoder`, `ssa.q`, `ssa.k`,
 `ssa.v`).  A no-grad forward runs its frame pipeline in chunks, so a layer
-may report several chunks of frames; the counter keeps them all and joins
-them on the frame axis.  `OpCounter.count_forward` then derives every
-layer's tallies from the model's config, its graph and those spikes, which
-are the same however the frames were chunked.
+may report several chunks of frames.  Every rule reads only sums over the
+frames, so the counter reduces each chunk as it arrives and keeps, per
+layer, the number of spikes reported and their sums over the frame axis,
+(..., N, d).  `OpCounter.count_forward` then derives every layer's tallies
+from the model's config, its graph and those two values, which are the same
+however the frames were chunked.
 
 Counting rules:
   * dense layers: input_width * output_width multiply-accumulates per
@@ -42,6 +44,7 @@ the relative reduction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,14 +97,15 @@ class OpCounter:
     """Counts the operations of a model forward into `counts`.
 
     Entered as a context manager it is the autograd observer (nesting is
-    safe; leaving restores the previous one) and keeps the spikes each layer
-    reports, every chunk of them.  `ForecastModel.forward(batch, counter=...)`
-    enters it and then calls `count_forward`.
+    safe; leaving restores the previous one).  Of the spikes each layer
+    reports, chunk by chunk, it keeps only their number and their sums over
+    the frame axis.  `ForecastModel.forward(batch, counter=...)` enters it
+    and then calls `count_forward`.
     """
 
     def __init__(self):
         self.counts = OpCounts()
-        self._spikes = {}      # layer -> the current forward's spike chunks, in frame order
+        self._seen = {}        # layer -> (spikes reported in this forward, their frame sums)
         self._prev = []        # observers to restore, one per open entry
 
     def __enter__(self):
@@ -115,115 +119,109 @@ class OpCounter:
     # observer interface -----------------------------------------------------
 
     def spikes(self, layer: str, tensor) -> None:
-        self._spikes.setdefault(layer, []).append(tensor.data)
-
-    def layer_spikes(self, layer: str) -> np.ndarray:
-        """Every frame `layer` has reported in the current forward, (..., T', N, d)."""
-        chunks = self._spikes[layer]
-        return np.concatenate(chunks, axis=chunks[0].ndim - 3)
+        data = tensor.data
+        size, frame_sums = self._seen.get(layer, (0, 0))
+        self._seen[layer] = (size + data.size, frame_sums + data.sum(axis=data.ndim - 3))
 
     # counting rules ---------------------------------------------------------
 
     def count_forward(self, model, b: int, t: int) -> OpCounts:
         """Add the tallies of the forward just run, on `b` windows of `t` steps.
 
-        Reads `model.config`, `model.graph` and the reported spikes, which it
-        then drops; also sets `batch_elements` and `param_count`.
+        Reads `model.config`, `model.graph` and the reported spike counts,
+        which it then drops; also sets `batch_elements` and `param_count`.
         """
-        for layer in self._spikes:      # each layer's chunks go once joined
-            self._spikes[layer] = self.layer_spikes(layer)
-        cfg, graph, spikes = model.config, model.graph, self._spikes
+        cfg, graph = model.config, model.graph
         n, f, h = cfg.n_nodes, cfg.feature_width, cfg.h_dim
         positions = b * t * cfg.ts * n          # every frame of every node
         self._dense("adjacency", n * n * cfg.emb_dim)
         s1_sizes = sum(len(s) for s in graph.samples_local)
         self._dense("obs", b * t * (3 * n * f * f + 2 * s1_sizes * f))
-        self._fire("mssa.encoder")
-        x = spikes["mssa.encoder"]
+        src = "mssa.encoder"
+        self._fire(src)
         for layer, sets, width in (("mssa.hop1", graph.samples_local, cfg.d1),
                                    ("mssa.hop2", graph.samples_semiglobal, cfg.d2)):
             # node j's spikes are summed once per set that holds j
             in_degree = np.bincount(np.fromiter((j for s in sets for j in s), dtype=np.intp),
                                     minlength=n).astype(np.float64)
-            per_node = x.sum(axis=-1, dtype=np.float64).reshape(-1, n).sum(axis=0)
-            self._spike_proj(layer, float(per_node @ in_degree), x, width, n_nodes=n)
+            per_node = self._seen[src][1].sum(axis=-1, dtype=np.float64).reshape(-1, n).sum(0)
+            self._spike_proj(layer, float(per_node @ in_degree), src, width, n_nodes=n)
             self._fire(layer)
-            x = spikes[layer]
+            src = layer
         ab = cfg.ablation
         if ab != "W2":
-            self._spike_proj("lstm.input", float(x.sum()), x, 4 * h)
-            self._tally("lstm.input", x)
+            self._spike_proj("lstm.input", self._active(src), src, 4 * h)
+            self._tally("lstm.input", src)
             self._dense("lstm.recurrent", positions * h * 4 * h)
         if ab in ("W3", "W4"):
-            self._fire("dsf.encoder")
-            x = spikes["dsf.encoder"]
+            src = "dsf.encoder"
+            self._fire(src)
         if ab != "W1":
             for layer in ("ssa.q", "ssa.k", "ssa.v"):
-                self._spike_proj(layer, float(x.sum()), x, cfg.d_k)
+                self._spike_proj(layer, self._active(src), src, cfg.d_k)
                 self._fire(layer)
-            self._spike_attention("ssa", spikes["ssa.q"], spikes["ssa.k"], spikes["ssa.v"],
-                                  cfg.d_k)
+            self._spike_attention("ssa")
             self._dense("ssa.proj", positions * cfg.d_k * h)
         if ab == "W4":
             self._dense("gate", positions * 2 * h * h)
         self._dense("head", b * n * h * cfg.horizon)
         self.counts.batch_elements = b
         self.counts.param_count = model.param_count()
-        self._spikes = {}
+        self._seen = {}
         return self.counts
+
+    def _active(self, layer: str) -> float:
+        """Active spikes `layer` reported: an exact float64 sum of its frame sums."""
+        return float(self._seen[layer][1].sum(dtype=np.float64))
 
     def _dense(self, layer: str, macs: float) -> None:
         lc = self.counts.layer(layer)
         lc.mac_ops += macs
         lc.twin_mac_ops += macs
 
-    def _spike_proj(self, layer: str, events: float, x: np.ndarray, fanout: int,
+    def _spike_proj(self, layer: str, events: float, src: str, fanout: int,
                     n_nodes: int | None = None) -> None:
-        """Event-driven projection of the spikes `x`: ACs for the spiking
-        model, full MACs for the twin.
+        """Event-driven projection of the spikes of layer `src`: ACs for the
+        spiking model, full MACs for the twin.
 
         `events` is the number of active input spikes feeding the projection.
         When `n_nodes` is given the layer is a neighborhood aggregation and
         the twin additionally pays the dense n-by-n product.
         """
         lc = self.counts.layer(layer)
-        positions, width = int(np.prod(x.shape[:-1])), x.shape[-1]
+        inputs = self._seen[src][0]             # frames * nodes * channels
         lc.ac_ops += events * fanout
-        lc.twin_mac_ops += positions * width * fanout
+        lc.twin_mac_ops += inputs * fanout
         if n_nodes is not None:
-            lc.twin_mac_ops += positions * n_nodes * width
+            lc.twin_mac_ops += inputs * n_nodes
 
     def _fire(self, layer: str) -> None:
         """The layer's LIF updates, one accumulate per neuron per frame, and
         its spike tallies."""
-        self.counts.layer(layer).ac_ops += self._spikes[layer].size
-        self._tally(layer, self._spikes[layer])
+        self.counts.layer(layer).ac_ops += self._seen[layer][0]
+        self._tally(layer, layer)
 
-    def _tally(self, layer: str, spikes: np.ndarray) -> None:
+    def _tally(self, layer: str, src: str) -> None:
+        """Add the spikes `src` reported to the tallies of `layer`."""
         lc = self.counts.layer(layer)
-        lc.spike_total += spikes.size
-        lc.spike_active += float(spikes.sum())
+        lc.spike_total += self._seen[src][0]
+        lc.spike_active += self._active(src)
 
-    def _spike_attention(self, layer: str, q: np.ndarray, k: np.ndarray,
-                         v: np.ndarray, d_k: int) -> None:
+    def _spike_attention(self, layer: str) -> None:
         """Exact event counts for binary-Q/K scoring and score-weighted V readout.
 
-        Q, K and V hold every frame; every query frame is counted against
-        every key frame, as in the full-sequence attention of the paper,
-        whatever frames the attention kernel actually scores.
+        Every query frame is counted against every key frame, as in the
+        full-sequence attention of the paper, whatever frames the attention
+        kernel actually scores.
         """
         lc = self.counts.layer(layer)
-        nd = q.ndim
+        (q_inputs, q_counts), (_, k_counts) = self._seen["ssa.q"], self._seen["ssa.k"]
+        t_frames = q_inputs // q_counts.size
         # per (leading..., node, channel): active count across frames
-        q_counts = np.moveaxis(q, nd - 3, nd - 1).sum(axis=nd - 1)  # (..., N, d_k) frames summed
-        k_counts = np.moveaxis(k, nd - 3, nd - 1).sum(axis=nd - 1)
         lc.ac_ops += float((q_counts * k_counts).sum())
-        t_frames = q.shape[nd - 3]
-        lc.ac_ops += float(v.sum()) * t_frames
-        # twin: dense scores plus dense readout at the same shapes
-        leading = int(np.prod(q.shape[:nd - 3], dtype=np.int64)) if nd > 3 else 1
-        n_nodes = q.shape[nd - 2]
-        lc.twin_mac_ops += 2.0 * leading * n_nodes * t_frames * t_frames * d_k
+        lc.ac_ops += self._active("ssa.v") * t_frames
+        # twin: dense scores plus dense readout, t_frames MACs each per query input
+        lc.twin_mac_ops += 2.0 * q_inputs * t_frames
 
 
 @dataclass
@@ -242,9 +240,11 @@ class EnergyReport:
 
 
 def check_coefficients(e_mac: float, e_ac: float) -> None:
-    """Raise ContractError unless both energy coefficients (pJ per op) are positive."""
-    if not (e_mac > 0 and e_ac > 0):
-        raise ContractError(f"energy coefficients must be positive, got e_mac={e_mac}, e_ac={e_ac}")
+    """Raise ContractError unless both energy coefficients (pJ per op) are
+    finite and positive."""
+    if not (0 < e_mac < math.inf and 0 < e_ac < math.inf):
+        raise ContractError(f"energy coefficients must be positive and finite, got "
+                            f"e_mac={e_mac}, e_ac={e_ac}")
 
 
 def estimate_energy(counts: OpCounts, e_mac: float = E_MAC_PJ, e_ac: float = E_AC_PJ) -> EnergyReport:

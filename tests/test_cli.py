@@ -186,6 +186,10 @@ BAD_INPUT_CASES = {
                            "--out", "{root}/o"], "energy coefficients must be positive"),
     "energy_batch_zero": (["energy", CKPT, "--synth-steps", "60", "--batch", "0",
                            "--out", "{root}/o"], "argument --batch"),
+    "energy_e_mac_inf": (["energy", CKPT, "--synth-steps", "60", "--e-mac", "inf",
+                          "--out", "{root}/o"], "energy coefficients must be positive and finite"),
+    "energy_no_window": (["energy", CKPT, "--synth-steps", "7", "--out", "{root}/o"],
+                         "energy: no window to count"),
     "eval_no_test_window": (["eval", CKPT, "--synth-steps", "20"], "no windows to score"),
     "predict_no_test_window": (["predict", CKPT, "{root}/f.csv", "--synth-steps", "20"],
                                "no test window to forecast from"),

@@ -3,6 +3,7 @@
 import inspect
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from spikestag import autograd as ag
@@ -101,17 +102,20 @@ def test_hop_events_count_every_gathered_spike(graph, monkeypatch):
                  for i in range(n)]
         model.graph = replace(model.graph, samples_local=local,
                               samples_semiglobal=[[] for _ in range(n)])
-    seen = {}
-    count_forward = OpCounter.count_forward
+    reported = {}
+    observe = OpCounter.spikes
 
-    def snapshot(self, *args):
-        seen.update((layer, self.layer_spikes(layer)) for layer in self._spikes)
-        return count_forward(self, *args)
+    def record(self, layer, tensor):
+        reported.setdefault(layer, []).append(tensor.data.copy())
+        return observe(self, layer, tensor)
 
-    monkeypatch.setattr(OpCounter, "count_forward", snapshot)
+    monkeypatch.setattr(OpCounter, "spikes", record)
     counter = OpCounter()
     with ag.no_grad():
         model.forward(batch, counter=counter)
+    # every frame a layer reported, its chunks joined on the frame axis
+    seen = {layer: np.concatenate(chunks, axis=chunks[0].ndim - 3)
+            for layer, chunks in reported.items()}
     for layer, src, sets, width in (
             ("mssa.hop1", "mssa.encoder", model.graph.samples_local, model.config.d1),
             ("mssa.hop2", "mssa.hop1", model.graph.samples_semiglobal, model.config.d2)):

@@ -163,19 +163,22 @@ class TestChunkedForward:
         assert pred.data.shape == chunked.shape
         assert counts[0] == counts[1]
 
-    def test_memory_per_frame_is_the_bool_key_value_stores(self):
+    @pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+    def test_memory_per_frame_is_the_bool_key_value_stores(self, counted):
         """The traced peak of a no-grad W4 forward grows per added frame by
         2*B*N*d_k bytes (K and V kept as bool) plus a slack: one batch row's
         K and V read out as float32 (2*N*d_k*4 bytes), the embedded features
         of the window (B*N*f*4/ts bytes), and 10% on top.  A forward that
-        holds every frame's float32 spikes grows by about ten times that."""
+        holds every frame's float32 spikes grows by about ten times that.
+        Counting its operations adds nothing per frame: the counter reduces
+        each chunk of spikes over its frames as it arrives."""
         peaks, frames = [], []
         for t_in in (64, 128):
             model, batch = chunked_case("W4", 8, t_in=t_in, batch_size=16)
             with ag.no_grad():
                 tracemalloc.start()
                 try:
-                    model.forward(batch)
+                    model.forward(batch, counter=OpCounter() if counted else None)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()

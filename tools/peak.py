@@ -5,8 +5,9 @@ the window length `--input-len` and `--ts` sub-steps per step (config
 defaults when not given), and runs one no-grad forward on a batch of
 `--batch` train windows (this calibrates `ssa_scale` and leaves no tape).
 It then traces, with tracemalloc, a second no-grad forward (the inference
-forward, which runs its frames in chunks) and one taped step: forward,
-`mse_loss` and backward.  Prints the no-grad forward's peak, the traced
+forward, which runs its frames in chunks), the same forward counted by an
+`energy.OpCounter`, and one taped step: forward, `mse_loss` and backward.
+Prints the peaks of the plain and the counted no-grad forward, the traced
 memory held once the loss exists and the peak of the whole step, in MiB; all
 count only what the forward or step allocates, not the model or the data.
 Also prints `maxrss_mb`, the
@@ -41,6 +42,7 @@ MB = 2**20
 def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None = None) -> dict:
     from spikestag import autograd as ag
     from spikestag.data import make_windows, synth_generate
+    from spikestag.energy import OpCounter
     from spikestag.model import ForecastModel, ModelConfig, mse_loss
 
     lam = float(max(ModelConfig.lam, math.ceil(0.625 * nodes)))
@@ -61,6 +63,10 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
             model.forward(batch)
         no_grad_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        with ag.no_grad():
+            model.forward(batch, counter=OpCounter())
+        counted_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         loss = mse_loss(model.forward(batch), target)
         held = tracemalloc.get_traced_memory()[0]
         model.zero_grad()
@@ -70,7 +76,8 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
         tracemalloc.stop()
     return {"nodes": nodes, "batch": batch_size, "lam": lam, "t_in": cfg.t_in, "ts": cfg.ts,
             "empty_local_sets": sum(not s for s in model.graph.samples_local),
-            "no_grad_peak_mb": no_grad_peak / MB, "held_mb": held / MB, "peak_mb": peak / MB,
+            "no_grad_peak_mb": no_grad_peak / MB, "counted_peak_mb": counted_peak / MB,
+            "held_mb": held / MB, "peak_mb": peak / MB,
             "maxrss_mb": maxrss_mb()}
 
 
@@ -98,7 +105,8 @@ def main(argv=None) -> int:
     r = measure(args.nodes, args.batch, args.input_len, args.ts)
     print(f"N={r['nodes']} B={r['batch']} lam={r['lam']:g} T={r['t_in']} ts={r['ts']} "
           f"(empty local sets: {r['empty_local_sets']}): "
-          f"no-grad forward peak {r['no_grad_peak_mb']:.2f} MB, "
+          f"no-grad forward peak {r['no_grad_peak_mb']:.2f} MB "
+          f"(counted {r['counted_peak_mb']:.2f} MB), "
           f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
     if r["maxrss_mb"] is not None:
         print(f"maxrss_mb {r['maxrss_mb']:.1f}")
