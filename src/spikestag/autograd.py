@@ -473,14 +473,12 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
         slot *= valid[:, j].reshape(vshape)
         data += slot
 
-    # backward scatters with the transposed 0/1 mask; small dense matmul on
-    # the node axis only, off the forward path
-    n = a.data.shape[ax]
-    mask = np.zeros((indices.shape[0], n), dtype=a.data.dtype)
-    rows = np.repeat(np.arange(indices.shape[0]), indices.shape[1])
-    np.add.at(mask, (rows, indices.reshape(-1)), valid.reshape(-1))
-
     def bw(g):
+        # scatter with the transposed 0/1 mask, a small dense matmul on the
+        # node axis only, formed here so that an untaped call never builds it
+        mask = np.zeros((indices.shape[0], a.data.shape[ax]), dtype=a.data.dtype)
+        rows = np.repeat(np.arange(indices.shape[0]), indices.shape[1])
+        np.add.at(mask, (rows, indices.reshape(-1)), valid.reshape(-1))
         g_m = np.moveaxis(g, ax, -2)  # (..., n_out, feat)
         contrib = np.matmul(np.swapaxes(mask, 0, 1), g_m)  # (..., n_src, feat)
         a._accum(np.moveaxis(contrib, -2, ax))

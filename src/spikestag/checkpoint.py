@@ -16,6 +16,11 @@ The tensors are the node embeddings `emb/e`, then the model parameters, then
 The header is `dataclasses.asdict(config)`, so config ints and floats
 round-trip exactly.
 
+The LSTM weights are `lstm/wx`, `lstm/wh` and `lstm/b`, fused in gate order
+(i, f, g, o).  Older files, v1 and v2 alike, store them per gate, as
+`lstm/w_x{i,f,g,o}`, `lstm/w_h{i,f,g,o}` and `lstm/b_{i,f,g,o}`; the load
+joins those into the fused tensors, bit for bit.
+
 Format v1 is still read.  It has the same magic, version 1, then the tensor
 records directly; the config rode along as one-element float32 tensors
 `config/<field>` (ablation as its 1-based index into ABLATIONS,
@@ -153,6 +158,11 @@ def _parse(blob: bytes) -> tuple:
     return config, scale, _read_records(blob, end)
 
 
+# the per-gate LSTM tensors of older files, in the fused tensors' column order
+_GATE_TENSORS = {f"lstm/{fused}": [f"lstm/{part}{gate}" for gate in "ifgo"]
+                 for fused, part in (("wx", "w_x"), ("wh", "w_h"), ("b", "b_"))}
+
+
 def _tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
     if name not in tensors:
         raise CheckpointFormatError(f"missing tensor '{name}'")
@@ -177,9 +187,15 @@ def load_model(path) -> ForecastModel:
     model = ForecastModel(
         config, embeddings=_tensor(tensors, "emb/e", (config.n_nodes, config.emb_dim)))
     for name, p in model.parameters().items():
-        p.data = _tensor(tensors, name, p.data.shape)
+        gates = _GATE_TENSORS.get(name)
+        if gates and gates[0] in tensors:
+            shape = p.data.shape[:-1] + (p.data.shape[-1] // 4,)
+            p.data = np.concatenate([_tensor(tensors, g, shape) for g in gates], axis=-1)
+        else:
+            p.data = _tensor(tensors, name, p.data.shape)
     if ssa_scale is not None:
         model.ssa_scale = ssa_scale
-    if "norm/mean" in tensors:
-        model.set_norm_stats(tensors["norm/mean"], tensors["norm/std"])
+    if "norm/mean" in tensors or "norm/std" in tensors:
+        model.set_norm_stats(*(_tensor(tensors, f"norm/{stat}", (config.n_nodes,))
+                               for stat in ("mean", "std")))
     return model

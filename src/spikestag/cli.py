@@ -27,11 +27,14 @@ Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
 corrupt checkpoint, energy coefficients that are not finite and positive, a
 non-positive batch size, a series too short to hold a window of the split a
-command reads, test targets that are constant, on which R2 and RSE are
-undefined, and a learning rate, λ or LIF constant out of range.  Training
-that diverges (a parameter turns non-finite) exits with status 1 and one
-`error: ...` line; training runs with numpy's overflow, invalid-value and
-divide-by-zero warnings off, so nothing else is printed on the way there.
+command reads, a series whose node count is not the checkpoint's, test
+targets that are constant, on which R2 and RSE are undefined, and a negative
+seed or a learning rate, λ or LIF constant out of range; `ablate` and
+`sweep-ts` check the config of every run before they train the first.
+Training that diverges (a parameter turns non-finite) exits with status 1
+and one `error: ...` line; training runs with numpy's overflow,
+invalid-value and divide-by-zero warnings off, so nothing else is printed on
+the way there.
 """
 
 from __future__ import annotations
@@ -156,10 +159,21 @@ def _load_checkpoint(args: argparse.Namespace):
     model = ckpt.load_model(args.checkpoint)
     cfg = model.config
     dataset = _load_dataset(args, cfg)
+    if dataset.n_nodes != cfg.n_nodes:
+        raise ContractError(f"the series has {dataset.n_nodes} nodes, but the checkpoint's "
+                            f"model was built for {cfg.n_nodes}")
     windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
     if model.norm_mean is not None:
         windows.mean, windows.std = model.norm_mean, model.norm_std
     return model, dataset, windows
+
+
+def _validated(cfg: ModelConfig, **changes) -> ModelConfig:
+    """`cfg` with `changes`, validated: a multi-run command builds every run's
+    config this way before its first training, so a bad one trains nothing."""
+    run_cfg = replace(cfg, **changes)
+    run_cfg.validate()
+    return run_cfg
 
 
 def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> None:
@@ -244,13 +258,13 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
+    runs = {a: [_validated(cfg, ablation=a, seed=seed) for seed in args.seeds] for a in ABLATIONS}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = {}
-    for ablation in ABLATIONS:
+    for ablation, run_cfgs in runs.items():
         r2s, rses = [], []
-        for seed in args.seeds:
-            run_cfg = replace(cfg, ablation=ablation, seed=seed)
+        for run_cfg in run_cfgs:
             dataset = _load_dataset(args, run_cfg)
             _, report, _ = _train_once(dataset, run_cfg, quiet=True)
             r2s.append(report.test_r2)
@@ -271,15 +285,15 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_ts(args) -> int:
     cfg = _build_config(args)
+    run_cfgs = [_validated(cfg, ts=ts) for ts in args.ts_values]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for ts in args.ts_values:
-        run_cfg = replace(cfg, ts=ts)
+    for run_cfg in run_cfgs:
         dataset = _load_dataset(args, run_cfg)
         _, report, _ = _train_once(dataset, run_cfg, quiet=True)
-        rows.append((ts, report.test_r2, report.test_rse))
-        print(f"Ts={ts}: R2 {report.test_r2:.4f}  RSE {report.test_rse:.4f}")
+        rows.append((run_cfg.ts, report.test_r2, report.test_rse))
+        print(f"Ts={run_cfg.ts}: R2 {report.test_r2:.4f}  RSE {report.test_rse:.4f}")
     r2s = [r for (_, r, _) in rows]
     stability = max(r2s) - min(r2s)
     with open(outdir / "sweep_ts.csv", "w", newline="") as fh:

@@ -2,12 +2,14 @@
 self-attention over re-encoded spikes, and a learnable gate blending the two.
 
 The LSTM runs over the flattened spike frame sequence per node, as one tape
-node with its input projection folded in.  It forms the input-side gate
-pre-activations `LSTM_CHUNK` frames at a time and returns only the frames
-its caller reads, every `stride`-th: every ts-th frame for the re-encoder
-(W3/W4), the last alone for W1.  So without a tape it never holds a
-(..., T', N, 4h) array; with one it keeps the gate activations, cells and
-hidden states of every frame for the backward.  Its forward is gate-major
+node with its input projection folded in, reading its weights as they are
+stored: fused, in (i, f, g, o) column blocks (`LstmParams` says why that
+order is fixed).  It forms the input-side gate pre-activations `LSTM_CHUNK`
+frames at a time and returns only the frames its caller reads, every
+`stride`-th: every ts-th frame for the re-encoder (W3/W4), the last alone
+for W1.  So without a tape it never holds a (..., T', N, 4h) array; with
+one it keeps the gate activations, cells and hidden states of every frame
+for the backward.  Its forward is gate-major
 (states and gates hold one row per gate unit and one column per node and
 batch entry, so each gate block is contiguous) and folds the inner 1/2 of
 each sigmoid into copies of the i, f and o weights, so one tanh covers all
@@ -48,46 +50,34 @@ from .spiking import Carry, LifParams, lif_over_frames
 
 @dataclass
 class LstmParams:
-    """Gate weights for input width d_in and hidden width h_dim.
+    """Gate weights for input width d_in and hidden width h_dim, stored fused
+    in the layout `_lstm` reads: `wx` (d_in, 4h), `wh` (h, 4h) and `b` (4h,),
+    each a row of column blocks in gate order (input, forget, cell, output).
 
-    Stored per gate (input, forget, cell, output); the forward fuses them into
-    a single (d_in, 4h) / (h, 4h) pair so the recurrence does one matmul per
-    step.  The fused order stays (i, f, g, o).  Any order gives the same
-    forward bits, but the backward's dG W_h^T sums over the 4h columns in
-    their fused order, so another order changes the gradient bits: (o, i, f,
-    g) was measured to.
+    The order stays (i, f, g, o).  Any order gives the same forward bits, but
+    the backward's dG W_h^T sums over the 4h columns in their stored order,
+    so another order changes the gradient bits: (o, i, f, g) was measured to.
     """
 
-    w_xi: Tensor
-    w_xf: Tensor
-    w_xg: Tensor
-    w_xo: Tensor
-    w_hi: Tensor
-    w_hf: Tensor
-    w_hg: Tensor
-    w_ho: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_g: Tensor
-    b_o: Tensor
+    wx: Tensor
+    wh: Tensor
+    b: Tensor
 
     @classmethod
     def init(cls, d_in: int, h_dim: int, rng: np.random.Generator) -> "LstmParams":
         s = 1.0 / math.sqrt(h_dim)
-        def w(rows):
-            return Tensor((rng.uniform(-s, s, size=(rows, h_dim))).astype(np.float32),
-                          requires_grad=True)
-        def b(fill=0.0):
-            return Tensor(np.full(h_dim, fill, dtype=np.float32), requires_grad=True)
+        # one draw per gate block, in gate order, input side first: a seed
+        # gives the values it gave when each gate was a tensor of its own
+        w = lambda rows: np.concatenate(
+            [rng.uniform(-s, s, size=(rows, h_dim)).astype(np.float32) for _ in range(4)], axis=-1)
+        wx, wh = w(d_in), w(h_dim)
+        b = np.zeros(4 * h_dim, dtype=np.float32)
         # forget bias starts at 1 so early training keeps memory open
-        return cls(w(d_in), w(d_in), w(d_in), w(d_in),
-                   w(h_dim), w(h_dim), w(h_dim), w(h_dim),
-                   b(), b(1.0), b(), b())
+        b[h_dim:2 * h_dim] = 1.0
+        return cls(*(Tensor(a, requires_grad=True) for a in (wx, wh, b)))
 
     def tensors(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("w_xi", "w_xf", "w_xg", "w_xo", "w_hi", "w_hf", "w_hg", "w_ho",
-                 "b_i", "b_f", "b_g", "b_o")}
+        return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
 
 @dataclass
@@ -314,15 +304,12 @@ def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1,
     streams its input gates (see `_lstm`), so without a tape its largest
     buffers are one chunk of gates and the returned frames.
     """
-    wx = ag.concat([params.w_xi, params.w_xf, params.w_xg, params.w_xo], axis=-1)
-    wh = ag.concat([params.w_hi, params.w_hf, params.w_hg, params.w_ho], axis=-1)
-    b = ag.concat([params.b_i, params.b_f, params.b_g, params.b_o], axis=-1)
     state = None
     if carry is not None:
-        shape = (wh.shape[0], math.prod(x.shape[:-3]) * x.shape[-2])   # (h, rows)
-        dtype = np.result_type(x.data, wx.data)
+        shape = (params.wh.shape[0], math.prod(x.shape[:-3]) * x.shape[-2])   # (h, rows)
+        dtype = np.result_type(x.data, params.wx.data)
         state = (carry.get("lstm.h", shape, dtype), carry.get("lstm.c", shape, dtype))
-    return _lstm(x, wx, b, wh, stride, state)
+    return _lstm(x, params.wx, params.b, params.wh, stride, state)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:

@@ -78,8 +78,8 @@ class ModelConfig:
                      "h_dim", "d_k", "ts", "batch_size", "epochs", "stride"):
             if getattr(self, name) < 1:
                 raise ContractError(f"config field {name} must be positive")
-        if self.k1 < 0 or self.k2 < 0 or self.lam < 0 or self.max_batches < 0:
-            raise ContractError("k1, k2, lam and max_batches must be non-negative")
+        if self.k1 < 0 or self.k2 < 0 or self.lam < 0 or self.max_batches < 0 or self.seed < 0:
+            raise ContractError("k1, k2, lam, max_batches and seed must be non-negative")
         # lr = 0 is legal: it trains nothing and keeps every parameter as drawn
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ContractError(f"lr must be finite and non-negative, got {self.lr}")

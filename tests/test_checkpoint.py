@@ -25,6 +25,10 @@ V1_CONFIG = ModelConfig(n_nodes=3, t_in=4, horizon=2, emb_dim=2, k1=1, k2=1, d1=
                         h_dim=3, d_k=2, ts=2, beta=0.75, u_th=0.5, u_reset=0.125, alpha=3.0,
                         lam=2.5, lr=0.125, epochs=2, seed=5, ablation="W3", batch_size=2,
                         stride=2, max_batches=1, minute_covariate=True)
+# Written by the format-v2 `save_model` of the code that stored the LSTM per
+# gate (`lstm/w_x{i,f,g,o}`, `lstm/w_h{i,f,g,o}`, `lstm/b_{i,f,g,o}`), from
+# `ForecastModel(V1_CONFIG)` with the norm stats and ssa_scale of the v1 fixture.
+V2_GATES_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v2_gates.stag"
 
 
 def calibrated(cfg=TINY):
@@ -111,6 +115,21 @@ class TestRoundTrip:
         assert np.array_equal(loaded.norm_std, [0.5, 1.0, 2.0])
         assert loaded.ssa_scale == 0.375
 
+    def test_reads_per_gate_lstm_of_format_v2(self):
+        loaded = load_model(V2_GATES_FIXTURE)
+        assert loaded.config == V1_CONFIG and loaded.ssa_scale == 0.375
+        fresh = ForecastModel(V1_CONFIG)
+        fresh.set_norm_stats(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 2.0]))
+        fresh.ssa_scale = 0.375
+        params, expected = loaded.parameters(), fresh.parameters()
+        assert params.keys() == expected.keys()
+        for name, p in expected.items():
+            assert np.array_equal(params[name].data, p.data), name
+        windows = make_windows(synth_generate(V1_CONFIG.n_nodes, 40, seed=2), V1_CONFIG.t_in,
+                               V1_CONFIG.horizon)
+        batch = windows.batch(windows.test_starts[:2])
+        assert np.array_equal(loaded.predict(batch), fresh.predict(batch))
+
 
 class TestEmbeddings:
     """`emb/e` is stored like a parameter and loaded as the model's buffer."""
@@ -193,6 +212,30 @@ class TestRejects:
                     len(blob) - 1):
             with pytest.raises(CheckpointFormatError):
                 load_blob(tmp_path, blob[:cut])
+
+
+class TestNormStats:
+    """`norm/mean` and `norm/std` are both absent, or both there with shape (N,)."""
+
+    @pytest.mark.parametrize("dropped", ["norm/std", "norm/mean"])
+    def test_one_stat_alone_refused(self, tmp_path, dropped):
+        model, _ = calibrated()
+        blob = saved_blob(tmp_path, model)
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        tensors = _read_records(blob, 12 + header_len)
+        del tensors[dropped]
+        path = tmp_path / "one_stat.stag"
+        with open(path, "wb") as fh:
+            fh.write(blob[:12 + header_len])
+            _write_records(fh, tensors)
+        with pytest.raises(CheckpointFormatError, match=f"missing tensor '{dropped}'"):
+            load_model(path)
+
+    def test_misshaped_stat_refused(self, tmp_path):
+        model = ForecastModel(TINY)
+        model.set_norm_stats(np.zeros(7), np.ones(TINY.n_nodes))
+        with pytest.raises(CheckpointFormatError, match=r"'norm/mean' has shape \(7,\)"):
+            load_blob(tmp_path, saved_blob(tmp_path, model))
 
 
 class TestSsaScale:

@@ -164,7 +164,8 @@ def test_sweep_ts_writes_rows_and_stability(tmp_path):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A tiny trained run, a truncated copy of its checkpoint and a CSV with a non-numeric cell."""
+    """A tiny trained run, a truncated copy of its checkpoint, a CSV with a
+    non-numeric cell and a CSV of six nodes, where the run has four."""
     root = tmp_path_factory.mktemp("inputs")
     assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(root / "run")]) == 0
     blob = (root / "run" / "checkpoint.stag").read_bytes()
@@ -173,6 +174,7 @@ def bad_inputs(tmp_path_factory):
     lines = (root / "good.csv").read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
     (root / "bad.csv").write_text("\n".join(lines) + "\n")
+    save_csv(synth_generate(6, 60, 1), root / "six_nodes.csv")
     return root
 
 
@@ -193,8 +195,20 @@ BAD_INPUT_CASES = {
     "eval_no_test_window": (["eval", CKPT, "--synth-steps", "20"], "no windows to score"),
     "predict_no_test_window": (["predict", CKPT, "{root}/f.csv", "--synth-steps", "20"],
                                "no test window to forecast from"),
+    "eval_other_node_count": (["eval", CKPT, "--data", "{root}/six_nodes.csv"],
+                              "the series has 6 nodes, but the checkpoint's model was built for 4"),
+    "predict_other_node_count": (["predict", CKPT, "{root}/f.csv", "--data",
+                                  "{root}/six_nodes.csv"], "the series has 6 nodes"),
+    "energy_other_node_count": (["energy", CKPT, "--data", "{root}/six_nodes.csv",
+                                 "--out", "{root}/o"], "the series has 6 nodes"),
     "ablate_seeds_not_ints": (["ablate", *TINY_FLAGS, "--seeds", "abc", "--out", "{root}/o"],
                               "argument --seeds"),
+    "train_seed_negative": (["train", *TINY_FLAGS, "--seed", "-1", "--out", "{root}/o"],
+                            "seed must be non-negative"),
+    "ablate_seed_negative": (["ablate", *TINY_FLAGS, "--seeds=-1", "--out", "{root}/o"],
+                             "seed must be non-negative"),
+    "sweep_ts_zero": (["sweep-ts", *TINY_FLAGS, "--ts-values", "2,0", "--out", "{root}/o"],
+                      "ts must be positive"),
     "train_stride_zero": (["train", *TINY_FLAGS, "--stride", "0", "--out", "{root}/o"],
                           "stride must be positive"),
     "train_max_batches_negative": (["train", *TINY_FLAGS, "--max-batches", "-1",

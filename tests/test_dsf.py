@@ -32,9 +32,15 @@ def sigmoid(x):
 
 def zero_bias_params(d_in, h, rng):
     p = LstmParams.init(d_in, h, rng)
-    for name in ("b_i", "b_f", "b_g", "b_o"):
-        getattr(p, name).data[:] = 0.0
+    p.b.data[:] = 0.0
     return p
+
+
+def gate_blocks(p):
+    """Per-gate (w_x, w_h, b) of the fused weights, in column order (i, f, g, o)."""
+    h = p.wh.shape[0]
+    block = lambda t, k: t.data[..., k * h:(k + 1) * h]
+    return [(block(p.wx, k), block(p.wh, k), block(p.b, k)) for k in range(4)]
 
 
 class TestLstm:
@@ -53,10 +59,11 @@ class TestLstm:
         out = lstm_forward(Tensor(x), p)
 
         xv = x[0].astype(np.float64)
-        i_g = sigmoid(xv @ p.w_xi.data + p.b_i.data)
-        f_g = sigmoid(xv @ p.w_xf.data + p.b_f.data)
-        g_g = np.tanh(xv @ p.w_xg.data + p.b_g.data)
-        o_g = sigmoid(xv @ p.w_xo.data + p.b_o.data)
+        (w_xi, _, b_i), (w_xf, _, b_f), (w_xg, _, b_g), (w_xo, _, b_o) = gate_blocks(p)
+        i_g = sigmoid(xv @ w_xi + b_i)
+        f_g = sigmoid(xv @ w_xf + b_f)
+        g_g = np.tanh(xv @ w_xg + b_g)
+        o_g = sigmoid(xv @ w_xo + b_o)
         c = i_g * g_g
         h = o_g * np.tanh(c)
         np.testing.assert_allclose(out.data[0], h, atol=1e-5)
@@ -67,13 +74,14 @@ class TestLstm:
         x = (rng.random((5, 1, 2)) < 0.5).astype(np.float32)
         out = lstm_forward(Tensor(x), p)
 
+        (w_xi, w_hi, b_i), (w_xf, w_hf, b_f), (w_xg, w_hg, b_g), (w_xo, w_ho, b_o) = gate_blocks(p)
         h = np.zeros((1, 3)); c = np.zeros((1, 3))
         for t in range(5):
             xv = x[t].astype(np.float64)
-            i_g = sigmoid(xv @ p.w_xi.data + h @ p.w_hi.data + p.b_i.data)
-            f_g = sigmoid(xv @ p.w_xf.data + h @ p.w_hf.data + p.b_f.data)
-            g_g = np.tanh(xv @ p.w_xg.data + h @ p.w_hg.data + p.b_g.data)
-            o_g = sigmoid(xv @ p.w_xo.data + h @ p.w_ho.data + p.b_o.data)
+            i_g = sigmoid(xv @ w_xi + h @ w_hi + b_i)
+            f_g = sigmoid(xv @ w_xf + h @ w_hf + b_f)
+            g_g = np.tanh(xv @ w_xg + h @ w_hg + b_g)
+            o_g = sigmoid(xv @ w_xo + h @ w_ho + b_o)
             c = f_g * c + i_g * g_g
             h = o_g * np.tanh(c)
             np.testing.assert_allclose(out.data[t], h, atol=1e-5)
@@ -97,11 +105,11 @@ class TestLstm:
 
         def f(w):
             tensors = {k: f64(t) for k, t in p.tensors().items()}
-            tensors["w_hg"] = w
+            tensors["wh"] = w
             out = lstm_forward(Tensor(x, dtype=np.float64), LstmParams(**tensors))
             return ag.tsum(ag.mul(out, out))
 
-        assert fd_error(f, p.w_hg) < TOL
+        assert fd_error(f, p.wh) < TOL
 
 
 def ssa_oracle(spikes, params, lif):

@@ -124,7 +124,7 @@ class TestForward:
         names2 = set(ForecastModel(replace(TINY, ablation="W2")).parameters())
         assert not any(n.startswith("lstm/") or n.startswith("gate/") for n in names2)
         names4 = set(ForecastModel(replace(TINY, ablation="W4")).parameters())
-        assert {"gate/w_g", "gate/bias", "ssa/w_q", "lstm/w_xi"} <= names4
+        assert {"gate/w_g", "gate/bias", "ssa/w_q", "lstm/wx"} <= names4
 
 
 def chunked_case(ablation, ts, t_in=23, batch_size=3):

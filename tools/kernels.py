@@ -52,15 +52,11 @@ def kernel_cases(cfg, rng):
     hidden = leaf(rng.uniform(-1.0, 1.0, (b, t, n, cfg.h_dim)))
     spikes = leaf(rng.random((b, t * ts, n, cfg.d2)) < 0.3)
     p = LstmParams.init(cfg.d2, cfg.h_dim, rng)
-    # the fused (i, f, g, o) weights `dsf.lstm_forward` passes to the kernel
-    wx, wh, bias = (leaf(np.concatenate([getattr(p, kind + gate).data for gate in "ifgo"],
-                                        axis=-1))
-                    for kind in ("w_x", "w_h", "b_"))
     return [
         ("lif", potentials.shape, [potentials], lambda: spiking._lif(potentials, lif)),
         (f"lif steps={ts}", hidden.shape, [hidden], lambda: spiking._lif(hidden, lif, ts)),
-        (f"lstm stride={ts}", spikes.shape, [spikes, wx, bias, wh],
-         lambda: dsf._lstm(spikes, wx, bias, wh, ts)),
+        (f"lstm stride={ts}", spikes.shape, [spikes, p.wx, p.b, p.wh],
+         lambda: dsf._lstm(spikes, p.wx, p.b, p.wh, ts)),
     ]
 
 
