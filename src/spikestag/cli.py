@@ -26,10 +26,11 @@ length is in neither the checkpoint nor the config.
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
 corrupt checkpoint, energy coefficients that are not finite and positive, a
-non-positive batch size, a series too short to hold a window of the split a
-command reads, a series whose node count is not the checkpoint's, test
-targets that are constant, on which R2 and RSE are undefined, and a negative
-seed or a learning rate, λ or LIF constant out of range; `ablate` and
+non-positive batch size, a zero sample budget (k1 or k2), a series too
+short to hold a window of the split a command reads (for training, the train
+split), a series whose node count is not the checkpoint's, test targets that
+are constant, on which R2 and RSE are undefined, and a negative seed or a
+learning rate, λ or LIF constant out of range; `ablate` and
 `sweep-ts` check the config of every run before they train the first.
 Training that diverges (a parameter turns non-finite) exits with status 1
 and one `error: ...` line; training runs with numpy's overflow,

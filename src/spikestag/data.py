@@ -72,6 +72,7 @@ class SplitWindows:
     train_starts: list = field(default_factory=list)
     val_starts: list = field(default_factory=list)
     test_starts: list = field(default_factory=list)
+    train_steps: int = 0    # length of the train split's segment of the series
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
 
@@ -162,7 +163,7 @@ def make_windows(
     def starts(lo, hi):
         return [i for i in range(lo, hi - span + 1, stride)] if hi - lo >= span else []
 
-    sw = SplitWindows(ds, t_in, horizon,
+    sw = SplitWindows(ds, t_in, horizon, train_steps=b1,
                       train_starts=starts(0, b1),
                       val_starts=starts(b1, b2),
                       test_starts=starts(b2, n))

@@ -226,8 +226,8 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
     """`ForecastModel.forward` with the fusion tail over all T' frames.
 
     Attention, the attention projection and the gate produce every frame,
-    the head reads the final one.  An unset `model.ssa_scale` is calibrated
-    over all frames of the attention readout.  A `counter` is entered and
+    the head reads the final one; the attention readout is scaled by
+    `model.ssa_gain` at every frame.  A `counter` is entered and
     counts the forward as in `ForecastModel.forward`.
     """
     if counter is not None:
@@ -247,7 +247,7 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
     time_axis = x.data.ndim - 3
     ab = cfg.ablation
     if ab == "W2":
-        ssa_out = model._scaled_ssa(ssa_forward_full(s_mssa, model.ssa_params, lif))
+        ssa_out = ag.mul(ssa_forward_full(s_mssa, model.ssa_params, lif), model.ssa_gain)
         feat_seq = ag.matmul(ssa_out, model.ssa_proj)
     else:
         h_lstm = lstm_forward(s_mssa, model.lstm_params)
@@ -257,7 +257,8 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
             boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
             re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif)
             ag.observe_spikes("dsf.encoder", re_encoded)
-            ssa_out = model._scaled_ssa(ssa_forward_full(re_encoded, model.ssa_params, lif))
+            ssa_out = ag.mul(ssa_forward_full(re_encoded, model.ssa_params, lif),
+                              model.ssa_gain)
             h_ssa = ag.matmul(ssa_out, model.ssa_proj)
             feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)
 

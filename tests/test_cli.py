@@ -209,6 +209,10 @@ BAD_INPUT_CASES = {
                              "seed must be non-negative"),
     "sweep_ts_zero": (["sweep-ts", *TINY_FLAGS, "--ts-values", "2,0", "--out", "{root}/o"],
                       "ts must be positive"),
+    "train_k2_zero": (["train", *TINY_FLAGS, "--k2", "0", "--seed", "2", "--out", "{root}/o"],
+                      "k2 must be positive"),
+    "train_no_train_window": (["train", *TINY_FLAGS, "--synth-steps", "7", "--out", "{root}/o"],
+                              "no training window; the series has 7 steps"),
     "train_stride_zero": (["train", *TINY_FLAGS, "--stride", "0", "--out", "{root}/o"],
                           "stride must be positive"),
     "train_max_batches_negative": (["train", *TINY_FLAGS, "--max-batches", "-1",

@@ -14,7 +14,6 @@ import pytest
 
 import per_step
 from spikestag import autograd as ag
-from spikestag import model as model_module
 from spikestag import spiking
 from spikestag.data import make_windows, synth_generate
 from spikestag.energy import OpCounter
@@ -25,7 +24,6 @@ from spikestag.model import ForecastModel, ModelConfig, mse_loss
 # tests: predictions 3.6e-6, gradients 1.0e-6.
 PRED_TOL = 1e-5
 GRAD_TOL = 1e-5
-SSA_SCALE = 3.0
 FUSED_LIF = spiking._lif
 
 
@@ -39,8 +37,6 @@ def make_model(ablation, ts):
     windows = make_windows(ds, cfg.t_in, cfg.horizon)
     model = ForecastModel(cfg)
     model.set_norm_stats(windows.mean, windows.std)
-    if ablation != "W1":
-        model.ssa_scale = SSA_SCALE
     return model, windows.batch(windows.train_starts[:3])
 
 
@@ -101,24 +97,3 @@ def test_matches_full_sequence_oracle(ablation, ts, monkeypatch):
             np.testing.assert_array_equal(g, g_ref, err_msg=name)
         else:
             assert rel_err(g, g_ref) < GRAD_TOL, name
-
-
-def test_scale_calibrated_on_final_frame_readout(monkeypatch):
-    readouts = []
-    ssa_forward = model_module.ssa_forward
-
-    def captured(*args, **kwargs):
-        out = ssa_forward(*args, **kwargs)
-        if out is not None:     # a chunked forward reads out after its last chunk
-            readouts.append(out.data)
-        return out
-
-    monkeypatch.setattr(model_module, "ssa_forward", captured)
-    model, batch = make_model("W3", 4)
-    model.ssa_scale = None
-    with ag.no_grad():
-        model.forward(batch)
-    (readout,) = readouts
-    cfg = model.config
-    assert readout.shape == (batch.batch_size, 1, cfg.n_nodes, cfg.d_k)
-    assert model.ssa_scale == float(1.0 / (readout.std() + 1e-6))

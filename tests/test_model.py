@@ -10,6 +10,7 @@ import spikestag.graph
 import spikestag.model
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
+from spikestag.checkpoint import load_model, save_model
 from spikestag.data import SeriesDataset, make_windows, synth_generate
 from spikestag.dsf import LSTM_CHUNK
 from spikestag.energy import OpCounter
@@ -45,6 +46,11 @@ class TestConfig:
                     {"u_reset": float("-inf")}):
             with pytest.raises(ContractError):
                 ModelConfig(**bad).validate()
+
+    @pytest.mark.parametrize("name", ["k1", "k2"])
+    def test_rejects_zero_sample_budget(self, name):
+        with pytest.raises(ContractError, match=f"config field {name} must be positive"):
+            ModelConfig(**{name: 0}).validate()
 
     def test_feature_width(self):
         assert ModelConfig(minute_covariate=False).feature_width == 9
@@ -128,15 +134,13 @@ class TestForward:
 
 
 def chunked_case(ablation, ts, t_in=23, batch_size=3):
-    """A default-width model with a fixed attention gain and a batch of
-    `batch_size` train windows; t_in = 23 makes T * ts no multiple of
-    LSTM_CHUNK, so the last chunk of a no-grad forward is a short one."""
+    """A default-width model and a batch of `batch_size` train windows;
+    t_in = 23 makes T * ts no multiple of LSTM_CHUNK, so the last chunk of a
+    no-grad forward is a short one."""
     cfg = ModelConfig(t_in=t_in, ts=ts, ablation=ablation, batch_size=batch_size)
     windows = make_windows(synth_generate(cfg.n_nodes, t_in + 200, cfg.seed), t_in, cfg.horizon)
     model = ForecastModel(cfg)
     model.set_norm_stats(windows.mean, windows.std)
-    if ablation != "W1":
-        model.ssa_scale = 3.0
     return model, windows.batch(windows.train_starts[:batch_size])
 
 
@@ -190,7 +194,57 @@ class TestChunkedForward:
         assert (peaks[1] - peaks[0]) / (frames[1] - frames[0]) < 1.1 * (stores + row + features)
 
 
+def model_state(model) -> tuple:
+    """What a forward could change: the attributes (by identity), and the
+    bytes of every array attribute and of every parameter."""
+    attrs = dict(vars(model))
+    arrays = {k: v.tobytes() for k, v in attrs.items() if isinstance(v, np.ndarray)}
+    params = {k: p.data.tobytes() for k, p in model.parameters().items()}
+    return attrs, arrays, params
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+@pytest.mark.parametrize("ablation", ["W2", "W3", "W4"])
+def test_forward_leaves_the_model_unchanged(ablation, loaded, tmp_path):
+    model, _, windows = prepared(replace(TINY, ablation=ablation))
+    if loaded:
+        save_model(tmp_path / "m.stag", model)
+        model = load_model(tmp_path / "m.stag")
+    batch = windows.batch(windows.train_starts[:2])
+    before = model_state(model)
+    with ag.no_grad():
+        model.forward(batch)
+        model.forward(batch, counter=OpCounter())
+    model.forward(batch)
+    after = model_state(model)
+    assert after[0].keys() == before[0].keys()
+    assert all(after[0][k] is v for k, v in before[0].items())
+    assert after[1:] == before[1:]
+
+
+def test_attention_gain_is_trained():
+    model, _, windows = prepared(replace(TINY, ablation="W3"))
+    assert model.ssa_gain.data.tolist() == [3.0]
+    batch = windows.batch(windows.train_starts[:2])
+    params = model.parameters()
+    model.zero_grad()
+    ag.backward(mse_loss(model.forward(batch), batch.normalized_targets()))
+    assert model.ssa_gain.grad.shape == (1,) and model.ssa_gain.grad[0] != 0
+    Adam(params).step()
+    assert model.ssa_gain.data[0] != 3.0
+
+
 class TestTraining:
+    def test_series_without_train_window_refused_before_any_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("train ran a forward")
+
+        model = ForecastModel(TINY)
+        monkeypatch.setattr(ForecastModel, "forward", no_forward)
+        with pytest.raises(ContractError, match=r"the series has 19 steps, its train split 13, "
+                                                r"fewer than T \+ L = 14"):
+            train(model, tiny_dataset(steps=19))
+
     def test_constant_series_learned(self):
         steps = 200
         times = (np.datetime64("2024-01-01T00:00:00", "s")

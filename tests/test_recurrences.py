@@ -443,7 +443,8 @@ class TestModelStep:
 
     def test_default_step_tape_size(self):
         # each spike encoder is one node on its input, and the LSTM one node
-        # on its spikes and fused weights that returns the frames read
+        # on its spikes and fused weights that returns the frames read; the
+        # attention gain is one parameter leaf
         model, batch = small_batch(ModelConfig())
         _, loss = train_step(model, batch)
-        assert len(ag._topo_order(loss)) == 86
+        assert len(ag._topo_order(loss)) == 87

@@ -3,7 +3,7 @@
 For each of the train-n8, infer-ts8 and train-n32 configs, ablations W1-W4
 and seeds 1-2 (24 cases), one batch of the synthetic series goes through:
 
-  1. a counted no-grad forward (this also calibrates `ssa_scale`);
+  1. a counted no-grad forward;
   2. a taped forward, the MSE loss and its backward;
   3. gradient clipping at 1.0 and one Adam step, then a no-grad forward;
   4. a checkpoint save, a load, and a no-grad forward of the loaded model.

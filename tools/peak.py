@@ -3,7 +3,7 @@
 Builds the default W4 model for `--nodes` nodes on the synthetic series, with
 the window length `--input-len` and `--ts` sub-steps per step (config
 defaults when not given), and runs one no-grad forward on a batch of
-`--batch` train windows (this calibrates `ssa_scale` and leaves no tape).
+`--batch` train windows as a warm-up (it leaves no tape).
 It then traces, with tracemalloc, a second no-grad forward (the inference
 forward, which runs its frames in chunks), the same forward counted by an
 `energy.OpCounter`, and one taped step: forward, `mse_loss` and backward.
