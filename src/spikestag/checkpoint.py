@@ -15,7 +15,8 @@ The tensors are the node embeddings `emb/e`, then the model parameters, then
 The header is `dataclasses.asdict(config)`, so config ints and floats
 round-trip exactly.  A load reads every record or refuses the file: a record
 the config does not name, a missing or misshaped one, or a non-finite value
-is a `CheckpointFormatError`.
+is a `CheckpointFormatError`.  A save refuses what the load would: a tensor
+holding a non-finite value is a `ContractError`, and no file is written.
 
 The LSTM weights are `lstm/wx`, `lstm/wh` and `lstm/b`, fused in gate order
 (i, f, g, o).  Older files, v1 and v2 alike, store them per gate, as
@@ -44,7 +45,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, ContractError
 from .model import ABLATIONS, SSA_GAIN_INIT, ForecastModel, ModelConfig
 
 MAGIC = b"STAG"
@@ -85,13 +86,17 @@ def _read_records(blob: bytes, off: int) -> dict:
 
 
 def save_model(path, model: ForecastModel) -> None:
-    """Write `model` in format v2."""
+    """Write `model` in format v2; ContractError, naming the tensor, if one
+    holds a non-finite value (nothing is written then)."""
     header = json.dumps({"config": asdict(model.config)}, allow_nan=False)
     tensors = {"emb/e": model.embeddings}
     tensors.update((name, p.data) for name, p in model.parameters().items())
     if model.norm_mean is not None:
         tensors["norm/mean"] = model.norm_mean
         tensors["norm/std"] = model.norm_std
+    for name, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise ContractError(f"save_model: tensor '{name}' holds a non-finite value")
     encoded = header.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<II", VERSION, len(encoded)) + encoded)

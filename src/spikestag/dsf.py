@@ -8,12 +8,12 @@ order is fixed).  It forms the input-side gate pre-activations `LSTM_CHUNK`
 frames at a time and returns only the frames its caller reads, every
 `stride`-th: every ts-th frame for the re-encoder (W3/W4), the last alone
 for W1.  So without a tape it never holds a (..., T', N, 4h) array; with
-one it keeps the gate activations, cells and hidden states of every frame
-for the backward.  Its forward is gate-major
-(states and gates hold one row per gate unit and one column per node and
-batch entry, so each gate block is contiguous) and folds the inner 1/2 of
-each sigmoid into copies of the i, f and o weights, so one tanh covers all
-four gates.  It saves for the backward in the row layout (..., N, 4h),
+one it keeps the gate activations and cells of every frame for the
+backward, which rebuilds the hidden states from them.  Its forward is
+gate-major (states and gates hold one row per gate unit and one column per
+node and batch entry, so each gate block is contiguous) and folds the
+inner 1/2 of each sigmoid into copies of the i, f and o weights, so one
+tanh covers all four gates.  It saves for the backward in the row layout (..., N, 4h),
 which fixes the gradient bits (see `_lstm`).
 
 The self-attention branch projects binary frames through LIF neurons to get
@@ -45,7 +45,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import ContractError, ShapeError
-from .spiking import Carry, LifParams, lif_over_frames
+from .spiking import Carry, LifParams, lif_linear
 
 
 @dataclass
@@ -159,15 +159,18 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     per-frame row-major cell; that rests on the BLAS (numpy 2.4's bundled
     OpenBLAS gives it; `tools/fingerprint.py` records which BLAS ran).
 
-    The recorded node keeps the gate activations, the cell states and the
-    hidden states of every frame, written back transposed into (..., T', N,
-    ·) buffers: the backward's bulk dW_h, dW_x and dx products reduce over
-    all rows of all frames, so their row order fixes the gradient bits.
-    With no tape the node keeps only the returned frames.  The backward runs
-    one dG W_h^T product per frame, writing each frame's dG over its gate
-    activations, then forms dW_h, dW_x and dx as single products over all
-    frames and db as one sum.  Reusing that buffer means the backward can
-    run only once (see `autograd.backward`).
+    The recorded node keeps the gate activations and the cell states of
+    every frame, written back transposed into (..., T', N, ·) buffers: the
+    backward's bulk dW_h, dW_x and dx products reduce over all rows of all
+    frames, so their row order fixes the gradient bits.  It keeps no hidden
+    states: the backward rebuilds h_t = o_t tanh(c_t), with the float
+    operations of the forward, from values it reads anyway.  With no tape
+    the node keeps only the returned frames.  The backward runs one dG W_h^T
+    product per frame, writing each frame's dG over its gate activations
+    and h_t over the spent c_{t+1}, then forms dW_h (from those h_{t-1}),
+    dW_x and dx as single products over all frames and db as one sum.
+    Reusing those buffers means the backward can run only once (see
+    `autograd.backward`).
     """
     xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
     axis = xd.ndim - 3
@@ -185,10 +188,9 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     out = np.empty(xd.shape[:axis] + (t_frames // stride,) + state_shape[-2:], dtype=dtype)
     out_f = frames(out)
     if record:
-        hidden = np.empty(xd.shape[:-1] + (h_dim,), dtype=dtype)
         acts = np.empty(xd.shape[:-1] + (4 * h_dim,), dtype=dtype)
-        cells = np.empty_like(hidden)
-        h_f, acts_f, cells_f = frames(hidden), frames(acts), frames(cells)
+        cells = np.empty(xd.shape[:-1] + (h_dim,), dtype=dtype)
+        acts_f, cells_f = frames(acts), frames(cells)
     # halve the i, f and o columns: the inner 1/2 of each sigmoid
     fold = np.full(4 * h_dim, 0.5, dtype=dtype)
     fold[2 * h_dim:3 * h_dim] = 1.0
@@ -227,7 +229,6 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
             if record:
                 acts_f[t] = row_major(gates)
                 cells_f[t] = row_major(c)
-                h_f[t] = row_major(h)
             if (t + 1) % stride == 0:
                 out_f[t // stride] = row_major(h)
 
@@ -235,7 +236,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
         # per frame, so each frame's gates stay in cache while all of their
         # factors are formed (full-array passes were slower, being bound by
         # memory bandwidth); the tape is single-use, so each frame's dG
-        # overwrites its gate activations once they are read
+        # overwrites its gate activations once they are read, and h_t =
+        # o_t tanh(c_t) overwrites c_{t+1}, spent once frame t+1 is done
         dg = np.empty(gate_shape, dtype=dtype)
         dg_flat = dg.reshape(-1, 4 * h_dim)
         dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
@@ -251,6 +253,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
             act = acts_f[t]
             i_a, f_a, g_a, o_a = _gate_blocks(act, h_dim)
             np.tanh(cells_f[t], out=tanh_c)
+            if t + 1 < t_frames:
+                np.multiply(o_a, tanh_c, out=cells_f[t + 1])
             if (t + 1) % stride == 0:
                 dh += g_out_f[t // stride]
             np.multiply(tanh_c, tanh_c, out=tmp)
@@ -278,9 +282,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
         d_gates = acts                  # now dG of every frame
         d_flat = d_gates.reshape(-1, 4 * h_dim)
         if wh.requires_grad:
-            h_prev = cells              # the cells are spent: reuse them for h_{t-1}
-            frames(h_prev)[0] = 0.0
-            frames(h_prev)[1:] = h_f[:-1]
+            h_prev = cells              # now h_{t-1} of every frame t
+            cells_f[0] = 0.0
             wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_flat)
         if x.requires_grad:
             x._accum_own((d_flat @ wxd.T).reshape(xd.shape))
@@ -336,7 +339,7 @@ def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams, carry: Carry | None
     carried under those names, given `carry`)."""
     out = []
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        spikes = lif_over_frames(ag.matmul(s, w), lif, carry, f"ssa.{name}")
+        spikes = lif_linear(s, w, lif, carry, f"ssa.{name}")
         ag.observe_spikes(f"ssa.{name}", spikes)
         out.append(spikes)
     return tuple(out)

@@ -7,9 +7,9 @@ the hop projection:
     m_i = (sum_{j in S_i} x_j) W
 
 No dense N-by-N product is formed on this path (the test suite asserts that
-from the operand shapes of every matmul).  Each hop's pre-synaptic
-potentials drive an LIF layer whose state evolves across the whole frame
-sequence, and hop 2 repeats the routine on hop-1 spikes over the
+from the operand shapes of every product).  Each hop's projection and its
+LIF layer are one `spiking.lif_linear` node, whose state evolves across the
+whole frame sequence, and hop 2 repeats the routine on hop-1 spikes over the
 semi-global sample sets.  The encoder and both hops report their spikes
 (`autograd.observe_spikes`); the energy module derives their op counts from
 those.
@@ -25,7 +25,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .graph import AdaptiveGraph, padded_index_mask
-from .spiking import Carry, LifParams, encode_sequence, lif_over_frames
+from .spiking import Carry, LifParams, encode_sequence, lif_linear
 
 
 @dataclass
@@ -53,7 +53,7 @@ def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str,
     spikes are reported, and its LIF state carried, under `layer`."""
     idx, valid = padded_index_mask(sets, spikes.shape[-2])
     summed = ag.gather_sum(spikes, idx, valid, axis=spikes.data.ndim - 2)
-    out = lif_over_frames(ag.matmul(summed, w), lif, carry, layer)
+    out = lif_linear(summed, w, lif, carry, layer)
     ag.observe_spikes(layer, out)
     return out
 

@@ -16,10 +16,13 @@ derivative of a sigmoid-shaped function.  The reset path keeps its (1 - S)
 factor inside the graph, so gradients flow through the surrogate there too.
 
 Every LIF layer runs multi-step: one call loops over all frames in numpy and
-records a single "lif" tape node, whose backward uses the surrogate.  The
-node keeps the membrane potentials U and the spikes S; with no tape it keeps
-nothing.  The loop allocates its state buffers once per call, and each frame
-writes into them in place:
+records a single "lif" tape node, whose backward uses the surrogate.  A
+layer driven by a spike projection, `lif_linear(s, W)`, is one node on s and
+W: it forms the input current I = s W in a buffer of its own and writes each
+frame's U over that frame's spent I.  The node keeps the membrane
+potentials U and the spikes S, never I; with no tape it keeps nothing.  The
+loop allocates its state buffers once per call, and each frame writes into
+them in place:
 
     U = I[t] + H;  fired = U >= u_th;  S[t] = fired;  keep = not fired
     H = beta * U;  H *= keep;  H += u_reset * S   (only if u_reset != 0)
@@ -41,8 +44,8 @@ gh[t] = dL/dH[t] (gh[T-1] = 0) and g_t = g(U[t] - u_th),
 
 where a_t and b_t are computed for all frames before the backward loop.
 
-A no-grad forward may feed a layer its frames in chunks: given a carried H
-(`_lif`'s `carry`, or a `Carry` keyed by layer), each call starts from the
+A no-grad forward may feed a `lif_linear` layer its frames in chunks: given
+a `Carry`, which keeps H under the layer's name, each call starts from the
 state the previous chunk left, so the chunks' spikes are those of one call
 over the whole sequence, bit for bit.
 
@@ -62,7 +65,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -100,21 +103,90 @@ def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
     return np.divide(alpha / 2.0, y, out=y)
 
 
-def _lif(x: Tensor, lif: LifParams, steps: int | None = None,
-         carry: np.ndarray | None = None) -> Tensor:
+def _fire(inputs, shape: tuple, dtype, lif: LifParams, carry: np.ndarray | None,
+          u_all: np.ndarray | None) -> np.ndarray:
+    """The LIF frame loop: spikes of shape `shape` (frames along axis -3) for
+    the frames (or sub-steps) `inputs` yields, in order.
+
+    H starts at zero, or at `carry`, which the call leaves holding the final
+    H.  Given `u_all` (of `shape`), each frame's U is written into it; it may
+    be the buffer `inputs` views, as each frame's input is read before its U
+    is written.
+    """
+    axis = len(shape) - 3
+    spikes = np.empty(shape, dtype=dtype)
+    s_frames = np.moveaxis(spikes, axis, 0)
+    u_frames = None if u_all is None else np.moveaxis(u_all, axis, 0)
+    state = s_frames.shape[1:]
+    if carry is not None and (carry.shape, carry.dtype) != (state, dtype):
+        raise ContractError(f"LIF: carried state is {carry.dtype}{carry.shape}, "
+                            f"expected {dtype}{state}")
+    u = np.empty(state, dtype=dtype)
+    h = np.zeros(state, dtype=dtype) if carry is None else carry
+    keep = np.empty(state, dtype=dtype)
+    fired = np.empty(state, dtype=bool)
+    for t, i_t in enumerate(inputs):
+        np.add(i_t, h, out=u)
+        np.greater_equal(u, lif.u_th, out=fired)
+        s_frames[t] = fired
+        if u_frames is not None:
+            u_frames[t] = u
+        np.logical_not(fired, out=keep)
+        np.multiply(u, lif.beta, out=h)
+        h *= keep
+        if lif.u_reset != 0.0:
+            # u_reset * S, formed in U's buffer: U is spent for this frame
+            np.multiply(s_frames[t], lif.u_reset, out=u)
+            h += u
+    return spikes
+
+
+def _input_grad(g_s: np.ndarray, u_all: np.ndarray, spikes: np.ndarray, lif: LifParams,
+                steps: int | None = None) -> np.ndarray:
+    """dL/dI of the LIF frames from dL/dS, U and S, all of `spikes`' shape
+    (frames along axis -3).  With `steps`, those frames are the sub-steps of
+    each step's fresh neuron, and dL/dI sums over them.
+
+    dU_t = a_t * dU_{t+1} + b_t, every factor computed before the loop.  The
+    tape is single-use, so a = (u_reset - beta U) g + beta (1 - S) is built
+    in U's buffer and dU in the surrogate's.
+    """
+    axis = spikes.ndim - 3
+    sg = surrogate_grad(u_all - lif.u_th, lif.alpha)
+    a = u_all
+    a *= -lif.beta
+    a += lif.u_reset
+    a *= sg
+    keep = 1.0 - spikes
+    keep *= lif.beta
+    a += keep
+    del keep
+    du = sg
+    du *= g_s
+    del sg
+    a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
+    for t in range(len(du_frames) - 2, -1, -1):
+        np.multiply(a_frames[t], du_frames[t + 1], out=a_frames[t])
+        du_frames[t] += a_frames[t]
+    du_x = du if steps is None else du.sum(axis=axis)
+    # where the incoming gradient is zero for many frames, dU decays
+    # through the subnormal range; flushing it to zero changes nothing
+    # representable at normal precision but keeps the BLAS kernels that
+    # consume it at full speed (subnormal operands are very slow)
+    du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
+    return du_x
+
+
+def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     """Multi-step LIF, recorded as one "lif" tape node.
 
     With `steps` None, `x` is (..., T, N, d) per-frame input and the output has
     the same shape.  Otherwise each of the T frames of `x` is a constant input
     driving a fresh neuron for `steps` sub-steps, and the output is (...,
     T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
-    The state H starts at zero, or, in frame mode, at `carry`, an (..., N, d)
-    array that the call leaves holding the final H: so a sequence run in
-    pieces with one carry gives the spikes of one call over all of it.  A
-    carry needs a call that records no tape (the backward has no state
-    gradient); otherwise it raises ContractError.
-    The forward writes each frame (or sub-step) into U, H, keep and fired
-    buffers allocated once per call, with the float32 operations of the
+    The state H starts at zero.
+    The forward (`_fire`) writes each frame (or sub-step) into U, H, keep and
+    fired buffers allocated once per call, with the float32 operations of the
     per-step update, so spikes are bit-identical to it; only the sign of a
     zero in H may differ at u_reset == 0, which nothing downstream reads
     (see the module docstring).  The recorded node keeps U (and the spike
@@ -132,63 +204,11 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None,
         shape = xd.shape[:-2] + (steps,) + xd.shape[-2:]
         out_shape = xd.shape[:-3] + (xd.shape[-3] * steps,) + xd.shape[-2:]
         inputs = (xd,) * steps
-    axis = len(shape) - 3
-    record = ag.is_recording(x)
-    if carry is not None and (record or steps is not None):
-        raise ContractError("_lif: a carried state needs frame mode and no tape")
-    spikes = np.empty(shape, dtype=xd.dtype)
-    u_all = np.empty(shape, dtype=xd.dtype) if record else None
-    s_frames = np.moveaxis(spikes, axis, 0)
-    u_frames = np.moveaxis(u_all, axis, 0) if record else None
-    state = s_frames.shape[1:]
-    if carry is not None and (carry.shape, carry.dtype) != (state, xd.dtype):
-        raise ContractError(f"_lif: carried state is {carry.dtype}{carry.shape}, "
-                            f"expected {xd.dtype}{state}")
-    u = np.empty(state, dtype=xd.dtype)
-    h = np.zeros(state, dtype=xd.dtype) if carry is None else carry
-    keep = np.empty(state, dtype=xd.dtype)
-    fired = np.empty(state, dtype=bool)
-    for t, i_t in enumerate(inputs):
-        np.add(i_t, h, out=u)
-        np.greater_equal(u, lif.u_th, out=fired)
-        s_frames[t] = fired
-        if record:
-            u_frames[t] = u
-        np.logical_not(fired, out=keep)
-        np.multiply(u, lif.beta, out=h)
-        h *= keep
-        if lif.u_reset != 0.0:
-            # u_reset * S, formed in U's buffer: U is spent for this frame
-            np.multiply(s_frames[t], lif.u_reset, out=u)
-            h += u
+    u_all = np.empty(shape, dtype=xd.dtype) if ag.is_recording(x) else None
+    spikes = _fire(inputs, shape, xd.dtype, lif, None, u_all)
 
     def bw(g_s):
-        # dU_t = a_t * dU_{t+1} + b_t, every factor computed before the loop;
-        # the tape is single-use, so a = (u_reset - beta U) g + beta (1 - S)
-        # is built in U's buffer and dU in the surrogate's
-        sg = surrogate_grad(u_all - lif.u_th, lif.alpha)
-        a = u_all
-        a *= -lif.beta
-        a += lif.u_reset
-        a *= sg
-        keep = 1.0 - spikes
-        keep *= lif.beta
-        a += keep
-        del keep
-        du = sg
-        du *= g_s.reshape(shape)
-        del sg
-        a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
-        for t in range(len(du_frames) - 2, -1, -1):
-            np.multiply(a_frames[t], du_frames[t + 1], out=a_frames[t])
-            du_frames[t] += a_frames[t]
-        du_x = du if steps is None else du.sum(axis=axis)
-        # where the incoming gradient is zero for many frames, dU decays
-        # through the subnormal range; flushing it to zero changes nothing
-        # representable at normal precision but keeps the BLAS kernels that
-        # consume it at full speed (subnormal operands are very slow)
-        du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
-        x._accum_own(du_x)
+        x._accum_own(_input_grad(g_s.reshape(shape), u_all, spikes, lif, steps))
 
     return ag._result(spikes.reshape(out_shape), (x,), bw, "lif")
 
@@ -208,19 +228,50 @@ class Carry:
         return self.states[layer]
 
 
-def lif_over_frames(potentials: Tensor, lif: LifParams, carry: Carry | None = None,
-                    layer: str = "") -> Tensor:
-    """Run an LIF layer across the frame axis (axis -3 is time here).
+def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
+               layer: str = "") -> Tensor:
+    """LIF spikes of the projection s @ w across the frame axis (-3), as one
+    "lif" tape node on (s, w).
 
-    `potentials` is (..., T_frames, N, d); the neuron state is (..., N, d) and
-    carries across the whole sequence starting from zero.  Given `carry`, the
-    state starts from and is left in its `layer` entry, so the frames may come
-    in chunks (no tape; see `_lif`).
+    `s` is (..., T, N, k) and `w` a (k, d) weight; the output is (..., T, N,
+    d), the neuron state (..., N, d) starting from zero.  Given `carry`, the
+    state starts from and is left in its `layer` entry, so the frames may
+    come in chunks (no tape; ContractError otherwise).
+
+    The potentials s @ w are one GEMM over the flattened leading axes, as
+    `autograd.affine` forms them, into a buffer the op owns; the frame loop
+    of `_lif` runs on it and, with a tape, writes each frame's U over that
+    frame's spent potentials.  So the node keeps U and the spikes, and the
+    potentials are never a Tensor.  The backward forms dU as `_lif`'s does,
+    then ds = dU w^T and dw = s^T dU as `affine`'s does, so spikes and
+    gradients are bit-identical to `_lif(matmul(s, w))`.
     """
+    sd, wd = s.data, w.data
+    if sd.ndim < 3 or wd.ndim != 2 or sd.shape[-1] != wd.shape[0]:
+        raise ShapeError("lif_linear", s.shape, w.shape)
+    k, d = wd.shape
+    shape = sd.shape[:-1] + (d,)
+    potentials = (sd.reshape(-1, k) @ wd).reshape(shape)
+    record = ag.is_recording(s, w)
     h = None
     if carry is not None:
-        h = carry.get(layer, potentials.shape[:-3] + potentials.shape[-2:], potentials.dtype)
-    return _lif(potentials, lif, carry=h)
+        if record:
+            raise ContractError("lif_linear: a carried state needs a call that records no tape")
+        h = carry.get(layer, shape[:-3] + shape[-2:], potentials.dtype)
+    u_all = potentials if record else None
+    spikes = _fire(np.moveaxis(potentials, len(shape) - 3, 0), shape, potentials.dtype, lif,
+                   h, u_all)
+
+    def bw(g_s):
+        nonlocal u_all
+        du = _input_grad(g_s, u_all, spikes, lif).reshape(-1, d)
+        u_all = None        # spent: free it before the products
+        if s.requires_grad:
+            s._accum_own((du @ wd.T).reshape(sd.shape))
+        if w.requires_grad:
+            w._accum_own(sd.reshape(-1, k).T @ du)
+
+    return ag._result(spikes, (s, w), bw, "lif")
 
 
 def encode_sequence(x: Tensor, ts: int, params: LifParams) -> Tensor:

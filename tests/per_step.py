@@ -6,8 +6,9 @@ replaced: every frame records its own tape nodes (take, add, Heaviside,
 reset blend, stack; gate slices, sigmoids and products for the LSTM).  Tests
 use them as oracles: the fused kernels must reproduce their spikes and hidden
 states bit for bit and their gradients within float32 tolerance.
-`lif_kernel` and `lstm_recurrence` take the arguments of `spiking._lif` and
-`dsf._lstm`, so a test can patch them in for the fused kernels.
+`lif_kernel`, `lif_linear` and `lstm_recurrence` take the arguments of
+`spiking._lif`, `spiking.lif_linear` and `dsf._lstm`, so a test can patch
+them in for the fused kernels.
 
 `full_sequence_forward` is the model forward that runs spiking attention,
 the gate and the attention projection over every frame and then selects the
@@ -176,6 +177,13 @@ def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None, carry=None) 
     if steps is None:
         return lif_over_frames(x, lif)
     return encode_steps(x, steps, lif)
+
+
+def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry=None, layer: str = "") -> Tensor:
+    """Per-step stand-in for `spiking.lif_linear` (no carried state): the
+    projection as its own `matmul` node, then one `lif_step` per frame."""
+    _no_carry(carry)
+    return lif_over_frames(ag.matmul(s, w), lif)
 
 
 def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,

@@ -10,7 +10,7 @@ import spikestag.graph
 import spikestag.model
 from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_model, save_model
 from spikestag.data import make_windows, synth_generate
-from spikestag.errors import CheckpointFormatError
+from spikestag.errors import CheckpointFormatError, ContractError
 from spikestag.model import SSA_GAIN_INIT, ForecastModel, ModelConfig
 
 TINY = ModelConfig(n_nodes=4, t_in=6, horizon=2, emb_dim=4, d1=4, d2=4, h_dim=6, d_k=4,
@@ -336,7 +336,24 @@ class TestEveryRecordRead:
 
 @pytest.mark.parametrize("name", ["head/w", "ssa/gain"])
 def test_non_finite_tensor_refused(tmp_path, name):
-    model = ForecastModel(TINY)
-    model.parameters()[name].data.flat[0] = np.nan
+    # written record by record: `save_model` refuses such a model
+    blob = saved_blob(tmp_path, ForecastModel(TINY))
+    header, tensors = v2_parts(blob)
+    tensors[name] = tensors[name].copy()
+    tensors[name].flat[0] = np.nan
     with pytest.raises(CheckpointFormatError, match=f"'{name}' holds a non-finite value"):
-        load_blob(tmp_path, saved_blob(tmp_path, model))
+        load_model(write_v2(tmp_path / "nan.stag", header, tensors))
+
+
+@pytest.mark.parametrize("name", ["head/w", "ssa/gain", "norm/std"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_save_refuses_non_finite_tensor(tmp_path, name, value):
+    model, _ = with_norm_stats()
+    if name == "norm/std":
+        model.norm_std[0] = value
+    else:
+        model.parameters()[name].data.flat[0] = value
+    path = tmp_path / "m.stag"
+    with pytest.raises(ContractError, match=f"'{name}' holds a non-finite value"):
+        save_model(path, model)
+    assert not path.exists()

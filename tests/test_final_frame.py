@@ -14,7 +14,7 @@ import pytest
 
 import per_step
 from spikestag import autograd as ag
-from spikestag import spiking
+from spikestag import dsf, mssa, spiking
 from spikestag.data import make_windows, synth_generate
 from spikestag.energy import OpCounter
 from spikestag.model import ForecastModel, ModelConfig, mse_loss
@@ -25,6 +25,7 @@ from spikestag.model import ForecastModel, ModelConfig, mse_loss
 PRED_TOL = 1e-5
 GRAD_TOL = 1e-5
 FUSED_LIF = spiking._lif
+FUSED_LINEAR = spiking.lif_linear
 
 
 def rel_err(got, want):
@@ -51,12 +52,17 @@ def run(forward, ablation, ts, monkeypatch):
     """
     spikes = []
 
-    def recorded(*args, **kwargs):
-        out = FUSED_LIF(*args, **kwargs)
-        spikes.append(out.data.copy())
-        return out
+    def recorded(kernel):
+        def call(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            spikes.append(out.data.copy())
+            return out
+        return call
 
-    monkeypatch.setattr(spiking, "_lif", recorded)
+    monkeypatch.setattr(spiking, "_lif", recorded(FUSED_LIF))
+    # the hops and Q/K/V call the fused projection + LIF by these names
+    monkeypatch.setattr(mssa, "lif_linear", recorded(FUSED_LINEAR))
+    monkeypatch.setattr(dsf, "lif_linear", recorded(FUSED_LINEAR))
     model, batch = make_model(ablation, ts)
     pred = forward(model, batch)
     model.zero_grad()

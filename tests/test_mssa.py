@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spikestag import autograd as ag
+from spikestag import mssa
 from spikestag.autograd import Tensor
 from spikestag.energy import OpCounter
 from spikestag.errors import ContractError
@@ -174,13 +175,15 @@ class TestMssaForward:
         w = HopWeights.init(5, 7, 3, rng)
         x = Tensor(rng.standard_normal((2, n, 5)).astype(np.float32))
         shapes = []
-        for name in ("matmul", "affine"):
-            def recorded(*operands, _op=getattr(ag, name)):
+        # every product the hops form: the tape's own, and each hop
+        # projection fused with its LIF
+        for owner, name in ((ag, "matmul"), (ag, "affine"), (mssa, "lif_linear")):
+            def recorded(*operands, _op=getattr(owner, name), **kwargs):
                 shapes.extend(np.shape(getattr(t, "data", t)) for t in operands[:2])
-                return _op(*operands)
-            monkeypatch.setattr(ag, name, recorded)
+                return _op(*operands, **kwargs)
+            monkeypatch.setattr(owner, name, recorded)
         mssa_forward(x, g, w, LifParams(), ts=2)
-        assert shapes
+        assert {(4, n, 5), (5, 7), (4, n, 7), (7, 3)} <= set(shapes)   # both hop projections
         for shape in shapes:
             assert tuple(shape[-2:]) != (n, n), shape
 

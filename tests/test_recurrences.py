@@ -17,13 +17,13 @@ from hypothesis.extra import numpy as hnp
 import per_step
 from gradcheck import fd_error
 from spikestag import autograd as ag
-from spikestag import dsf, spiking
+from spikestag import dsf, mssa, spiking
 from spikestag.autograd import Tensor
 from spikestag.data import make_windows, synth_generate
 from spikestag.dsf import LstmParams, lstm_forward
-from spikestag.errors import ContractError
+from spikestag.errors import ContractError, ShapeError
 from spikestag.model import ForecastModel, ModelConfig, mse_loss
-from spikestag.spiking import LifParams, encode_sequence, lif_over_frames
+from spikestag.spiking import Carry, LifParams, encode_sequence, lif_linear
 
 # float32 gradient agreement, |fused - oracle| / max|oracle|.  Observed maxima
 # over these tests: LIF 2.8e-7, LSTM 3.5e-7, a whole default-config model step
@@ -129,7 +129,7 @@ class TestFusedLif:
             lif = random_lif(rng, **overrides)
             x = rng.uniform(-1.0, 2.0, size=shape).astype(np.float32)
             weight = rng.standard_normal(shape).astype(np.float32)
-            s, gx = forward_backward(lambda t: lif_over_frames(t, lif), x, weight)
+            s, gx = forward_backward(lambda t: spiking._lif(t, lif), x, weight)
             s_ref, gx_ref = forward_backward(lambda t: per_step.lif_over_frames(t, lif), x, weight)
             np.testing.assert_array_equal(s, s_ref)
             assert rel_err(gx, gx_ref) < LIF_GRAD_TOL
@@ -151,36 +151,39 @@ class TestFusedLif:
     @pytest.mark.parametrize("shape", LIF_SHAPES)
     @pytest.mark.parametrize("overrides", LIF_PARAMS)
     def test_carry_splits_the_sequence_bit_for_bit(self, shape, overrides):
-        """Two calls with one carried H give the spikes and the final H of
-        one call over the whole sequence, wherever the cut falls."""
+        """Two `lif_linear` calls with one carried H give the spikes and the
+        final H of one call over the whole sequence, wherever the cut falls."""
         rng = np.random.default_rng(70 + len(shape) * 10 + len(overrides))
         lif = random_lif(rng, **overrides)
         x = rng.uniform(-1.0, 2.0, size=shape).astype(np.float32)
+        w = Tensor((rng.standard_normal((shape[-1], 4)) * 0.8).astype(np.float32))
         t_axis = len(shape) - 3
-        state = shape[:t_axis] + shape[t_axis + 1:]
-        h_whole = np.zeros(state, dtype=np.float32)
         with ag.no_grad():
-            s_whole = spiking._lif(Tensor(x), lif, carry=h_whole).data
-            np.testing.assert_array_equal(spiking._lif(Tensor(x), lif).data, s_whole)
+            whole = Carry(shape[t_axis])
+            s_whole = lif_linear(Tensor(x), w, lif, whole, "layer").data
+            np.testing.assert_array_equal(lif_linear(Tensor(x), w, lif).data, s_whole)
             for cut in range(1, shape[t_axis]):
-                h = np.zeros(state, dtype=np.float32)
-                parts = [spiking._lif(Tensor(part), lif, carry=h).data
+                carry = Carry(shape[t_axis])
+                parts = [lif_linear(Tensor(part), w, lif, carry, "layer").data
                          for part in np.split(x, [cut], axis=t_axis)]
                 assert np.concatenate(parts, axis=t_axis).tobytes() == s_whole.tobytes()
-                assert h.tobytes() == h_whole.tobytes()
+                assert carry.states["layer"].tobytes() == whole.states["layer"].tobytes()
 
-    def test_carry_refused_on_taped_or_sub_step_call(self):
-        x = Tensor(np.full((3, 2, 4), 0.6, dtype=np.float32), requires_grad=True)
+    def test_carry_refused_on_taped_call(self):
+        s = Tensor(np.full((3, 2, 4), 0.6, dtype=np.float32), requires_grad=True)
+        w = Tensor(np.ones((4, 4), dtype=np.float32))
         with pytest.raises(ContractError, match="carried state"):
-            spiking._lif(x, LifParams(), carry=np.zeros((2, 4), dtype=np.float32))
+            lif_linear(s, w, LifParams(), Carry(3), "layer")
+        carry = Carry(3)
+        carry.states["layer"] = np.zeros((4, 2), dtype=np.float32)   # (d, N), not (N, d)
         with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
-            spiking._lif(x, LifParams(), steps=2, carry=np.zeros((2, 4), dtype=np.float32))
-        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
-            spiking._lif(x, LifParams(), carry=np.zeros((4, 2), dtype=np.float32))
+            lif_linear(s, w, LifParams(), carry, "layer")
 
     def test_grad_check_refuses_fused_node(self):
         x = Tensor(np.array([[[0.3, -0.2]], [[0.9, 0.1]]], dtype=np.float32), requires_grad=True)
-        for fn in (lambda t: lif_over_frames(t, LifParams()),
+        w = Tensor(np.array([[0.5, 1.5, -0.5], [2.0, 0.25, 1.0]], dtype=np.float32))
+        for fn in (lambda t: spiking._lif(t, LifParams()),
+                   lambda t: lif_linear(t, w, LifParams()),
                    lambda t: encode_sequence(t, 3, LifParams())):
             assert fn(x)._op == "lif"
             with pytest.raises(ContractError, match="lif"):
@@ -192,7 +195,7 @@ class TestFusedLif:
         x = Tensor(np.full((400, 2, 3), 0.1, dtype=np.float32), requires_grad=True)
         weight = np.zeros((400, 2, 3), dtype=np.float32)
         weight[-1] = 1.0
-        ag.backward(ag.tsum(ag.mul(lif_over_frames(x, LifParams(u_th=1.0)), Tensor(weight))))
+        ag.backward(ag.tsum(ag.mul(spiking._lif(x, LifParams(u_th=1.0)), Tensor(weight))))
         tiny = np.finfo(np.float32).tiny
         assert np.abs(x.grad[-1]).min() > tiny
         assert np.all((x.grad == 0.0) | (np.abs(x.grad) >= tiny))
@@ -202,9 +205,9 @@ class TestFusedLif:
         x = Tensor(rng.uniform(-1, 2, size=(4, 64, 8, 16)).astype(np.float32), requires_grad=True)
         out_bytes = x.data.nbytes
         with ag.no_grad():
-            peak_off, out = traced_peak(lambda: lif_over_frames(x, LifParams()))
+            peak_off, out = traced_peak(lambda: spiking._lif(x, LifParams()))
         assert out._backward is None
-        peak_on, _ = traced_peak(lambda: lif_over_frames(x, LifParams()))
+        peak_on, _ = traced_peak(lambda: spiking._lif(x, LifParams()))
         assert peak_off < 1.25 * out_bytes      # the spikes plus per-frame temporaries
         assert peak_on >= 2 * out_bytes         # the spikes plus U for the backward
 
@@ -219,7 +222,7 @@ class TestFusedLif:
         def chain():
             s = x
             for _ in range(4):
-                s = lif_over_frames(s, LifParams())
+                s = spiking._lif(s, LifParams())
             assert 0.0 < s.data.mean() < 1.0
             return ag.tsum(s)
 
@@ -237,6 +240,74 @@ class TestFusedLif:
             tracemalloc.stop()
         assert out._backward is not None
         assert held < 2.5 * out.data.nbytes
+
+
+class TestLifLinear:
+    """The fused spike projection + LIF node against the two nodes it
+    replaces, `_lif(matmul(s, w))`, and against the per-step oracle."""
+
+    @pytest.mark.parametrize("shape", LIF_SHAPES)
+    @pytest.mark.parametrize("overrides", LIF_PARAMS)
+    def test_bit_identical_to_lif_of_matmul(self, shape, overrides):
+        rng = np.random.default_rng(80 + len(shape) * 10 + len(overrides))
+        lif = random_lif(rng, **overrides)
+        # gather sums of spikes: small whole numbers, as the hops see them
+        s = rng.integers(0, 3, size=shape).astype(np.float32)
+        w = (rng.standard_normal((shape[-1], 5)) * 0.8).astype(np.float32)
+        weight = rng.standard_normal(shape[:-1] + (5,)).astype(np.float32)
+        results = []
+        for fn in (lif_linear, lambda a, b, lif: spiking._lif(ag.matmul(a, b), lif)):
+            leaves = [Tensor(s.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
+            out = fn(*leaves, lif)
+            ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+            with ag.no_grad():
+                no_grad = fn(Tensor(s), Tensor(w), lif).data
+            results.append([out.data, no_grad] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+        assert 0.0 < results[0][0].mean() < 1.0
+
+    @pytest.mark.parametrize("overrides", LIF_PARAMS)
+    def test_matches_per_step_oracle(self, overrides):
+        rng = np.random.default_rng(90 + len(overrides))
+        for shape in LIF_SHAPES:
+            lif = random_lif(rng, **overrides)
+            s = (rng.random(shape) < 0.5).astype(np.float32)
+            w = rng.standard_normal((shape[-1], 4)).astype(np.float32)
+            weight = rng.standard_normal(shape[:-1] + (4,)).astype(np.float32)
+            results = []
+            for fn in (lif_linear, per_step.lif_linear):
+                leaves = [Tensor(s.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)]
+                out = fn(*leaves, lif)
+                ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+                results.append((out.data, [leaf.grad for leaf in leaves]))
+            (out, grads), (out_ref, grads_ref) = results
+            np.testing.assert_array_equal(out, out_ref)
+            for g, g_ref in zip(grads, grads_ref):
+                assert rel_err(g, g_ref) < LIF_GRAD_TOL
+
+    def test_shape_mismatch_refused(self):
+        s = Tensor(np.ones((3, 2, 4), dtype=np.float32), requires_grad=True)
+        with pytest.raises(ShapeError, match="lif_linear"):
+            lif_linear(s, Tensor(np.ones((3, 2), dtype=np.float32)), LifParams())
+        with pytest.raises(ShapeError, match="lif_linear"):
+            lif_linear(Tensor(np.ones((2, 4), dtype=np.float32)),
+                       Tensor(np.ones((4, 2), dtype=np.float32)), LifParams())
+
+    def test_taped_node_keeps_membrane_and_spikes_only(self):
+        # U is written over the potentials' buffer, so the node holds two
+        # arrays of the output's size; `_lif(matmul(s, w))` holds three
+        rng = np.random.default_rng(96)
+        s = Tensor((rng.random((4, 64, 8, 16)) < 0.5).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, 16)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = lif_linear(s, w, LifParams())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None and out._parents == (s, w)
+        assert 2 * out.data.nbytes <= held < 2.25 * out.data.nbytes
 
 
 def traced_peak(fn):
@@ -367,10 +438,10 @@ class TestFusedLstm:
             peak_off, out = traced_peak(lambda: lstm_forward(x, params, 4))
         assert out._backward is None and out.shape == (4, 64, 8, 32)
         assert peak_off < gates_bytes / 4
-        # the tape keeps the four gate activations, the cells and the hidden states
+        # the tape keeps the four gate activations and the cells
         peak_on, out = traced_peak(lambda: lstm_forward(x, params, 4))
         assert out._backward is not None
-        assert peak_on >= 1.5 * gates_bytes
+        assert peak_on >= 1.25 * gates_bytes
 
     def test_backward_reuses_gate_buffer(self):
         # dG is written over the gate activations and h_{t-1} over the cells,
@@ -405,16 +476,22 @@ class TestModelStep:
         """Predictions, every spike train and every parameter gradient of one
         default-config train step, fused kernels against per-step ones."""
         runs = []
-        for lif_kernel, lstm_kernel in ((spiking._lif, dsf._lstm),
-                                        (per_step.lif_kernel, per_step.lstm_recurrence)):
+        for lif_kernel, linear_kernel, lstm_kernel in (
+                (spiking._lif, spiking.lif_linear, dsf._lstm),
+                (per_step.lif_kernel, per_step.lif_linear, per_step.lstm_recurrence)):
             spikes = []
 
-            def recorded(*args, _kernel=lif_kernel, **kwargs):
-                out = _kernel(*args, **kwargs)
-                spikes.append(out.data.copy())
-                return out
+            def recorded(kernel):
+                def call(*args, **kwargs):
+                    out = kernel(*args, **kwargs)
+                    spikes.append(out.data.copy())
+                    return out
+                return call
 
-            monkeypatch.setattr(spiking, "_lif", recorded)
+            monkeypatch.setattr(spiking, "_lif", recorded(lif_kernel))
+            # the hops and Q/K/V call the fused projection + LIF by these names
+            monkeypatch.setattr(mssa, "lif_linear", recorded(linear_kernel))
+            monkeypatch.setattr(dsf, "lif_linear", recorded(linear_kernel))
             monkeypatch.setattr(dsf, "_lstm", lstm_kernel)
             model, batch = small_batch(ModelConfig())
             pred, _ = train_step(model, batch)
@@ -442,9 +519,48 @@ class TestModelStep:
         assert counts[0] == counts[1]
 
     def test_default_step_tape_size(self):
-        # each spike encoder is one node on its input, and the LSTM one node
-        # on its spikes and fused weights that returns the frames read; the
-        # attention gain is one parameter leaf
+        # each spike encoder is one node on its input, each spike projection
+        # and its LIF one node on the spikes and the weight, and the LSTM one
+        # node on its spikes and fused weights that returns the frames read;
+        # the attention gain is one parameter leaf
         model, batch = small_batch(ModelConfig())
         _, loss = train_step(model, batch)
-        assert len(ag._topo_order(loss)) == 87
+        assert len(ag._topo_order(loss)) == 82
+
+    def test_taped_forward_holds_only_what_the_backward_reads(self):
+        """Per added frame, a taped W4 forward holds little more than its
+        backward reads, and no projection's potentials are a tape node.
+
+        The backward reads, per frame: U and S of every LIF layer, the LSTM's
+        gate activations and cells, and the gather sums the hops project.
+        The bound allows 15% over that for what each series step adds
+        (embedding, observation attention, the LSTM's returned frames),
+        shared among its ts frames.  A forward that also kept each
+        projection's potentials and the LSTM's hidden states measured 1.36
+        times those bytes.
+        """
+        cfg = ModelConfig(batch_size=2)
+        held = {}
+        for t_in in (16, 32):
+            model, batch = small_batch(ModelConfig(**{**cfg.__dict__, "t_in": t_in}))
+            tracemalloc.start()
+            try:
+                loss = mse_loss(model.forward(batch), batch.normalized_targets())
+                held[t_in] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        f = cfg.feature_width
+        lif_widths = (f, cfg.d1, cfg.d2, cfg.h_dim) + (cfg.d_k,) * 3   # encoders, hops, Q/K/V
+        floats = 2 * sum(lif_widths) + 5 * cfg.h_dim + f + cfg.d1
+        per_frame = 4 * floats * cfg.batch_size * cfg.n_nodes
+        assert (held[32] - held[16]) / (16 * cfg.ts) < 1.15 * per_frame
+
+        lifs = [node for node in ag._topo_order(loss) if node._op == "lif"]
+        assert len(lifs) == len(lif_widths)
+        # an encoder's input holds one frame per series step, not per sub-step
+        encoders = [node for node in lifs if node.shape[-3] != node._parents[0].shape[-3]]
+        assert len(encoders) == 2
+        for node in lifs:
+            if node not in encoders:
+                inputs = [p for p in node._parents if p._op != "leaf"]
+                assert [p._op for p in inputs] in (["gather_sum"], ["lif"]), node._parents

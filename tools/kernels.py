@@ -1,15 +1,19 @@
 """Median time of the fused LIF and LSTM kernels at the benchmark's shapes.
 
-For each of the train-n8, infer-ts8 and train-n32 configs, times three
+For each of the train-n8, infer-ts8 and train-n32 configs, times five
 kernel calls on synthetic inputs of that config's shapes (batch B, window T,
-sub-steps ts, nodes N):
+sub-steps ts, nodes N, feature width f):
 
-  lif            `spiking._lif` per frame on (B, T*ts, N, d1) potentials,
-                 the shape of the MSSA hops;
-  lif steps=ts   `spiking._lif` with `steps=ts` on (B, T, N, h_dim) values,
-                 the shape of the DSF re-encoder;
-  lstm           `dsf._lstm` on (B, T*ts, N, d2) spikes with the stride W4
-                 uses (ts).
+  lif              `spiking._lif` per frame on (B, T*ts, N, d1) potentials,
+                   the shape of the MSSA hops;
+  lif steps=ts     `spiking._lif` with `steps=ts` on (B, T, N, h_dim)
+                   values, the shape of the DSF re-encoder;
+  lif_linear hop1  `spiking.lif_linear` of (B, T*ts, N, f) gather sums (whole
+                   numbers up to k1) through an (f, d1) weight, as hop 1;
+  lif_linear ssa.q `spiking.lif_linear` of (B, T*ts, N, h_dim) spikes through
+                   an (h_dim, d_k) weight, as each of Q, K and V;
+  lstm             `dsf._lstm` on (B, T*ts, N, d2) spikes with the stride W4
+                   uses (ts).
 
 Each call is timed as a no-grad forward, a taped forward, and the backward
 of that taped node alone (called directly on a fixed upstream gradient, so no
@@ -37,7 +41,7 @@ PHASES = ("no_grad_ms", "taped_ms", "backward_ms")
 
 
 def kernel_cases(cfg, rng):
-    """(label, input shape, leaves, call) for the three kernels at `cfg`'s shapes."""
+    """(label, input shape, leaves, call) for the five kernels at `cfg`'s shapes."""
     import numpy as np
     from spikestag import dsf, spiking
     from spikestag.autograd import Tensor
@@ -52,9 +56,17 @@ def kernel_cases(cfg, rng):
     hidden = leaf(rng.uniform(-1.0, 1.0, (b, t, n, cfg.h_dim)))
     spikes = leaf(rng.random((b, t * ts, n, cfg.d2)) < 0.3)
     p = LstmParams.init(cfg.d2, cfg.h_dim, rng)
+    f = cfg.feature_width
+    sums = leaf(rng.integers(0, cfg.k1 + 1, (b, t * ts, n, f)))
+    w1 = leaf(rng.standard_normal((f, cfg.d1)) * 2.0 / f ** 0.5)
+    re_encoded = leaf(rng.random((b, t * ts, n, cfg.h_dim)) < 0.3)
+    w_q = leaf(rng.standard_normal((cfg.h_dim, cfg.d_k)) * 2.0 / cfg.h_dim ** 0.5)
     return [
         ("lif", potentials.shape, [potentials], lambda: spiking._lif(potentials, lif)),
         (f"lif steps={ts}", hidden.shape, [hidden], lambda: spiking._lif(hidden, lif, ts)),
+        ("lif_linear hop1", sums.shape, [sums, w1], lambda: spiking.lif_linear(sums, w1, lif)),
+        ("lif_linear ssa.q", re_encoded.shape, [re_encoded, w_q],
+         lambda: spiking.lif_linear(re_encoded, w_q, lif)),
         (f"lstm stride={ts}", spikes.shape, [spikes, p.wx, p.b, p.wh],
          lambda: dsf._lstm(spikes, p.wx, p.b, p.wh, ts)),
     ]
