@@ -25,13 +25,15 @@ length is in neither the checkpoint nor the config.
 
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
-corrupt checkpoint, energy coefficients that are not finite and positive, a
-non-positive batch size, a zero sample budget (k1 or k2), a series too
-short to hold a window of the split a command reads (for training, the train
-split), a series whose node count is not the checkpoint's, test targets that
-are constant, on which R2 and RSE are undefined, and a negative seed or a
-learning rate, λ or LIF constant out of range; `ablate` and
-`sweep-ts` check the config of every run before they train the first.
+corrupt checkpoint, a checkpoint of an older layout (the line names
+`tools/upgrade_checkpoint.py`, which rewrites it), energy coefficients that
+are not finite and positive, a non-positive batch size, a zero sample
+budget (k1 or k2), a series too short to hold a window of the split a
+command reads (for training, the train split), a series whose node count
+is not the checkpoint's, test targets that are constant, on which R2 and
+RSE are undefined, and a negative seed or a learning rate, λ or LIF
+constant out of range; `ablate` and `sweep-ts` check the config of every
+run before they train the first.
 Training that diverges (a parameter turns non-finite) exits with status 1
 and one `error: ...` line; training runs with numpy's overflow,
 invalid-value and divide-by-zero warnings off, so nothing else is printed on

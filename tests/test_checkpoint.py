@@ -12,12 +12,15 @@ from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_mode
 from spikestag.data import make_windows, synth_generate
 from spikestag.errors import CheckpointFormatError, ContractError
 from spikestag.model import SSA_GAIN_INIT, ForecastModel, ModelConfig
+from test_tools import load_tool, write_v1
+
+UPGRADER = load_tool("upgrade_checkpoint")
 
 TINY = ModelConfig(n_nodes=4, t_in=6, horizon=2, emb_dim=4, d1=4, d2=4, h_dim=6, d_k=4,
                    ts=2, batch_size=2)
 
 # Written by the format-v1 `save_model` from this config, with norm stats
-# mean (1, 2, 3), std (0.5, 1, 2) and ssa_scale 0.375, the gain it loads with.
+# mean (1, 2, 3), std (0.5, 1, 2) and ssa_scale 0.375, the gain it upgrades to.
 # Every value is exact in float32, so v1's float32 config tensors hold it
 # without rounding.
 V1_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1.stag"
@@ -58,6 +61,13 @@ def load_blob(tmp_path, blob: bytes):
     path = tmp_path / "bad.stag"
     path.write_bytes(blob)
     return load_model(path)
+
+
+def upgraded(tmp_path, old) -> ForecastModel:
+    """The model of the older-layout file `old`, loaded after the upgrader rewrote it."""
+    new = tmp_path / "upgraded.stag"
+    UPGRADER.upgrade(old, new)
+    return load_model(new)
 
 
 def v2_blob(header: bytes) -> bytes:
@@ -111,6 +121,18 @@ class TestRoundTrip:
         assert np.array_equal(loaded.norm_mean, model.norm_mean)
         assert np.array_equal(loaded.norm_std, model.norm_std)
 
+    def test_loaded_tensors_are_writable_float32_of_their_own(self, tmp_path):
+        model, _ = with_norm_stats()
+        save_model(tmp_path / "m.stag", model)
+        loaded = load_model(tmp_path / "m.stag")
+        arrays = {name: p.data for name, p in loaded.parameters().items()}
+        arrays.update({"emb/e": loaded.embeddings, "norm/mean": loaded.norm_mean,
+                       "norm/std": loaded.norm_std})
+        for name, arr in arrays.items():
+            assert arr.dtype == np.float32 and arr.flags.writeable, name
+            assert not any(np.shares_memory(arr, other)
+                           for other_name, other in arrays.items() if other_name != name), name
+
     def test_null_ssa_scale_of_older_v2_loads_the_initial_gain(self, tmp_path):
         model = ForecastModel(TINY)
         model.ssa_gain.data[:] = 2.5
@@ -118,7 +140,7 @@ class TestRoundTrip:
         del tensors["ssa/gain"]
         path = write_v2(tmp_path / "old.stag", {"config": asdict(TINY), "ssa_scale": None},
                         tensors)
-        assert load_model(path).ssa_gain.data.tolist() == [SSA_GAIN_INIT]
+        assert upgraded(tmp_path, path).ssa_gain.data.tolist() == [SSA_GAIN_INIT]
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model, batch = with_norm_stats()
@@ -126,8 +148,8 @@ class TestRoundTrip:
         loaded = load_model(tmp_path / "m.stag")
         assert np.array_equal(loaded.predict(batch), model.predict(batch))
 
-    def test_reads_format_v1(self):
-        loaded = load_model(V1_FIXTURE)
+    def test_reads_format_v1(self, tmp_path):
+        loaded = upgraded(tmp_path, V1_FIXTURE)
         assert loaded.config == V1_CONFIG
         expected = fixture_model().parameters()
         params = loaded.parameters()
@@ -139,8 +161,8 @@ class TestRoundTrip:
         assert np.array_equal(loaded.norm_std, [0.5, 1.0, 2.0])
         assert loaded.parameters()["ssa/gain"].data.tolist() == [FIXTURE_GAIN]
 
-    def test_reads_per_gate_lstm_of_format_v2(self):
-        loaded = load_model(V2_GATES_FIXTURE)
+    def test_reads_per_gate_lstm_of_format_v2(self, tmp_path):
+        loaded = upgraded(tmp_path, V2_GATES_FIXTURE)
         assert loaded.config == V1_CONFIG
         assert loaded.parameters()["ssa/gain"].data.tolist() == [FIXTURE_GAIN]
         fresh = fixture_model()
@@ -152,6 +174,11 @@ class TestRoundTrip:
                                V1_CONFIG.horizon)
         batch = windows.batch(windows.test_starts[:2])
         assert np.array_equal(loaded.predict(batch), fresh.predict(batch))
+
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_GATES_FIXTURE], ids=["v1", "v2_gates"])
+    def test_upgrade_writes_what_a_save_writes(self, tmp_path, fixture):
+        UPGRADER.upgrade(fixture, tmp_path / "upgraded.stag")
+        assert (tmp_path / "upgraded.stag").read_bytes() == saved_blob(tmp_path, fixture_model())
 
 
 class TestEmbeddings:
@@ -173,10 +200,10 @@ class TestEmbeddings:
         assert np.array_equal(loaded.embeddings, drawn)
         assert loaded.graph == model.graph
 
-    def test_v1_loads_without_redraw(self, monkeypatch):
+    def test_v1_loads_without_redraw(self, tmp_path, monkeypatch):
         expected = ForecastModel(V1_CONFIG).graph
         forbid_redraw(monkeypatch)
-        assert load_model(V1_FIXTURE).graph == expected
+        assert upgraded(tmp_path, V1_FIXTURE).graph == expected
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model, _ = with_norm_stats()
@@ -202,6 +229,24 @@ class TestEmbeddings:
             load_blob(tmp_path, saved_blob(tmp_path, model))
 
 
+# each header, and the message of the check that refuses it
+MALFORMED_HEADERS = {
+    b"not json": "corrupt checkpoint: Expecting value",
+    b"\xff\xfe": "corrupt checkpoint: 'utf-8' codec can't decode",
+    b"[1, 2]": "header must be exactly a 'config'",
+    json.dumps({"config": {"n_nodes": 4}}).encode(): "header must be exactly a 'config'",
+    json.dumps({"config": asdict(TINY), "note": 1}).encode(): "header must be exactly a 'config'",
+    json.dumps({"config": {**asdict(TINY), "seed": "1"}}).encode():
+        "header config field seed must be int, got '1'",
+    json.dumps({"config": {**asdict(TINY), "extra": 1}}).encode():
+        "header must be exactly a 'config'",
+    json.dumps({"config": asdict(TINY), "ssa_scale": "big"}).encode():
+        "a header holding 'ssa_scale' is an older checkpoint layout",
+    json.dumps({"config": {**asdict(TINY), "n_nodes": 0}}).encode():
+        "config field n_nodes must be positive",
+}
+
+
 class TestRejects:
     def test_bad_magic(self, tmp_path):
         blob = saved_blob(tmp_path, ForecastModel(TINY))
@@ -213,20 +258,17 @@ class TestRejects:
         with pytest.raises(CheckpointFormatError, match="version 3"):
             load_blob(tmp_path, blob[:4] + struct.pack("<I", 3) + blob[8:])
 
-    @pytest.mark.parametrize("header", [
-        b"not json",
-        b"\xff\xfe",
-        b"[1, 2]",
-        json.dumps({"config": {"n_nodes": 4}, "ssa_scale": None}).encode(),
-        json.dumps({"config": asdict(TINY)}).encode(),
-        json.dumps({"config": {**asdict(TINY), "seed": "1"}, "ssa_scale": None}).encode(),
-        json.dumps({"config": {**asdict(TINY), "extra": 1}, "ssa_scale": None}).encode(),
-        json.dumps({"config": asdict(TINY), "ssa_scale": "big"}).encode(),
-        json.dumps({"config": {**asdict(TINY), "n_nodes": 0}, "ssa_scale": None}).encode(),
-    ])
+    @pytest.mark.parametrize("header", list(MALFORMED_HEADERS))
     def test_malformed_header(self, tmp_path, header):
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(CheckpointFormatError, match=MALFORMED_HEADERS[header]):
             load_blob(tmp_path, v2_blob(header))
+
+    @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_GATES_FIXTURE], ids=["v1", "v2_gates"])
+    def test_older_layout_refused_naming_the_upgrader(self, fixture):
+        with pytest.raises(CheckpointFormatError,
+                           match="older checkpoint layout; rewrite it with 'python3 "
+                                 "tools/upgrade_checkpoint.py OLD NEW'"):
+            load_model(fixture)
 
     def test_truncated(self, tmp_path):
         blob = saved_blob(tmp_path, ForecastModel(TINY))
@@ -262,7 +304,8 @@ class TestNormStats:
 
 
 class TestSsaScale:
-    """An older file's `ssa_scale` is null or a finite positive float."""
+    """An older file's `ssa_scale` is null or a finite positive float, or the
+    upgrader refuses the file."""
 
     @pytest.mark.parametrize("scale", BAD_SCALES)
     def test_v2_load_refuses(self, tmp_path, scale):
@@ -270,27 +313,25 @@ class TestSsaScale:
         blob = saved_blob(tmp_path, ForecastModel(TINY))
         (header_len,) = struct.unpack_from("<I", blob, 8)
         header = json.dumps({"config": asdict(TINY), "ssa_scale": scale}).encode()
-        bad = blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len:]
+        path = tmp_path / "bad.stag"
+        path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + header_len:])
         with pytest.raises(CheckpointFormatError, match="ssa_scale"):
-            load_blob(tmp_path, bad)
+            upgraded(tmp_path, path)
 
     @pytest.mark.parametrize("scale", BAD_SCALES)
     def test_v1_load_refuses(self, tmp_path, scale):
         tensors = _read_records(V1_FIXTURE.read_bytes(), 8)
         tensors["calib/ssa_scale"] = np.array([scale], dtype=np.float32)
-        path = tmp_path / "v1.stag"
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", 1))
-            _write_records(fh, tensors)
         with pytest.raises(CheckpointFormatError, match="ssa_scale"):
-            load_model(path)
+            upgraded(tmp_path, write_v1(tmp_path / "v1.stag", tensors))
 
     def test_refuses_both_ssa_scale_and_gain_record(self, tmp_path):
         _, tensors = v2_parts(saved_blob(tmp_path, ForecastModel(TINY)))
         path = write_v2(tmp_path / "both.stag", {"config": asdict(TINY), "ssa_scale": 0.5},
                         tensors)
         with pytest.raises(CheckpointFormatError, match="both header ssa_scale and an 'ssa/gain'"):
-            load_model(path)
+            upgraded(tmp_path, path)
 
     def test_w1_ignores_ssa_scale(self, tmp_path):
         # older code wrote 1.0 for W1, which has no attention gain
@@ -298,9 +339,10 @@ class TestSsaScale:
         model = ForecastModel(cfg)
         _, tensors = v2_parts(saved_blob(tmp_path, model))
         path = write_v2(tmp_path / "w1.stag", {"config": asdict(cfg), "ssa_scale": 1.0}, tensors)
-        assert load_model(path).parameters().keys() == model.parameters().keys()
+        assert upgraded(tmp_path, path).parameters().keys() == model.parameters().keys()
 
     def test_new_file_without_gain_refused(self, tmp_path):
+        # the current layout: load_model itself refuses it
         header, tensors = v2_parts(saved_blob(tmp_path, ForecastModel(TINY)))
         del tensors["ssa/gain"]
         with pytest.raises(CheckpointFormatError, match="missing tensor 'ssa/gain'"):
@@ -321,17 +363,13 @@ class TestEveryRecordRead:
         for name, p in ForecastModel(V1_CONFIG).lstm_params.tensors().items():
             tensors[f"lstm/{name}"] = p.data
         with pytest.raises(CheckpointFormatError, match="not read: lstm/wx, lstm/wh, lstm/b"):
-            load_model(write_v2(tmp_path / "both.stag", header, tensors))
+            upgraded(tmp_path, write_v2(tmp_path / "both.stag", header, tensors))
 
     def test_extra_record_of_v1_refused(self, tmp_path):
         tensors = _read_records(V1_FIXTURE.read_bytes(), 8)
         tensors["calib/other"] = np.ones(1, dtype=np.float32)
-        path = tmp_path / "v1.stag"
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", 1))
-            _write_records(fh, tensors)
         with pytest.raises(CheckpointFormatError, match="not read: calib/other$"):
-            load_model(path)
+            upgraded(tmp_path, write_v1(tmp_path / "v1.stag", tensors))
 
 
 @pytest.mark.parametrize("name", ["head/w", "ssa/gain"])

@@ -1,5 +1,6 @@
 import csv
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -179,11 +180,19 @@ def bad_inputs(tmp_path_factory):
 
 
 CKPT = "{root}/run/checkpoint.stag"
+FIXTURES = Path(__file__).parent / "data"
+UPGRADE_HINT = "rewrite it with 'python3 tools/upgrade_checkpoint.py OLD NEW'"
 BAD_INPUT_CASES = {
     "malformed_csv": (["train", *TINY_FLAGS, "--data", "{root}/bad.csv", "--out", "{root}/o"],
                       "non-numeric value"),
     "truncated_checkpoint": (["eval", "{root}/truncated.stag", "--synth-steps", "60"],
                              "truncated or corrupt checkpoint"),
+    "eval_v1_checkpoint": (["eval", str(FIXTURES / "checkpoint_v1.stag"), "--synth-steps", "60"],
+                           UPGRADE_HINT),
+    "predict_older_v2_checkpoint": (["predict", str(FIXTURES / "checkpoint_v2_gates.stag"),
+                                     "{root}/f.csv", "--synth-steps", "60"], UPGRADE_HINT),
+    "energy_v1_checkpoint": (["energy", str(FIXTURES / "checkpoint_v1.stag"), "--synth-steps",
+                              "60", "--out", "{root}/o"], UPGRADE_HINT),
     "energy_e_mac_zero": (["energy", CKPT, "--synth-steps", "60", "--e-mac", "0",
                            "--out", "{root}/o"], "energy coefficients must be positive"),
     "energy_batch_zero": (["energy", CKPT, "--synth-steps", "60", "--batch", "0",

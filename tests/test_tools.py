@@ -1,19 +1,26 @@
-"""The measurement scripts under `tools/` run on this checkout.
+"""The scripts under `tools/` run on this checkout.
 
 `peak.py` and `kernels.py` run in subprocesses at small sizes and must exit
 0; `fingerprint.py` fingerprints W1-W4 on a tiny config in process, and its
-`--compare` must report a differing field.
+`--compare` must report a differing field.  `upgrade_checkpoint.py` runs in
+a subprocess on the older-layout fixtures and on files it must refuse.
 """
 
 import importlib.util
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_model, save_model
+from spikestag.model import ForecastModel, ModelConfig
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+FIXTURES = Path(__file__).resolve().parent / "data"
 TINY_CONFIG = {"tiny": ({"n_nodes": 4, "t_in": 8, "horizon": 2, "emb_dim": 4, "d1": 4, "d2": 4,
                          "h_dim": 4, "d_k": 4, "ts": 2, "batch_size": 2}, False)}
 
@@ -61,3 +68,53 @@ def test_compare_reports_a_differing_field(fingerprint, tmp_path, capsys):
     assert fingerprint.main(["--compare", *map(str, paths)]) == 1
     assert "1 differing fields" in capsys.readouterr().out
     assert fingerprint.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+
+
+def run_upgrader(old, new):
+    return subprocess.run([sys.executable, str(TOOLS / "upgrade_checkpoint.py"), str(old),
+                           str(new)], capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("fixture", ["checkpoint_v1.stag", "checkpoint_v2_gates.stag"])
+def test_upgrader_rewrites_older_layout(fixture, tmp_path):
+    done = run_upgrader(FIXTURES / fixture, tmp_path / "new.stag")
+    assert done.returncode == 0, done.stderr
+    assert load_model(tmp_path / "new.stag").config.ablation == "W3"
+
+
+def current_file(path):
+    save_model(path, ForecastModel(ModelConfig(**TINY_CONFIG["tiny"][0])))
+
+
+def truncated_file(path):
+    blob = (FIXTURES / "checkpoint_v1.stag").read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+
+
+def write_v1(path, tensors: dict):
+    """Write `tensors` in the layout of format v1: magic, version 1, the records."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", 1))
+        _write_records(fh, tensors)
+    return path
+
+
+def v1_with_nan_gain(path):
+    tensors = _read_records((FIXTURES / "checkpoint_v1.stag").read_bytes(), 8)
+    tensors["calib/ssa_scale"] = np.array([np.nan], dtype=np.float32)
+    write_v1(path, tensors)
+
+
+@pytest.mark.parametrize("write_old, message", [
+    (current_file, "not of an older layout"),
+    (truncated_file, "truncated or corrupt checkpoint"),
+    (v1_with_nan_gain, "calib/ssa_scale must be null or a finite positive float, got nan"),
+], ids=["current", "truncated", "v1_nan_gain"])
+def test_upgrader_refusal_exits_2_and_writes_nothing(write_old, message, tmp_path):
+    write_old(tmp_path / "old.stag")
+    done = run_upgrader(tmp_path / "old.stag", tmp_path / "new.stag")
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "new.stag").exists()
