@@ -11,15 +11,20 @@ Format v2, the one `save_model` writes and the only one `load_model` reads
     tensors       per tensor: name length u16, UTF-8 name, rank u8, dims as
                   u32s, raw float32 values in row-major order
 
-The tensors are the node embeddings `emb/e`, then the model parameters (the
-LSTM's `lstm/wx`, `lstm/wh` and `lstm/b` fused in gate order i, f, g, o, and
-for W2-W4 the attention gain `ssa/gain`), then `norm/mean` and `norm/std`
-when the model carries normalization statistics.  The header is exactly
-`{"config": dataclasses.asdict(config)}`, so config ints and floats
-round-trip exactly.  A load reads every record or refuses the file: a record
-the config does not name, a missing or misshaped one, or a non-finite value
-is a `CheckpointFormatError`.  A save refuses what the load would: a tensor
-holding a non-finite value is a `ContractError`, and no file is written.
+The tensors are the node embeddings `emb/e`, then the model parameters in
+`ForecastModel.parameters()` order, then `norm/mean` and `norm/std` when the
+model carries normalization statistics.  A parameter record is named
+`<group>/<field>`: the covariate tables `cov/<name>`, then the fields of the
+parameter group dataclasses (`obs`, `mssa`, `lstm`, `ssa`, `gate`) in their
+declared order, with the attention readout `ssa/proj` and gain `ssa/gain`
+(W2-W4) after the `ssa` fields, and `head/w`, `head/b` last.  The LSTM's
+`lstm/wx`, `lstm/wh` and `lstm/b` are fused in gate order i, f, g, o.  The
+header is exactly `{"config": dataclasses.asdict(config)}`, so config ints
+and floats round-trip exactly.  A load reads every record or refuses the
+file: a record the config does not name, a missing or misshaped one, or a
+non-finite value is a `CheckpointFormatError`.  A save refuses what the
+load would: a tensor holding a non-finite value is a `ContractError`, and
+no file is written.
 
 Files of an older layout are recognised and refused, with a message naming
 `tools/upgrade_checkpoint.py`, which rewrites them as format v2: version 1,
@@ -162,7 +167,6 @@ def _tensor(tensors: dict, name: str, shape: tuple) -> np.ndarray:
 
 def _build(config: ModelConfig, tensors: dict) -> ForecastModel:
     """The model of `config` with its records taken from `tensors`, each one read."""
-    _format_errors(config.validate)
     model = ForecastModel(
         config, embeddings=_tensor(tensors, "emb/e", (config.n_nodes, config.emb_dim)))
     for name, p in model.parameters().items():

@@ -13,26 +13,29 @@ The model flags and the config-file keys are derived from the fields of
 `ModelConfig`: one flag per field, spelled `--<field-name>` with dashes
 except `--nodes` (n_nodes) and `--input-len` (t_in), and one `key = value`
 line per field name in the file given by `--config`.  minute_covariate has
-no flag; training sets it from the data's sample rate.  A flag given on the
-command line overrides the file, the file overrides the defaults, and an
-unknown key is an error.  `train`, `ablate` and `sweep-ts` write the resolved
-configuration to `run_config.txt` in the output directory, in exactly the
-form `--config` accepts; run extras such as the data source go on `#` comment
-lines, and `train` on synthetic data also records `# synth_steps`.  `eval`,
-`predict` and `energy` take their configuration from the checkpoint; on
-synthetic data they need `--synth-steps` (no default), since the series
-length is in neither the checkpoint nor the config.
+no flag, and training always sets it from the data: true for a series
+sampled more often than hourly, false otherwise, whatever the file says.  A
+flag given on the command line overrides the file, the file overrides the
+defaults, and an unknown key is an error.  `train`, `ablate` and `sweep-ts`
+write the resolved configuration to `run_config.txt` in the output
+directory, in exactly the form `--config` accepts; run extras such as the
+data source go on `#` comment lines, and `train` on synthetic data also
+records `# synth_steps`.  `eval`, `predict` and `energy` take their
+configuration from the checkpoint; on synthetic data they need
+`--synth-steps` (no default), since the series length is in neither the
+checkpoint nor the config.
 
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
 corrupt checkpoint, a checkpoint of an older layout (the line names
 `tools/upgrade_checkpoint.py`, which rewrites it), energy coefficients that
-are not finite and positive, a non-positive batch size, a zero sample
-budget (k1 or k2), a series too short to hold a window of the split a
-command reads (for training, the train split), a series whose node count
-is not the checkpoint's, test targets that are constant, on which R2 and
-RSE are undefined, and a negative seed or a learning rate, λ or LIF
-constant out of range; `ablate` and `sweep-ts` check the config of every
+are not finite and positive, a non-positive batch size, a zero sample budget
+(k1 or k2), a series too short to hold a window of the split a command reads
+(for training, the train split), a series whose node count is not the
+checkpoint's, a series sampled sub-hourly for a checkpoint trained on hourly
+or coarser data or the other way round, test targets that are constant, on
+which R2 and RSE are undefined, and a negative seed or a learning rate, λ or
+LIF constant out of range; `ablate` and `sweep-ts` check the config of every
 run before they train the first.
 Training that diverges (a parameter turns non-finite) exits with status 1
 and one `error: ...` line; training runs with numpy's overflow,
@@ -135,13 +138,18 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> ModelConfig:
-    cfg = ModelConfig()
-    if args.config:
-        cfg = replace(cfg, **_read_config_file(args.config))
-    given = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if hasattr(args, f.name)}
-    cfg = replace(cfg, **given)
-    cfg.validate()
-    return cfg
+    """The defaults, overridden by the --config file, overridden by the flags
+    given.  File and flags merge before the config is built, so a file value
+    a flag overrides is never checked on its own."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(ModelConfig)
+                  if hasattr(args, f.name))
+    return ModelConfig(**values)
+
+
+def _minute_covariate(dataset: SeriesDataset) -> bool:
+    """Whether a model of this series reads the minute of the hour: sub-hourly data."""
+    return dataset.sample_rate_s < 3600
 
 
 def _load_dataset(args: argparse.Namespace, cfg: ModelConfig) -> SeriesDataset:
@@ -165,18 +173,14 @@ def _load_checkpoint(args: argparse.Namespace):
     if dataset.n_nodes != cfg.n_nodes:
         raise ContractError(f"the series has {dataset.n_nodes} nodes, but the checkpoint's "
                             f"model was built for {cfg.n_nodes}")
+    if _minute_covariate(dataset) != cfg.minute_covariate:
+        trained_on = "sub-hourly" if cfg.minute_covariate else "hourly or coarser"
+        raise ContractError(f"the series is sampled every {dataset.sample_rate_s} s, but the "
+                            f"checkpoint's model was trained on {trained_on} data")
     windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
     if model.norm_mean is not None:
         windows.mean, windows.std = model.norm_mean, model.norm_std
     return model, dataset, windows
-
-
-def _validated(cfg: ModelConfig, **changes) -> ModelConfig:
-    """`cfg` with `changes`, validated: a multi-run command builds every run's
-    config this way before its first training, so a bad one trains nothing."""
-    run_cfg = replace(cfg, **changes)
-    run_cfg.validate()
-    return run_cfg
 
 
 def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> None:
@@ -195,9 +199,7 @@ def _write_metrics_csv(path: Path, report) -> None:
 
 
 def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
-    if dataset.sample_rate_s < 3600:
-        cfg = replace(cfg, minute_covariate=True)
-    cfg = replace(cfg, n_nodes=dataset.n_nodes)
+    cfg = replace(cfg, n_nodes=dataset.n_nodes, minute_covariate=_minute_covariate(dataset))
     model = ForecastModel(cfg)
     log = None if quiet else (lambda e: print(
         f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f} "
@@ -261,7 +263,8 @@ def cmd_predict(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
-    runs = {a: [_validated(cfg, ablation=a, seed=seed) for seed in args.seeds] for a in ABLATIONS}
+    # every run's config is built, and so checked, before the first run trains
+    runs = {a: [replace(cfg, ablation=a, seed=seed) for seed in args.seeds] for a in ABLATIONS}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = {}
@@ -288,7 +291,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep_ts(args) -> int:
     cfg = _build_config(args)
-    run_cfgs = [_validated(cfg, ts=ts) for ts in args.ts_values]
+    run_cfgs = [replace(cfg, ts=ts) for ts in args.ts_values]   # all checked before training
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -76,28 +76,22 @@ class LstmParams:
         b[h_dim:2 * h_dim] = 1.0
         return cls(*(Tensor(a, requires_grad=True) for a in (wx, wh, b)))
 
-    def tensors(self) -> dict:
-        return {"wx": self.wx, "wh": self.wh, "b": self.b}
-
 
 @dataclass
 class SsaParams:
-    """Spike projections for attention; all inputs of width f_in map to d_k."""
+    """Spike projections for attention, each (f_in, f_out): inputs of width
+    f_in map to the key width f_out."""
 
     w_q: Tensor
     w_k: Tensor
     w_v: Tensor
-    d_k: int
 
     @classmethod
-    def init(cls, f_in: int, d_k: int, rng: np.random.Generator) -> "SsaParams":
+    def init(cls, f_in: int, f_out: int, rng: np.random.Generator) -> "SsaParams":
         s = 2.0 / math.sqrt(f_in)
-        mk = lambda: Tensor((rng.standard_normal((f_in, d_k)) * s).astype(np.float32),
+        mk = lambda: Tensor((rng.standard_normal((f_in, f_out)) * s).astype(np.float32),
                             requires_grad=True)
-        return cls(mk(), mk(), mk(), d_k)
-
-    def tensors(self) -> dict:
-        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}
+        return cls(mk(), mk(), mk())
 
 
 @dataclass
@@ -117,9 +111,6 @@ class GateParams:
         # attention summary where it helps
         b = Tensor(np.full(h_dim, 2.0, dtype=np.float32), requires_grad=True)
         return cls(w, b)
-
-    def tensors(self) -> dict:
-        return {"w_g": self.w_g, "bias": self.bias}
 
 
 def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
@@ -315,8 +306,9 @@ def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1,
     return _lstm(x, params.wx, params.b, params.wh, stride, state)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V over the frame axis, per node.
+def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(Q K^T / sqrt(d_k)) V over the frame axis, per node, where the
+    key width d_k is the last axis of Q.
 
     Inputs are (..., T, N, d); attention runs across T separately for every
     node.  The query may hold fewer frames than the keys and values, (..., Tq,
@@ -327,7 +319,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
     perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # (..., N, T, d)
     qt, kt, vt = (ag.transpose(t, perm) for t in (q, k, v))
     scores = ag.mul(ag.matmul(qt, ag.transpose(kt, tuple(range(nd - 2)) + (nd - 1, nd - 2))),
-                    1.0 / math.sqrt(d_k))
+                    1.0 / math.sqrt(q.shape[-1]))
     attn = ag.softmax(scores, axis=-1)
     out = ag.matmul(attn, vt)  # (..., N, T, d)
     return ag.transpose(out, perm)  # back to (..., T, N, d)
@@ -369,7 +361,7 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
     t_axis = q.data.ndim - 3
     q_last = ag.narrow(q, t_axis, q.shape[t_axis] - 1, 1)
     if carry is None:
-        return attention_core(q_last, k, v, params.d_k)
+        return attention_core(q_last, k, v)
     shape = k.shape[:1] + (carry.frames,) + k.shape[2:]
     k_all, v_all = carry.get("ssa.k_all", shape, bool), carry.get("ssa.v_all", shape, bool)
     done = carry.states.get("ssa.frames", 0)
@@ -380,7 +372,7 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
     if end < carry.frames:
         return None
     rows = [attention_core(Tensor(q_last.data[i:i + 1]), Tensor(k_all[i:i + 1]),
-                           Tensor(v_all[i:i + 1]), params.d_k).data
+                           Tensor(v_all[i:i + 1])).data
             for i in range(len(k_all))]
     return Tensor(np.concatenate(rows))
 

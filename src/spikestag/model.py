@@ -40,10 +40,15 @@ def _field(default, help: str, **meta):
     return field(default=default, metadata={"help": help, **meta})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Every hyperparameter of a run; the CLI flags, config-file keys and
-    checkpoint header are all derived from these fields."""
+    checkpoint header are all derived from these fields.
+
+    A config is valid by construction: `ModelConfig(...)` and `replace(...)`
+    raise ContractError on a value out of range, and it is frozen, so no
+    later assignment can make it invalid.
+    """
 
     n_nodes: int = _field(8, "node count (synthetic data; a CSV sets its own)", flag="--nodes")
     t_in: int = _field(64, "input window length T", flag="--input-len")
@@ -76,7 +81,7 @@ class ModelConfig:
     minute_covariate: bool = _field(False, "minute-of-hour covariate; set from the data's "
                                     "sample rate", flag=None)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.ablation not in ABLATIONS:
             raise ContractError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         # a zero sample budget leaves every local or semi-global set empty
@@ -114,7 +119,6 @@ class ForecastModel:
     """
 
     def __init__(self, config: ModelConfig, embeddings: np.ndarray | None = None):
-        config.validate()
         self.config = config
         # each component draws from its own seeded stream, so ablation variants
         # share bit-identical weights for the components they have in common
@@ -167,27 +171,17 @@ class ForecastModel:
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> dict:
-        params = {}
-        for name, t in self.cov_tables.items():
-            params[f"cov/{name}"] = t
-        for name, t in self.obs_params.tensors().items():
-            params[f"obs/{name}"] = t
-        for name, t in self.hop_weights.tensors().items():
-            params[f"mssa/{name}"] = t
-        if self.lstm_params is not None:
-            for name, t in self.lstm_params.tensors().items():
-                params[f"lstm/{name}"] = t
-        if self.ssa_params is not None:
-            for name, t in self.ssa_params.tensors().items():
-                params[f"ssa/{name}"] = t
-            params["ssa/proj"] = self.ssa_proj
-            params["ssa/gain"] = self.ssa_gain
-        if self.gate_params is not None:
-            for name, t in self.gate_params.tensors().items():
-                params[f"gate/{name}"] = t
-        params["head/w"] = self.head_w
-        params["head/b"] = self.head_b
-        return params
+        """Every parameter, named `<group>/<field>` in checkpoint record order:
+        the covariate tables, then the fields of each parameter group."""
+        fields_of = lambda group: {} if group is None else vars(group)
+        groups = {"cov": self.cov_tables, "obs": fields_of(self.obs_params),
+                  "mssa": fields_of(self.hop_weights), "lstm": fields_of(self.lstm_params),
+                  "ssa": {**fields_of(self.ssa_params), "proj": self.ssa_proj,
+                          "gain": self.ssa_gain},
+                  "gate": fields_of(self.gate_params),
+                  "head": {"w": self.head_w, "b": self.head_b}}
+        return {f"{group}/{name}": t for group, members in groups.items()
+                for name, t in members.items() if t is not None}
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self.parameters().values())
@@ -310,25 +304,24 @@ class ForecastModel:
 
 # -- optimizer ----------------------------------------------------------------
 
+# Adam's moment decay rates and the guard added to the second moment's root
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adaptive-moment gradient descent over the model's named parameters."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -336,13 +329,13 @@ class Adam:
             # the moments are updated in place (the same float operations), so
             # these long-lived arrays never move between steps: moving them
             # fragments the heap, which then grows for a few more steps
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             m_hat = m / b1t
             v_hat = v / b2t
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
 
 
 def clip_grad_norm(params: dict, max_norm: float = 1.0) -> float:

@@ -43,9 +43,6 @@ class HopWeights:
         w2 = Tensor((rng.standard_normal((d1, d2)) * s2 * 2.0).astype(np.float32), requires_grad=True)
         return cls(w1, w2)
 
-    def tensors(self) -> dict:
-        return {"w1": self.w1, "w2": self.w2}
-
 
 def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str,
          carry: Carry | None = None) -> Tensor:

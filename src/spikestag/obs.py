@@ -36,9 +36,6 @@ class ObsParams:
         mk = lambda: Tensor((rng.standard_normal((f, f)) * s).astype(np.float32), requires_grad=True)
         return cls(mk(), mk(), mk())
 
-    def tensors(self) -> dict:
-        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v}
-
 
 def obs_forward(x: Tensor, neighborhoods: list, params: ObsParams) -> Tensor:
     """Apply residual neighborhood attention.

@@ -227,7 +227,7 @@ def gathered_sum(a: np.ndarray, indices, valid, axis: int) -> np.ndarray:
 def ssa_forward_full(s: Tensor, params, lif: LifParams) -> Tensor:
     """Spiking self-attention read out at every frame, (..., T', N, d_k)."""
     q, k, v = qkv_spikes(s, params, lif)
-    return attention_core(q, k, v, params.d_k)
+    return attention_core(q, k, v)
 
 
 def full_sequence_forward(model, batch, counter=None) -> Tensor:

@@ -360,7 +360,7 @@ class TestEveryRecordRead:
 
     def test_fused_and_per_gate_lstm_refused(self, tmp_path):
         header, tensors = v2_parts(V2_GATES_FIXTURE.read_bytes())
-        for name, p in ForecastModel(V1_CONFIG).lstm_params.tensors().items():
+        for name, p in vars(ForecastModel(V1_CONFIG).lstm_params).items():
             tensors[f"lstm/{name}"] = p.data
         with pytest.raises(CheckpointFormatError, match="not read: lstm/wx, lstm/wh, lstm/b"):
             upgraded(tmp_path, write_v2(tmp_path / "both.stag", header, tensors))

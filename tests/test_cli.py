@@ -2,6 +2,7 @@ import csv
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spikestag import cli
@@ -46,6 +47,14 @@ def test_explicit_flag_equal_to_default_beats_file(tmp_path):
     assert got["epochs"] == "6"
 
 
+def test_flag_overrides_a_file_value_that_alone_is_invalid(tmp_path):
+    # file and flags merge before the config is checked, so the file's ts = 0
+    # never stands on its own
+    cfg = write_config(tmp_path, "ts = 0\n")
+    got = run_train(tmp_path, "run", "--config", cfg, "--ts", "4")
+    assert got["ts"] == "4"
+
+
 def test_file_value_holds_without_flag(tmp_path):
     cfg = write_config(tmp_path, "epochs = 1\nseed = 3\nlr = 0.002\n")
     got = run_train(tmp_path, "run", "--config", cfg)
@@ -64,6 +73,31 @@ def test_run_config_reproduces_config(tmp_path):
     second = run_train(tmp_path, "second", "--config", str(tmp_path / "first" / "run_config.txt"))
     assert second == first
     assert (tmp_path / "first" / "run_config.txt").read_text().startswith("# data = synthetic")
+
+
+def half_hourly_csv(path):
+    """A four-node series sampled every 30 minutes."""
+    ds = synth_generate(4, 60, 1)
+    times = ds.timestamps[0] + np.arange(60) * np.timedelta64(1800, "s")
+    save_csv(SeriesDataset(times, ds.values, 1800, ds.node_names), path)
+    return str(path)
+
+
+def test_minute_covariate_follows_the_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, "minute_covariate = true\n")
+    assert run_train(tmp_path, "hourly", "--config", cfg)["minute_covariate"] == "False"
+    assert "cov/minute" not in load_model(tmp_path / "hourly" / "checkpoint.stag").parameters()
+
+    csv_path = half_hourly_csv(tmp_path / "half_hourly.csv")
+    cfg = write_config(tmp_path, "minute_covariate = false\n")
+    got = run_train(tmp_path, "half_hourly", "--config", cfg, "--data", csv_path)
+    assert got["minute_covariate"] == "True"
+    ckpt = tmp_path / "half_hourly" / "checkpoint.stag"
+    assert "cov/minute" in load_model(ckpt).parameters()
+    # the other way round from the bad-input case: sub-hourly model, hourly data
+    capsys.readouterr()
+    assert cli.main(["eval", str(ckpt), "--synth-steps", "60"]) == 2
+    assert "trained on sub-hourly data" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -165,8 +199,9 @@ def test_sweep_ts_writes_rows_and_stability(tmp_path):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A tiny trained run, a truncated copy of its checkpoint, a CSV with a
-    non-numeric cell and a CSV of six nodes, where the run has four."""
+    """A tiny trained run on hourly data, a truncated copy of its checkpoint,
+    a CSV with a non-numeric cell, a CSV of six nodes, where the run has
+    four, and a CSV sampled every 30 minutes."""
     root = tmp_path_factory.mktemp("inputs")
     assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(root / "run")]) == 0
     blob = (root / "run" / "checkpoint.stag").read_bytes()
@@ -176,6 +211,7 @@ def bad_inputs(tmp_path_factory):
     lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
     (root / "bad.csv").write_text("\n".join(lines) + "\n")
     save_csv(synth_generate(6, 60, 1), root / "six_nodes.csv")
+    half_hourly_csv(root / "half_hourly.csv")
     return root
 
 
@@ -210,6 +246,9 @@ BAD_INPUT_CASES = {
                                   "{root}/six_nodes.csv"], "the series has 6 nodes"),
     "energy_other_node_count": (["energy", CKPT, "--data", "{root}/six_nodes.csv",
                                  "--out", "{root}/o"], "the series has 6 nodes"),
+    "eval_other_sampling": (["eval", CKPT, "--data", "{root}/half_hourly.csv"],
+                            "the series is sampled every 1800 s, but the checkpoint's model was "
+                            "trained on hourly or coarser data"),
     "ablate_seeds_not_ints": (["ablate", *TINY_FLAGS, "--seeds", "abc", "--out", "{root}/o"],
                               "argument --seeds"),
     "train_seed_negative": (["train", *TINY_FLAGS, "--seed", "-1", "--out", "{root}/o"],

@@ -91,7 +91,7 @@ class TestLstm:
         p = LstmParams.init(2, 3, rng)
 
         def f(x):
-            cast = LstmParams(**{k: f64(t) for k, t in p.tensors().items()})
+            cast = LstmParams(**{k: f64(t) for k, t in vars(p).items()})
             out = lstm_forward(x, cast)
             return ag.tsum(ag.mul(out, out))
 
@@ -104,7 +104,7 @@ class TestLstm:
         x = (rng.random((3, 1, 2)) < 0.6).astype(np.float32)
 
         def f(w):
-            tensors = {k: f64(t) for k, t in p.tensors().items()}
+            tensors = {k: f64(t) for k, t in vars(p).items()}
             tensors["wh"] = w
             out = lstm_forward(Tensor(x, dtype=np.float64), LstmParams(**tensors))
             return ag.tsum(ag.mul(out, out))
@@ -118,12 +118,13 @@ def ssa_oracle(spikes, params, lif):
     outs = {}
     for name, w in (("q", params.w_q.data), ("k", params.w_k.data), ("v", params.w_v.data)):
         pots = spikes.astype(np.float64) @ w.astype(np.float64)
-        s, _ = lif_sim(lif, np.zeros((n, params.d_k)), pots)
+        s, _ = lif_sim(lif, np.zeros((n, w.shape[1])), pots)
         outs[name] = s
     q, k, v = outs["q"], outs["k"], outs["v"]
-    result = np.zeros((t_len, n, params.d_k))
+    d_k = params.w_q.shape[1]
+    result = np.zeros((t_len, n, d_k))
     for node in range(n):
-        scores = q[:, node] @ k[:, node].T / math.sqrt(params.d_k)
+        scores = q[:, node] @ k[:, node].T / math.sqrt(d_k)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         assert np.allclose(attn.sum(axis=1), 1.0, atol=1e-6)
@@ -164,7 +165,7 @@ class TestSsa:
         v = Tensor(rng.standard_normal((4, 2, 3)).astype(np.float32))
 
         def f(q):
-            out = attention_core(q, f64(k), f64(v), 3)
+            out = attention_core(q, f64(k), f64(v))
             return ag.tsum(ag.mul(out, out))
 
         q0 = Tensor(rng.standard_normal((4, 2, 3)).astype(np.float32), requires_grad=True)
@@ -209,8 +210,8 @@ class TestAttentionCore:
     def test_last_query_matches_last_row(self):
         rng = np.random.default_rng(17)
         q, k, v = (Tensor((rng.random((2, 9, 3, 4)) < 0.5).astype(np.float32)) for _ in range(3))
-        full = attention_core(q, k, v, 4)
-        last = attention_core(ag.narrow(q, 1, 8, 1), k, v, 4)
+        full = attention_core(q, k, v)
+        last = attention_core(ag.narrow(q, 1, 8, 1), k, v)
         assert last.shape == (2, 1, 3, 4)
         np.testing.assert_allclose(last.data, full.data[:, -1:], rtol=1e-6, atol=1e-7)
 
@@ -223,7 +224,7 @@ class TestAttentionCore:
         def f(x):
             args = {name: Tensor(a, dtype=np.float64) for name, a in arrays.items()}
             args[wrt] = x
-            out = attention_core(args["q"], args["k"], args["v"], 3)
+            out = attention_core(args["q"], args["k"], args["v"])
             return ag.tsum(ag.mul(out, out))
 
         assert fd_error(f, Tensor(arrays[wrt], requires_grad=True)) < TOL

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from dataclasses import replace
 
@@ -36,7 +37,7 @@ def prepared(cfg=TINY, seed=1, steps=300):
 class TestConfig:
     def test_rejects_unknown_ablation(self):
         with pytest.raises(ContractError):
-            ModelConfig(ablation="W9").validate()
+            ModelConfig(ablation="W9")
 
     def test_rejects_non_positive(self):
         for bad in ({"t_in": 0}, {"stride": 0}, {"max_batches": -1}, {"lr": -1.0},
@@ -45,12 +46,18 @@ class TestConfig:
                     {"u_th": float("inf")}, {"alpha": float("inf")},
                     {"u_reset": float("-inf")}):
             with pytest.raises(ContractError):
-                ModelConfig(**bad).validate()
+                ModelConfig(**bad)
 
     @pytest.mark.parametrize("name", ["k1", "k2"])
     def test_rejects_zero_sample_budget(self, name):
         with pytest.raises(ContractError, match=f"config field {name} must be positive"):
-            ModelConfig(**{name: 0}).validate()
+            ModelConfig(**{name: 0})
+
+    def test_replace_checks_and_fields_are_frozen(self):
+        with pytest.raises(ContractError, match="config field k1 must be positive"):
+            replace(TINY, k1=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TINY.k1 = 0
 
     def test_feature_width(self):
         assert ModelConfig(minute_covariate=False).feature_width == 9
@@ -131,6 +138,21 @@ class TestForward:
         assert not any(n.startswith("lstm/") or n.startswith("gate/") for n in names2)
         names4 = set(ForecastModel(replace(TINY, ablation="W4")).parameters())
         assert {"gate/w_g", "gate/bias", "ssa/w_q", "lstm/wx"} <= names4
+
+    @pytest.mark.parametrize("ablation, names", [
+        ("W1", ["lstm/wx", "lstm/wh", "lstm/b"]),
+        ("W2", ["ssa/w_q", "ssa/w_k", "ssa/w_v", "ssa/proj", "ssa/gain"]),
+        ("W3", ["lstm/wx", "lstm/wh", "lstm/b",
+                "ssa/w_q", "ssa/w_k", "ssa/w_v", "ssa/proj", "ssa/gain"]),
+        ("W4", ["lstm/wx", "lstm/wh", "lstm/b",
+                "ssa/w_q", "ssa/w_k", "ssa/w_v", "ssa/proj", "ssa/gain", "gate/w_g", "gate/bias"]),
+    ])
+    def test_parameter_names_in_checkpoint_record_order(self, ablation, names):
+        shared = ["obs/w_q", "obs/w_k", "obs/w_v", "mssa/w1", "mssa/w2"]
+        expected = ["cov/hour", "cov/dow", *shared, *names, "head/w", "head/b"]
+        assert list(ForecastModel(replace(TINY, ablation=ablation)).parameters()) == expected
+        minute = ForecastModel(replace(TINY, ablation=ablation, minute_covariate=True))
+        assert list(minute.parameters()) == ["cov/minute", *expected]
 
 
 def chunked_case(ablation, ts, t_in=23, batch_size=3):

@@ -3,7 +3,8 @@
 `peak.py` and `kernels.py` run in subprocesses at small sizes and must exit
 0; `fingerprint.py` fingerprints W1-W4 on a tiny config in process, and its
 `--compare` must report a differing field.  `upgrade_checkpoint.py` runs in
-a subprocess on the older-layout fixtures and on files it must refuse.
+a subprocess on the older-layout fixtures and on files it must refuse,
+among them v1 files whose config values are not what their fields claim.
 """
 
 import importlib.util
@@ -105,11 +106,30 @@ def v1_with_nan_gain(path):
     write_v1(path, tensors)
 
 
+def v1_with_config_value(field: str, value: float):
+    """A writer of the v1 fixture with the tensor `config/<field>` set to `value`."""
+    def write(path):
+        tensors = _read_records((FIXTURES / "checkpoint_v1.stag").read_bytes(), 8)
+        tensors[f"config/{field}"] = np.array([value], dtype=np.float32)
+        write_v1(path, tensors)
+    return write
+
+
 @pytest.mark.parametrize("write_old, message", [
     (current_file, "not of an older layout"),
     (truncated_file, "truncated or corrupt checkpoint"),
     (v1_with_nan_gain, "calib/ssa_scale must be null or a finite positive float, got nan"),
-], ids=["current", "truncated", "v1_nan_gain"])
+    (v1_with_config_value("ablation", 0.0),
+     "config tensor 'config/ablation' holds 0.0, not an ablation index 1-4"),
+    (v1_with_config_value("ablation", 5.0), "'config/ablation' holds 5.0"),
+    (v1_with_config_value("ablation", 2.5), "'config/ablation' holds 2.5"),
+    (v1_with_config_value("ts", 4.5), "config tensor 'config/ts' holds 4.5, not a whole number"),
+    (v1_with_config_value("seed", np.nan), "'config/seed' holds nan, not a whole number"),
+    (v1_with_config_value("minute_covariate", 0.5),
+     "config tensor 'config/minute_covariate' holds 0.5, not 0 or 1"),
+    (v1_with_config_value("minute_covariate", 2.0), "'config/minute_covariate' holds 2.0"),
+], ids=["current", "truncated", "v1_nan_gain", "v1_ablation_0", "v1_ablation_5",
+        "v1_ablation_2.5", "v1_ts_4.5", "v1_seed_nan", "v1_bool_0.5", "v1_bool_2"])
 def test_upgrader_refusal_exits_2_and_writes_nothing(write_old, message, tmp_path):
     write_old(tmp_path / "old.stag")
     done = run_upgrader(tmp_path / "old.stag", tmp_path / "new.stag")

@@ -14,6 +14,10 @@ refuses:
 - format v2 whose header holds `"ssa_scale"` beside `"config"`, as every v2
   writer before the learnable attention gain wrote it.
 
+A v1 config value that is not what its field claims is refused: an
+ablation index outside 1-4, a non-whole value in an int field, a bool
+other than 0 or 1.
+
 Both store the attention gain of W2-W4 as that `ssa_scale`: a finite
 positive float, or null (in v1: absent) for the initial gain.  W1 has no
 gain and ignores it.  A file holding both an `ssa_scale` and an `ssa/gain`
@@ -56,19 +60,27 @@ GATE_TENSORS = {f"lstm/{fused}": [f"lstm/{part}{gate}" for gate in "ifgo"]
 
 
 def config_from_v1(tensors: dict) -> ModelConfig:
-    """ModelConfig from the `config/*` tensors of v1, which it takes out of `tensors`."""
+    """ModelConfig from the `config/*` tensors of v1, which it takes out of `tensors`.
+
+    A value must be what its field claims: a whole number for an int field,
+    0 or 1 for a bool, and for the ablation its 1-based index into
+    ABLATIONS.  Anything else is a CheckpointFormatError naming the record.
+    """
     values = {}
     for f in fields(ModelConfig):
         key = f"config/{f.name}"
         if key not in tensors:
             raise CheckpointFormatError(f"missing config tensor '{key}'")
-        v, kind = tensors.pop(key)[0], type(f.default)
+        v, kind = float(tensors.pop(key)[0]), type(f.default)
         if kind is str:  # the one string field, ablation, was stored as its index
-            values[f.name] = ABLATIONS[int(v) - 1]
+            ok, claim = v in range(1, len(ABLATIONS) + 1), f"an ablation index 1-{len(ABLATIONS)}"
         elif kind is bool:
-            values[f.name] = bool(v > 0.5)
+            ok, claim = v in (0, 1), "0 or 1"
         else:
-            values[f.name] = kind(v)
+            ok, claim = kind is float or v.is_integer(), "a whole number"
+        if not ok:
+            raise CheckpointFormatError(f"config tensor '{key}' holds {v}, not {claim}")
+        values[f.name] = ABLATIONS[int(v) - 1] if kind is str else kind(v)
     return ModelConfig(**values)
 
 
