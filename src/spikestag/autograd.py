@@ -20,9 +20,16 @@ gathered slots into the output one slot at a time, so it never holds the
 broadcasting engine; binary ops allow the usual numpy broadcast and
 un-broadcast the gradient by summing over expanded axes, which covers bias
 addition and scalar scaling.  A python scalar operand of `add`, `sub` or
-`mul`, on either side, is taken in the dtype of the tensor operand and is
-not a tape parent: the node's parents are the operands passed in as
-Tensors.
+`mul`, on either side, is taken in the dtype of the tensor operand (float32
+for spikes) and is not a tape parent: the node's parents are the operands
+passed in as Tensors.
+
+Spikes are `bool` Tensors, one byte per spike: every LIF layer outputs
+them.  A `bool` Tensor's gradient is float32.  `matmul`, `affine` and
+`gather_sum` cast a `bool` operand to float32 where they do arithmetic on
+it (`as_float`), forward and backward, keeping its memory layout, so their
+float operations are those of the same 0/1 values stored as float32;
+`narrow`, `reshape` and `transpose` pass spikes on as `bool`.
 
 Modules with a hand-written multi-step backward (the fused LIF and LSTM
 recurrences) build their node with `_result` and test `is_recording` first,
@@ -66,15 +73,17 @@ class no_grad:
 class Tensor:
     """Dense value array with an optional gradient record.
 
-    `data` is always a numpy array in row-major order.  `grad` is lazily
-    allocated during backward and has the same shape and dtype as `data`.
+    `data` is always a numpy array in row-major order: float32 or float64,
+    or `bool` for spikes (given `dtype=bool`, or made by a LIF layer).
+    `grad` is lazily allocated during backward and has the shape of `data`
+    and its dtype, float32 for `bool` data.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64, np.bool_):
             arr = arr.astype(DEFAULT_DTYPE)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
@@ -108,7 +117,7 @@ class Tensor:
 
     def _accum(self, g) -> None:
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.array(g, dtype=float_dtype(self.data), copy=True)
         else:
             self.grad += g
 
@@ -121,14 +130,26 @@ class Tensor:
 
     def _grad_buffer(self):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape, dtype=float_dtype(self.data))
         return self.grad
+
+
+def float_dtype(arr: np.ndarray):
+    """The float dtype arithmetic on `arr` runs in: float32 for spikes, else its own."""
+    return DEFAULT_DTYPE if arr.dtype == np.bool_ else arr.dtype
+
+
+def as_float(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself, or a float32 copy of it in its own memory layout if it
+    holds spikes (`bool`), so a transposed view casts to a transposed view
+    and a product gets the operand layout it gets from float32 spikes."""
+    return arr.astype(DEFAULT_DTYPE, order="K") if arr.dtype == np.bool_ else arr
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    dtype = like.data.dtype if like is not None else DEFAULT_DTYPE
+    dtype = float_dtype(like.data) if like is not None else DEFAULT_DTYPE
     return Tensor(np.asarray(x, dtype=dtype), dtype=dtype)
 
 
@@ -179,7 +200,8 @@ def _operands(a, b) -> tuple:
     """(a, b, parents) of a binary op.
 
     A python scalar (or array) operand, on either side, becomes a constant of
-    the other operand's dtype; only operands passed in as Tensors are parents.
+    the other operand's float dtype; only operands passed in as Tensors are
+    parents.
     """
     parents = tuple(x for x in (a, b) if isinstance(x, Tensor))
     like = parents[0] if parents else None
@@ -250,16 +272,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if bd.ndim == 2:
         return affine(a, b)
     try:
-        data = np.matmul(ad, bd)
+        data = np.matmul(as_float(ad), as_float(bd))
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape)
 
     def bw(g):
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+            ga = np.matmul(g, np.swapaxes(as_float(bd), -1, -2))
             a._accum_own(_unbroadcast(ga, ad.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+            gb = np.matmul(np.swapaxes(as_float(ad), -1, -2), g)
             b._accum_own(_unbroadcast(gb, bd.shape))
 
     return _result(data, (a, b), bw, "matmul")
@@ -280,16 +302,16 @@ def affine(a: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (wd.shape[1],):
         raise ShapeError("affine", w.shape, b.shape)
     k, n = wd.shape
-    data = (ad.reshape(-1, k) @ wd).reshape(ad.shape[:-1] + (n,))
+    data = (as_float(ad).reshape(-1, k) @ as_float(wd)).reshape(ad.shape[:-1] + (n,))
     if b is not None:
         data += b.data
 
     def bw(g):
         g2 = g.reshape(-1, n)
         if a.requires_grad:
-            a._accum_own((g2 @ wd.T).reshape(ad.shape))
+            a._accum_own((g2 @ as_float(wd).T).reshape(ad.shape))
         if w.requires_grad:
-            w._accum_own(ad.reshape(-1, k).T @ g2)
+            w._accum_own(as_float(ad).reshape(-1, k).T @ g2)
         if b is not None and b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
@@ -456,7 +478,8 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
     gathered array nor a dense n-by-n product.
     """
     indices = np.asarray(indices, dtype=np.intp)
-    valid = np.asarray(valid, dtype=a.data.dtype)
+    dtype = float_dtype(a.data)
+    valid = np.asarray(valid, dtype=dtype)
     if indices.shape != valid.shape or indices.ndim != 2:
         raise ShapeError("gather_sum", indices.shape, valid.shape)
     if indices.size and (indices.min() < 0 or indices.max() >= a.data.shape[axis]):
@@ -467,16 +490,16 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
     vshape = [1] * a.data.ndim
     vshape[ax] = indices.shape[0]
     data = np.zeros(a.data.shape[:ax] + (indices.shape[0],) + a.data.shape[ax + 1:],
-                    dtype=a.data.dtype)
+                    dtype=dtype)
     for j in range(indices.shape[1]):
-        slot = np.take(a.data, indices[:, j], axis=ax)   # (..., n, ...)
+        slot = as_float(np.take(a.data, indices[:, j], axis=ax))   # (..., n, ...)
         slot *= valid[:, j].reshape(vshape)
         data += slot
 
     def bw(g):
         # scatter with the transposed 0/1 mask, a small dense matmul on the
         # node axis only, formed here so that an untaped call never builds it
-        mask = np.zeros((indices.shape[0], a.data.shape[ax]), dtype=a.data.dtype)
+        mask = np.zeros((indices.shape[0], a.data.shape[ax]), dtype=dtype)
         rows = np.repeat(np.arange(indices.shape[0]), indices.shape[1])
         np.add.at(mask, (rows, indices.reshape(-1)), valid.reshape(-1))
         g_m = np.moveaxis(g, ax, -2)  # (..., n_out, feat)

@@ -17,13 +17,13 @@ no flag, and training always sets it from the data: true for a series
 sampled more often than hourly, false otherwise, whatever the file says.  A
 flag given on the command line overrides the file, the file overrides the
 defaults, and an unknown key is an error.  `train`, `ablate` and `sweep-ts`
-write the resolved configuration to `run_config.txt` in the output
-directory, in exactly the form `--config` accepts; run extras such as the
-data source go on `#` comment lines, and `train` on synthetic data also
-records `# synth_steps`.  `eval`, `predict` and `energy` take their
-configuration from the checkpoint; on synthetic data they need
-`--synth-steps` (no default), since the series length is in neither the
-checkpoint nor the config.
+write the configuration as trained, the data's node count and minute
+covariate included, to `run_config.txt` in the output directory, in exactly
+the form `--config` accepts; run extras such as the data source go on `#`
+comment lines, and on synthetic data they also record `# synth_steps`.
+`eval`, `predict` and `energy` take their configuration from the
+checkpoint; on synthetic data they need `--synth-steps` (no default), since
+the series length is in neither the checkpoint nor the config.
 
 Bad input exits with status 2 and one `error: ...` line on stderr, with no
 traceback: a malformed flag or config file, a malformed CSV, a missing or
@@ -183,6 +183,19 @@ def _load_checkpoint(args: argparse.Namespace):
     return model, dataset, windows
 
 
+def _trained_config(cfg: ModelConfig, dataset: SeriesDataset) -> ModelConfig:
+    """`cfg` with the fields the data sets: the node count and the minute covariate."""
+    return replace(cfg, n_nodes=dataset.n_nodes, minute_covariate=_minute_covariate(dataset))
+
+
+def _data_source(args: argparse.Namespace) -> dict:
+    """The `#` lines of run_config.txt naming the data a command trained on."""
+    extra = {"data": args.data}
+    if args.data == "synthetic":
+        extra["synth_steps"] = args.synth_steps
+    return extra
+
+
 def _echo_config(cfg: ModelConfig, outdir: Path, extra: dict | None = None) -> None:
     lines = [f"# {k} = {v}" for k, v in (extra or {}).items()]
     lines += [f"{k} = {v}" for k, v in asdict(cfg).items()]
@@ -199,8 +212,7 @@ def _write_metrics_csv(path: Path, report) -> None:
 
 
 def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
-    cfg = replace(cfg, n_nodes=dataset.n_nodes, minute_covariate=_minute_covariate(dataset))
-    model = ForecastModel(cfg)
+    model = ForecastModel(_trained_config(cfg, dataset))
     log = None if quiet else (lambda e: print(
         f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f} "
         f"grad_norm={e.grad_norm:.4f}"))
@@ -222,10 +234,7 @@ def cmd_train(args) -> int:
     model, report, _ = _train_once(dataset, cfg)
     ckpt.save_model(outdir / "checkpoint.stag", model)
     _write_metrics_csv(outdir / "metrics.csv", report)
-    extra = {"data": args.data}
-    if args.data == "synthetic":
-        extra["synth_steps"] = args.synth_steps
-    _echo_config(model.config, outdir, extra)
+    _echo_config(model.config, outdir, _data_source(args))
     summary = (f"test_r2 = {report.test_r2:.6f}\n"
                f"test_rse = {report.test_rse:.6f}\n")
     (outdir / "summary.txt").write_text(summary)
@@ -284,7 +293,8 @@ def cmd_ablate(args) -> int:
         for ablation, (r2, rse) in rows.items():
             writer.writerow([ablation, f"{r2:.6f}", f"{rse:.6f}",
                              "*" if ablation == best else ""])
-    _echo_config(cfg, outdir, {"seeds": ",".join(map(str, args.seeds))})
+    _echo_config(_trained_config(cfg, dataset), outdir,
+                 {**_data_source(args), "seeds": ",".join(map(str, args.seeds))})
     print(f"best variant: {best}")
     return 0
 
@@ -308,7 +318,7 @@ def cmd_sweep_ts(args) -> int:
         for ts, r2, rse in rows:
             writer.writerow([ts, f"{r2:.6f}", f"{rse:.6f}"])
         writer.writerow(["stability_max_minus_min_r2", f"{stability:.6f}", ""])
-    _echo_config(cfg, outdir)
+    _echo_config(_trained_config(cfg, dataset), outdir, _data_source(args))
     print(f"R2 stability (max - min): {stability:.4f}")
     return 0
 

@@ -1,6 +1,10 @@
 """Dual-path fusion: LSTM recovery of continuous states, spiking
 self-attention over re-encoded spikes, and a learnable gate blending the two.
 
+Spikes arrive and leave as `bool` Tensors (see `spiking`); the layers cast
+them to float32 only where they do arithmetic on them, and the gradients
+they pass back to spikes are float32.
+
 The LSTM runs over the flattened spike frame sequence per node, as one tape
 node with its input projection folded in, reading its weights as they are
 stored: fused, in (i, f, g, o) column blocks (`LstmParams` says why that
@@ -203,7 +207,9 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
         xt = x_buf[:len(x_c)]
         np.copyto(xt.reshape(xt.shape[:2] + state_shape[:-1]), np.moveaxis(x_c, -1, 1))
         gx = gx_buf[:len(x_c)]
-        np.matmul(wx_fold, xt, out=gx)
+        # `bool` spikes are transposed in bool and then cast, contiguous: a
+        # casting copy from the strided frames is several times slower
+        np.matmul(wx_fold, ag.as_float(xt), out=gx)
         gx += b_fold
         for t in range(t0, t0 + len(x_c)):
             np.matmul(wh_fold, h, out=gates)
@@ -276,10 +282,11 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
             h_prev = cells              # now h_{t-1} of every frame t
             cells_f[0] = 0.0
             wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_flat)
+        # dW_x first: its float copy of `bool` spikes goes before dx is formed
+        if wx.requires_grad:
+            wx._accum_own(ag.as_float(xd).reshape(-1, xd.shape[-1]).T @ d_flat)
         if x.requires_grad:
             x._accum_own((d_flat @ wxd.T).reshape(xd.shape))
-        if wx.requires_grad:
-            wx._accum_own(xd.reshape(-1, xd.shape[-1]).T @ d_flat)
         if b.requires_grad:
             b._accum(ag._unbroadcast(d_gates, bd.shape))
 
@@ -329,6 +336,10 @@ def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams, carry: Carry | None
     """Binary Q, K and V: LIF spikes of the projected input over every frame,
     reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v` (their LIF states
     carried under those names, given `carry`)."""
+    if not ag.is_recording(s, params.w_q, params.w_k, params.w_v):
+        # one float32 copy of `bool` spikes for the three projections; a tape
+        # keeps the spikes as they are, so a taped call casts them per use
+        s = Tensor(ag.as_float(s.data))
     out = []
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
         spikes = lif_linear(s, w, lif, carry, f"ssa.{name}")
@@ -350,8 +361,8 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
 
     Given `carry` (no tape), `s` is one chunk of the `carry.frames` frames of
     a (B, T', N, f) window, taken in order.  The Q/K/V LIF states carry over,
-    and K and V go into `bool` stores of every frame (exact for spikes, a
-    quarter of float32).  The call returns None until the chunk that ends
+    and the `bool` K and V spikes are copied as they are into stores of
+    every frame.  The call returns None until the chunk that ends
     the window, which it reads out against the stores one batch row at a
     time (`attention_core` on that row's K and V cast to float32), so each
     (b, n) product has the shape it has without chunks and the readout is

@@ -119,9 +119,13 @@ class OpCounter:
     # observer interface -----------------------------------------------------
 
     def spikes(self, layer: str, tensor) -> None:
+        """Add the `bool` spikes of one chunk: their number and their sums
+        over the frame axis, kept in float32, the dtype the attention rule's
+        products of those sums are counted in."""
         data = tensor.data
         size, frame_sums = self._seen.get(layer, (0, 0))
-        self._seen[layer] = (size + data.size, frame_sums + data.sum(axis=data.ndim - 3))
+        self._seen[layer] = (size + data.size,
+                             frame_sums + data.sum(axis=data.ndim - 3, dtype=np.float32))
 
     # counting rules ---------------------------------------------------------
 

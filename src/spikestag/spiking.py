@@ -20,9 +20,13 @@ records a single "lif" tape node, whose backward uses the surrogate.  A
 layer driven by a spike projection, `lif_linear(s, W)`, is one node on s and
 W: it forms the input current I = s W in a buffer of its own and writes each
 frame's U over that frame's spent I.  The node keeps the membrane
-potentials U and the spikes S, never I; with no tape it keeps nothing.  The
-loop allocates its state buffers once per call, and each frame writes into
-them in place:
+potentials U and the spikes S, never I; with no tape it keeps nothing.
+
+Spikes are `bool`, one byte each, and U and H stay float.  A layer fed
+spikes casts them to float32 only for its products (`autograd.as_float`),
+so its float operations are those of float32 0/1 spikes; the gradient a
+layer passes back to its spikes is float32.  The loop allocates its state
+buffers once per call, and each frame writes into them in place:
 
     U = I[t] + H;  fired = U >= u_th;  S[t] = fired;  keep = not fired
     H = beta * U;  H *= keep;  H += u_reset * S   (only if u_reset != 0)
@@ -53,7 +57,7 @@ over the whole sequence, bit for bit.
 a fresh LIF neuron with the step's constant value for `ts` sub-steps, one
 binary frame per sub-step, so a window of length T becomes T*ts frames.  The
 frames come out in time order (all sub-steps of step 0, then of step 1, ...),
-written there by the same single node; spikes are plain Tensors throughout.
+written there by the same single node; spikes are `bool` Tensors throughout.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class LifParams:
             raise ContractError("LifParams: alpha must be positive")
 
 
-# `bench/spans.py` imports this name; spikes are plain Tensors
+# `bench/spans.py` imports this name; spikes are `bool` Tensors
 SpikeTrain = Tensor
 
 
@@ -105,8 +109,9 @@ def surrogate_grad(x: np.ndarray, alpha: float) -> np.ndarray:
 
 def _fire(inputs, shape: tuple, dtype, lif: LifParams, carry: np.ndarray | None,
           u_all: np.ndarray | None) -> np.ndarray:
-    """The LIF frame loop: spikes of shape `shape` (frames along axis -3) for
-    the frames (or sub-steps) `inputs` yields, in order.
+    """The LIF frame loop: `bool` spikes of shape `shape` (frames along axis
+    -3) for the frames (or sub-steps) `inputs` yields, in order; the state
+    is of the float `dtype`.
 
     H starts at zero, or at `carry`, which the call leaves holding the final
     H.  Given `u_all` (of `shape`), each frame's U is written into it; it may
@@ -114,7 +119,7 @@ def _fire(inputs, shape: tuple, dtype, lif: LifParams, carry: np.ndarray | None,
     is written.
     """
     axis = len(shape) - 3
-    spikes = np.empty(shape, dtype=dtype)
+    spikes = np.empty(shape, dtype=bool)
     s_frames = np.moveaxis(spikes, axis, 0)
     u_frames = None if u_all is None else np.moveaxis(u_all, axis, 0)
     state = s_frames.shape[1:]
@@ -136,7 +141,7 @@ def _fire(inputs, shape: tuple, dtype, lif: LifParams, carry: np.ndarray | None,
         h *= keep
         if lif.u_reset != 0.0:
             # u_reset * S, formed in U's buffer: U is spent for this frame
-            np.multiply(s_frames[t], lif.u_reset, out=u)
+            np.multiply(fired, lif.u_reset, out=u, dtype=dtype)
             h += u
     return spikes
 
@@ -157,7 +162,7 @@ def _input_grad(g_s: np.ndarray, u_all: np.ndarray, spikes: np.ndarray, lif: Lif
     a *= -lif.beta
     a += lif.u_reset
     a *= sg
-    keep = 1.0 - spikes
+    keep = np.subtract(1.0, spikes, dtype=u_all.dtype)
     keep *= lif.beta
     a += keep
     del keep
@@ -184,7 +189,8 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     the same shape.  Otherwise each of the T frames of `x` is a constant input
     driving a fresh neuron for `steps` sub-steps, and the output is (...,
     T * steps, N, d) with frame t * steps + k holding sub-step k of step t.
-    The state H starts at zero.
+    The state H starts at zero, and U and H are in `x`'s float dtype, float32
+    for `bool` spikes.
     The forward (`_fire`) writes each frame (or sub-step) into U, H, keep and
     fired buffers allocated once per call, with the float32 operations of the
     per-step update, so spikes are bit-identical to it; only the sign of a
@@ -195,6 +201,7 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
     only once (see `autograd.backward`).
     """
     xd = x.data
+    dtype = ag.float_dtype(xd)
     if steps is None:
         shape = out_shape = xd.shape
         inputs = np.moveaxis(xd, xd.ndim - 3, 0)
@@ -204,8 +211,8 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
         shape = xd.shape[:-2] + (steps,) + xd.shape[-2:]
         out_shape = xd.shape[:-3] + (xd.shape[-3] * steps,) + xd.shape[-2:]
         inputs = (xd,) * steps
-    u_all = np.empty(shape, dtype=xd.dtype) if ag.is_recording(x) else None
-    spikes = _fire(inputs, shape, xd.dtype, lif, None, u_all)
+    u_all = np.empty(shape, dtype=dtype) if ag.is_recording(x) else None
+    spikes = _fire(inputs, shape, dtype, lif, None, u_all)
 
     def bw(g_s):
         x._accum_own(_input_grad(g_s.reshape(shape), u_all, spikes, lif, steps))
@@ -233,8 +240,9 @@ def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
     """LIF spikes of the projection s @ w across the frame axis (-3), as one
     "lif" tape node on (s, w).
 
-    `s` is (..., T, N, k) and `w` a (k, d) weight; the output is (..., T, N,
-    d), the neuron state (..., N, d) starting from zero.  Given `carry`, the
+    `s` is (..., T, N, k), `bool` spikes or float gather sums, and `w` a
+    (k, d) weight; the output is (..., T, N, d) `bool` spikes, the neuron
+    state (..., N, d) starting from zero.  Given `carry`, the
     state starts from and is left in its `layer` entry, so the frames may
     come in chunks (no tape; ContractError otherwise).
 
@@ -243,15 +251,16 @@ def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
     of `_lif` runs on it and, with a tape, writes each frame's U over that
     frame's spent potentials.  So the node keeps U and the spikes, and the
     potentials are never a Tensor.  The backward forms dU as `_lif`'s does,
-    then ds = dU w^T and dw = s^T dU as `affine`'s does, so spikes and
-    gradients are bit-identical to `_lif(matmul(s, w))`.
+    then dw = s^T dU and ds = dU w^T as `affine`'s does, so spikes and
+    gradients are bit-identical to `_lif(matmul(s, w))`.  It forms dw first,
+    so the float32 copy of `bool` s it needs is freed before ds exists.
     """
     sd, wd = s.data, w.data
     if sd.ndim < 3 or wd.ndim != 2 or sd.shape[-1] != wd.shape[0]:
         raise ShapeError("lif_linear", s.shape, w.shape)
     k, d = wd.shape
     shape = sd.shape[:-1] + (d,)
-    potentials = (sd.reshape(-1, k) @ wd).reshape(shape)
+    potentials = (ag.as_float(sd).reshape(-1, k) @ wd).reshape(shape)
     record = ag.is_recording(s, w)
     h = None
     if carry is not None:
@@ -266,10 +275,11 @@ def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
         nonlocal u_all
         du = _input_grad(g_s, u_all, spikes, lif).reshape(-1, d)
         u_all = None        # spent: free it before the products
+        # dw first: its float copy of `bool` spikes goes before ds is formed
+        if w.requires_grad:
+            w._accum_own(ag.as_float(sd).reshape(-1, k).T @ du)
         if s.requires_grad:
             s._accum_own((du @ wd.T).reshape(sd.shape))
-        if w.requires_grad:
-            w._accum_own(sd.reshape(-1, k).T @ du)
 
     return ag._result(spikes, (s, w), bw, "lif")
 

@@ -5,8 +5,10 @@ import pytest
 
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
+from spikestag.dsf import LstmParams, _lstm
 from spikestag.errors import ContractError, ShapeError
 from spikestag.model import ModelConfig, mse_loss
+from spikestag.spiking import LifParams, _lif, lif_linear
 
 from gradcheck import TOL, fd_error
 from per_step import heaviside_surrogate, stack, tanh
@@ -312,3 +314,104 @@ class TestScalarOperands:
         sign = -1 if op is ag.sub else 1  # c - x is exactly -(x - c)
         np.testing.assert_array_equal(outs[True][0], sign * outs[False][0])
         np.testing.assert_array_equal(outs[True][1], outs[False][1])
+
+
+def lif_spikes(rng, shape) -> np.ndarray:
+    """`bool` spikes as a LIF layer makes them: the output of `spiking._lif`."""
+    with ag.no_grad():
+        s = _lif(Tensor(rng.uniform(-1.0, 2.0, size=shape).astype(np.float32)), LifParams()).data
+    assert s.dtype == bool and 0.0 < s.mean() < 1.0
+    return s
+
+
+class TestBoolOperands:
+    """An op fed `bool` spikes gives the outputs and gradients, bit for bit,
+    that it gives the same 0/1 values stored as float32, and a `bool`
+    Tensor's gradient is float32."""
+
+    @staticmethod
+    def _run(fn, arrays, spikes_as_bool):
+        """The leaves and fn(*leaves) after the backward of sum(out * weight);
+        the `bool` arrays (the spikes) are `bool` leaves or float32 0/1 ones."""
+        leaves = [Tensor(a, requires_grad=True,
+                         dtype=bool if a.dtype == bool and spikes_as_bool else np.float32)
+                  for a in arrays]
+        out = fn(*leaves)
+        weight = np.random.default_rng(7).standard_normal(out.shape).astype(np.float32)
+        ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+        return leaves, out
+
+    def check(self, fn, *arrays, bool_out=False):
+        spikes = [a.dtype == bool for a in arrays]
+        got_leaves, got = self._run(fn, arrays, True)
+        ref_leaves, ref = self._run(fn, arrays, False)
+        assert got.dtype == (bool if bool_out else np.float32)
+        assert got.data.astype(np.float32).tobytes() == ref.data.astype(np.float32).tobytes()
+        for leaf, spike, ref_leaf in zip(got_leaves, spikes, ref_leaves):
+            assert leaf.dtype == (bool if spike else np.float32)
+            assert leaf.grad.dtype == np.float32
+            assert leaf.grad.tobytes() == ref_leaf.grad.tobytes()
+
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_batched_matmul(self, side):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((2, 3, 64, 40)).astype(np.float32)
+        b = rng.standard_normal((2, 3, 40, 5)).astype(np.float32)
+        if side in ("left", "both"):
+            a = lif_spikes(rng, a.shape)
+        if side in ("right", "both"):
+            b = lif_spikes(rng, b.shape)
+        self.check(ag.matmul, a, b)
+
+    def test_matmul_of_transposed_spikes(self):
+        # the attention readout: float scores times the frame-major V spikes
+        # viewed as (..., N, T, d), and the scores' Q K^T on transposed K
+        rng = np.random.default_rng(2)
+        p = rng.standard_normal((2, 3, 1, 64)).astype(np.float32)
+        v = lif_spikes(rng, (2, 64, 3, 8))
+        self.check(lambda p, v: ag.matmul(p, ag.transpose(v, (0, 2, 1, 3))), p, v)
+        q, k = lif_spikes(rng, (2, 3, 1, 8)), lif_spikes(rng, (2, 3, 64, 8))
+        self.check(lambda q, k: ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), q, k)
+
+    def test_weight_product(self):
+        # a 2-d right operand runs through `affine`
+        rng = np.random.default_rng(3)
+        s = lif_spikes(rng, (2, 16, 3, 40))
+        self.check(ag.matmul, s, rng.standard_normal((40, 6)).astype(np.float32))
+
+    def test_transpose_and_narrow_pass_spikes_on(self):
+        rng = np.random.default_rng(4)
+        s = lif_spikes(rng, (2, 7, 3, 4))
+        self.check(lambda s: ag.transpose(s, (0, 2, 1, 3)), s, bool_out=True)
+        # narrow's gradient buffer is float32, not the data's `bool`
+        self.check(lambda s: ag.narrow(s, 1, 6, 1), s, bool_out=True)
+        self.check(lambda s: ag.narrow(ag.transpose(s, (0, 2, 1, 3)), 2, 2, 3), s, bool_out=True)
+
+    def test_scalar_operand_is_float(self):
+        # a python scalar taken in a `bool` operand's dtype would be True
+        s = lif_spikes(np.random.default_rng(9), (2, 5, 3, 4))
+        for op in (ag.add, ag.sub, ag.mul):
+            self.check(lambda s: op(s, 0.5), s)
+            self.check(lambda s: op(0.5, s), s)
+
+    def test_gather_sum(self):
+        rng = np.random.default_rng(5)
+        s = lif_spikes(rng, (2, 9, 6, 4))
+        idx = np.array([[1, 2, 0], [0, 5, 0], [3, 4, 5], [2, 0, 0], [5, 1, 0], [4, 3, 2]])
+        valid = np.array([[1, 1, 0], [1, 1, 0], [1, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 1]])
+        self.check(lambda s: ag.gather_sum(s, idx, valid, axis=2), s)
+
+    def test_lif_linear_of_lif_spikes(self):
+        rng = np.random.default_rng(6)
+        s = lif_spikes(rng, (2, 24, 3, 16))
+        w = (rng.standard_normal((16, 8)) * 0.8).astype(np.float32)
+        self.check(lambda s, w: lif_linear(s, w, LifParams(u_th=0.5, u_reset=-0.2)), s, w,
+                   bool_out=True)
+
+    def test_lstm_of_lif_spikes(self):
+        rng = np.random.default_rng(8)
+        s = lif_spikes(rng, (2, 40, 3, 6))
+        p = LstmParams.init(6, 5, rng)
+        wx, b, wh = (t.data for t in (p.wx, p.b, p.wh))
+        for stride in (1, 4):
+            self.check(lambda s, wx, b, wh: _lstm(s, wx, b, wh, stride), s, wx, b, wh)

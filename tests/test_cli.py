@@ -197,6 +197,26 @@ def test_sweep_ts_writes_rows_and_stability(tmp_path):
     assert float(rows[3][1]) == pytest.approx(max(r2s) - min(r2s), abs=2e-6)
 
 
+@pytest.mark.parametrize("grid", [["ablate", "--seeds", "1"], ["sweep-ts", "--ts-values", "1,2"]],
+                         ids=["ablate", "sweep-ts"])
+def test_grid_commands_echo_the_config_as_trained(tmp_path, grid):
+    # the flags say 8 nodes; the CSV has 4, sampled every 30 minutes
+    csv_path = half_hourly_csv(tmp_path / "half_hourly.csv")
+    command, *grid_flags = grid
+    runs = {"csv": ["--data", csv_path], "synthetic": []}
+    for name, data in runs.items():
+        out = tmp_path / name
+        assert cli.main([command, *TINY_FLAGS, "--nodes", "8", "--epochs", "1", *grid_flags,
+                         *data, "--out", str(out)]) == 0
+        runs[name] = (read_run_config(out), (out / "run_config.txt").read_text().splitlines())
+    got, lines = runs["csv"]
+    assert (got["n_nodes"], got["minute_covariate"]) == ("4", "True")
+    assert lines[0] == f"# data = {csv_path}" and not lines[1].startswith("# synth_steps")
+    got, lines = runs["synthetic"]
+    assert (got["n_nodes"], got["minute_covariate"]) == ("8", "False")
+    assert lines[:2] == ["# data = synthetic", "# synth_steps = 60"]
+
+
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A tiny trained run on hourly data, a truncated copy of its checkpoint,

@@ -51,6 +51,15 @@ def test_script_exits_0(argv):
     assert done.returncode == 0, done.stderr
 
 
+def test_peak_reports_one_byte_per_held_spike():
+    r = load_tool("peak").measure(4, 2, 8)
+    cfg = ModelConfig()
+    # the seven LIF layers: two encoders, two hops, Q, K and V
+    widths = (cfg.feature_width, cfg.d1, cfg.d2, cfg.h_dim) + (cfg.d_k,) * 3
+    assert r["spike_mb"] * 2**20 == 2 * 8 * cfg.ts * 4 * sum(widths)
+    assert r["spike_mb"] < r["held_mb"]
+
+
 @pytest.mark.parametrize("ablation", ["W1", "W2", "W3", "W4"])
 def test_fingerprint_is_reproducible(fingerprint, ablation, tmp_path):
     first, second = (fingerprint.fingerprint_case("tiny", 1, ablation, tmp_path)

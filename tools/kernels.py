@@ -10,10 +10,12 @@ sub-steps ts, nodes N, feature width f):
                    values, the shape of the DSF re-encoder;
   lif_linear hop1  `spiking.lif_linear` of (B, T*ts, N, f) gather sums (whole
                    numbers up to k1) through an (f, d1) weight, as hop 1;
-  lif_linear ssa.q `spiking.lif_linear` of (B, T*ts, N, h_dim) spikes through
-                   an (h_dim, d_k) weight, as each of Q, K and V;
-  lstm             `dsf._lstm` on (B, T*ts, N, d2) spikes with the stride W4
-                   uses (ts).
+  lif_linear ssa.q `spiking.lif_linear` of (B, T*ts, N, h_dim) `bool` spikes
+                   through an (h_dim, d_k) weight, as each of Q, K and V;
+  lstm             `dsf._lstm` on (B, T*ts, N, d2) `bool` spikes with the
+                   stride W4 uses (ts).
+
+The spikes are `bool`, as the model's LIF layers make them.
 
 Each call is timed as a no-grad forward, a taped forward, and the backward
 of that taped node alone (called directly on a fixed upstream gradient, so no
@@ -48,7 +50,7 @@ def kernel_cases(cfg, rng):
     from spikestag.dsf import LstmParams
 
     def leaf(a):
-        return Tensor(a.astype(np.float32), requires_grad=True)
+        return Tensor(a, requires_grad=True, dtype=bool if a.dtype == bool else np.float32)
 
     b, t, n, ts = cfg.batch_size, cfg.t_in, cfg.n_nodes, cfg.ts
     lif = cfg.lif()

@@ -10,6 +10,8 @@ forward, which runs its frames in chunks), the same forward counted by an
 Prints the peaks of the plain and the counted no-grad forward, the traced
 memory held once the loss exists and the peak of the whole step, in MiB; all
 count only what the forward or step allocates, not the model or the data.
+Also prints `spike_mb`, the bytes of the spikes (the outputs of the "lif"
+tape nodes) the taped forward holds for its backward.
 Also prints `maxrss_mb`, the
 process's peak resident set from `resource.getrusage` (where the platform
 has it), which counts everything: the interpreter, numpy, the model, and the
@@ -69,6 +71,7 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
         tracemalloc.reset_peak()
         loss = mse_loss(model.forward(batch), target)
         held = tracemalloc.get_traced_memory()[0]
+        spikes = sum(node.data.nbytes for node in ag._topo_order(loss) if node._op == "lif")
         model.zero_grad()
         ag.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
@@ -77,7 +80,7 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
     return {"nodes": nodes, "batch": batch_size, "lam": lam, "t_in": cfg.t_in, "ts": cfg.ts,
             "empty_local_sets": sum(not s for s in model.graph.samples_local),
             "no_grad_peak_mb": no_grad_peak / MB, "counted_peak_mb": counted_peak / MB,
-            "held_mb": held / MB, "peak_mb": peak / MB,
+            "held_mb": held / MB, "peak_mb": peak / MB, "spike_mb": spikes / MB,
             "maxrss_mb": maxrss_mb()}
 
 
@@ -108,6 +111,7 @@ def main(argv=None) -> int:
           f"no-grad forward peak {r['no_grad_peak_mb']:.2f} MB "
           f"(counted {r['counted_peak_mb']:.2f} MB), "
           f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
+    print(f"spike_mb {r['spike_mb']:.2f}")
     if r["maxrss_mb"] is not None:
         print(f"maxrss_mb {r['maxrss_mb']:.1f}")
     return 0
