@@ -223,6 +223,33 @@ def _synth_edges(n_nodes: int, rng: np.random.Generator) -> set:
     return edges
 
 
+def _neighbor_groups(neighbors: list) -> list:
+    """Group nodes by degree: one (nodes, index) pair per degree d.
+
+    `nodes` is (n_d,) and `index` is (n_d, d), row k holding the neighbours of
+    `nodes[k]` in the order the list gives them.  Every node needs at least
+    one neighbour; the ring of `_synth_edges` gives each one.
+    """
+    by_degree = {}
+    for i, nb in enumerate(neighbors):
+        by_degree.setdefault(len(nb), []).append(i)
+    return [(np.array(nodes, dtype=np.intp),
+             np.array([neighbors[i] for i in nodes], dtype=np.intp))
+            for nodes in by_degree.values()]
+
+
+def _neighbor_mean(prev: np.ndarray, groups: list, out: np.ndarray) -> np.ndarray:
+    """Write each node's mean of `prev` over its neighbours into `out`.
+
+    One gather and row sum per degree group, divided by the degree: the same
+    `add.reduce` over the same order, then the same division, as
+    `prev[nb].mean()` per node, so the means are bit-identical to it.
+    """
+    for nodes, index in groups:
+        out[nodes] = prev[index].sum(axis=1) / index.shape[1]
+    return out
+
+
 def synth_generate(
     n_nodes: int,
     steps: int,
@@ -237,12 +264,28 @@ def synth_generate(
     profile, plus `coupling` times the mean of its neighbors' previous values
     and Gaussian observation noise.  Returns an hourly dataset starting on a
     Monday midnight.
+
+    The sinusoids of all steps are formed at once; the coupling runs step by
+    step.  Each step's neighbour means come from `_neighbor_mean`: nodes of
+    equal degree d share one gather of their neighbours' previous values, a
+    row sum and a division by d, which sums in `ndarray.mean`'s order (each
+    node's neighbours in edge-set order), so the series is the one a
+    per-node `x[t - 1, nb].mean()` gives.
     """
     if n_nodes < 2:
         raise ContractError("synth_generate: need at least 2 nodes")
+    if steps < 1:
+        raise ContractError(f"synth_generate: steps must be at least 1, got {steps}")
+    if not math.isfinite(coupling):
+        raise ContractError(f"synth_generate: coupling must be finite, got {coupling}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise ContractError(
+            f"synth_generate: noise_sigma must be finite and non-negative, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     edges = _synth_edges(n_nodes, rng)
-    neighbors = [[j for (a, j) in edges if a == i] for i in range(n_nodes)]
+    neighbors = [[] for _ in range(n_nodes)]
+    for a, j in edges:  # each node's neighbours in edge-set order
+        neighbors[a].append(j)
 
     phase = rng.uniform(-0.8, 0.8, size=n_nodes)
     dow_amp = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, size=7)
@@ -251,14 +294,15 @@ def synth_generate(
     times = start + np.arange(steps).astype("timedelta64[s]") * 3600
     _, hour, dow = covariate_indices(times)
 
-    x = np.zeros((steps, n_nodes), dtype=np.float64)
     noise = rng.normal(0.0, noise_sigma, size=(steps, n_nodes)) if noise_sigma > 0 else np.zeros((steps, n_nodes))
-    for t in range(steps):
-        base = np.sin(2.0 * np.pi * hour[t] / 24.0 + phase) * dow_amp[dow[t]]
-        if t > 0 and coupling != 0.0:
-            lagged = np.array([x[t - 1, nb].mean() if nb else 0.0 for nb in neighbors])
-            base = base + coupling * lagged
-        x[t] = base + noise[t]
+    base = np.sin(2.0 * np.pi * hour[:, None] / 24.0 + phase) * dow_amp[dow][:, None]
+    x = base + noise
+    if coupling != 0.0:
+        groups = _neighbor_groups(neighbors)
+        lagged = np.empty(n_nodes)
+        for t in range(1, steps):
+            _neighbor_mean(x[t - 1], groups, lagged)
+            x[t] = base[t] + coupling * lagged + noise[t]
     names = [f"node_{i}" for i in range(n_nodes)]
     return SeriesDataset(times.astype("datetime64[s]"), x.astype(np.float32), 3600, names)
 

@@ -281,6 +281,8 @@ BAD_INPUT_CASES = {
                       "k2 must be positive"),
     "train_no_train_window": (["train", *TINY_FLAGS, "--synth-steps", "7", "--out", "{root}/o"],
                               "no training window; the series has 7 steps"),
+    "train_synth_steps_negative": (["train", *TINY_FLAGS, "--synth-steps", "-3",
+                                    "--out", "{root}/o"], "steps must be at least 1, got -3"),
     "train_stride_zero": (["train", *TINY_FLAGS, "--stride", "0", "--out", "{root}/o"],
                           "stride must be positive"),
     "train_max_batches_negative": (["train", *TINY_FLAGS, "--max-batches", "-1",

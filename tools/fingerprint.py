@@ -9,10 +9,12 @@ and seeds 1-2 (24 cases), one batch of the synthetic series goes through:
   4. a checkpoint save, a load, and a no-grad forward of the loaded model.
 
 Every array is hashed as sha256 over its dtype, shape and bytes: the
-predictions of steps 1-4, the loss, the clip norm, every parameter gradient,
-every `LayerCount` of the counted forward (fields in declaration order, and
-the order of the layers) and the checkpoint bytes.  The tape size of step 2
-is recorded as the plain node count.
+synthetic series the batch is cut from (`series`, so a data change and a
+model change can be told apart), the predictions of steps 1-4, the loss,
+the clip norm, every parameter gradient, every `LayerCount` of the counted
+forward (fields in declaration order, and the order of the layers) and the
+checkpoint bytes.  The tape size of step 2 is recorded as the plain node
+count.  That makes 900 fields over the 24 cases.
 
     python3 tools/fingerprint.py --out FP.json [--root DIR]
     python3 tools/fingerprint.py --compare A.json B.json
@@ -71,13 +73,13 @@ def fingerprint_case(name: str, seed: int, ablation: str, tmp: Path) -> dict:
 
     overrides, from_test = CONFIGS[name]
     cfg = ModelConfig(**{**overrides, "seed": seed, "ablation": ablation})
-    windows = make_windows(synth_generate(cfg.n_nodes, SYNTH_STEPS, seed), cfg.t_in,
-                           cfg.horizon, stride=cfg.stride)
+    dataset = synth_generate(cfg.n_nodes, SYNTH_STEPS, seed)
+    windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
     model = ForecastModel(cfg)
     model.set_norm_stats(windows.mean, windows.std)
     starts = windows.test_starts if from_test else windows.train_starts
     batch = windows.batch(starts[:cfg.batch_size])
-    out = {}
+    out = {"series": digest(dataset.values)}
 
     counter = OpCounter()
     with ag.no_grad():
