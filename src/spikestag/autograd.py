@@ -11,8 +11,8 @@ before a second backward.
 
 The op set is deliberately small, one code path per op: `add`, `sub`,
 `mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum` /
-`tmean`, the gathers `take` and `gather_sum`, `narrow`, `masked_fill`,
-`reshape`, `transpose` and `broadcast_to`.  `affine` (a @ w with an optional
+`tmean`, the gathers `take` and `gather_sum`, `narrow`, `reshape`,
+`transpose` and `broadcast_to`.  `affine` (a @ w with an optional
 bias) is the one flattened-GEMM kernel; `matmul` hands it every 2-d right
 operand and itself runs only the batched product.  `gather_sum` adds its k
 gathered slots into the output one slot at a time, so it never holds the
@@ -507,17 +507,6 @@ def gather_sum(a: Tensor, indices, valid, axis: int) -> Tensor:
         a._accum(np.moveaxis(contrib, -2, ax))
 
     return _result(data, (a,), bw, "gather_sum")
-
-
-def masked_fill(a: Tensor, mask, value: float) -> Tensor:
-    """Replace entries where `mask` is truthy with `value` (no grad through them)."""
-    mask = np.asarray(mask, dtype=bool)
-    data = np.where(mask, np.asarray(value, dtype=a.data.dtype), a.data)
-
-    def bw(g):
-        a._accum_own(np.where(mask, 0.0, g).astype(a.data.dtype, copy=False))
-
-    return _result(data, (a,), bw, "masked_fill")
 
 
 # -- backward pass ------------------------------------------------------------

@@ -21,6 +21,10 @@ write the configuration as trained, the data's node count and minute
 covariate included, to `run_config.txt` in the output directory, in exactly
 the form `--config` accepts; run extras such as the data source go on `#`
 comment lines, and on synthetic data they also record `# synth_steps`.
+`ablate` and `sweep-ts` are two grids over one runner (`_run_grid`), which
+prints each grid label's median test R2 and RSE.  When the val split is too
+short to hold a window, `train` says so in one line after its epoch lines,
+which then carry no val fields.
 `eval`, `predict` and `energy` take their configuration from the
 checkpoint; on synthetic data they need `--synth-steps` (no default), since
 the series length is in neither the checkpoint nor the config.
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 from dataclasses import asdict, fields, replace
@@ -211,15 +216,21 @@ def _write_metrics_csv(path: Path, report) -> None:
                              f"{e.grad_norm:.6f}"])
 
 
+def _print_epoch(e) -> None:
+    # an epoch scores no val R2 (NaN) only when the val split holds no window
+    val = "" if math.isnan(e.r2) else f" val_r2={e.r2:.4f} val_rse={e.rse:.4f}"
+    print(f"  epoch {e.epoch}: loss={e.loss:.5f}{val} grad_norm={e.grad_norm:.4f}")
+
+
 def _train_once(dataset: SeriesDataset, cfg: ModelConfig, quiet: bool = False):
     model = ForecastModel(_trained_config(cfg, dataset))
-    log = None if quiet else (lambda e: print(
-        f"  epoch {e.epoch}: loss={e.loss:.5f} val_r2={e.r2:.4f} val_rse={e.rse:.4f} "
-        f"grad_norm={e.grad_norm:.4f}"))
     # a parameter that turns non-finite ends training with DivergenceError,
     # so the float warnings on the way there would only repeat that
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        report, windows = train(model, dataset, log_fn=log)
+        report, windows = train(model, dataset, log_fn=None if quiet else _print_epoch)
+    if not (quiet or windows.val_starts):
+        print(f"  no validation window: the val split holds {windows.val_steps} steps, "
+              f"fewer than T + L = {cfg.t_in + cfg.horizon}")
     return model, report, windows
 
 
@@ -270,55 +281,59 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def _run_grid(args, grid: list, **extra) -> tuple:
+    """Train a grid of runs; `grid` pairs each label with the config
+    overrides of its runs (one per seed, say).
+
+    Every run's config is built, and so checked, before the first run
+    trains.  Prints each label's median test R2 and RSE over its runs and
+    writes run_config.txt, the config as trained with the data source and
+    `extra` on `#` lines.  Returns the output directory and one (label, r2,
+    rse) row per label, in grid order.
+    """
     cfg = _build_config(args)
-    # every run's config is built, and so checked, before the first run trains
-    runs = {a: [replace(cfg, ablation=a, seed=seed) for seed in args.seeds] for a in ABLATIONS}
+    runs = [(label, [replace(cfg, **o) for o in overrides]) for label, overrides in grid]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = {}
-    for ablation, run_cfgs in runs.items():
+    rows = []
+    for label, run_cfgs in runs:
         r2s, rses = [], []
         for run_cfg in run_cfgs:
             dataset = _load_dataset(args, run_cfg)
             _, report, _ = _train_once(dataset, run_cfg, quiet=True)
             r2s.append(report.test_r2)
             rses.append(report.test_rse)
-        rows[ablation] = (statistics.median(r2s), statistics.median(rses))
-        print(f"{ablation}: R2 {rows[ablation][0]:.4f}  RSE {rows[ablation][1]:.4f}")
-    best = max(rows, key=lambda k: rows[k][0])
+        rows.append((label, statistics.median(r2s), statistics.median(rses)))
+        print(f"{label}: R2 {rows[-1][1]:.4f}  RSE {rows[-1][2]:.4f}")
+    _echo_config(_trained_config(cfg, dataset), outdir, {**_data_source(args), **extra})
+    return outdir, rows
+
+
+def cmd_ablate(args) -> int:
+    outdir, rows = _run_grid(
+        args, [(a, [{"ablation": a, "seed": seed} for seed in args.seeds]) for a in ABLATIONS],
+        seeds=",".join(map(str, args.seeds)))
+    best = max(rows, key=lambda row: row[1])[0]
     with open(outdir / "ablation.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "r2", "rse", "best"])
-        for ablation, (r2, rse) in rows.items():
+        for ablation, r2, rse in rows:
             writer.writerow([ablation, f"{r2:.6f}", f"{rse:.6f}",
                              "*" if ablation == best else ""])
-    _echo_config(_trained_config(cfg, dataset), outdir,
-                 {**_data_source(args), "seeds": ",".join(map(str, args.seeds))})
     print(f"best variant: {best}")
     return 0
 
 
 def cmd_sweep_ts(args) -> int:
-    cfg = _build_config(args)
-    run_cfgs = [replace(cfg, ts=ts) for ts in args.ts_values]   # all checked before training
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for run_cfg in run_cfgs:
-        dataset = _load_dataset(args, run_cfg)
-        _, report, _ = _train_once(dataset, run_cfg, quiet=True)
-        rows.append((run_cfg.ts, report.test_r2, report.test_rse))
-        print(f"Ts={run_cfg.ts}: R2 {report.test_r2:.4f}  RSE {report.test_rse:.4f}")
-    r2s = [r for (_, r, _) in rows]
+    outdir, rows = _run_grid(args, [(f"Ts={ts}", [{"ts": ts}]) for ts in args.ts_values])
+    r2s = [r2 for (_, r2, _) in rows]
     stability = max(r2s) - min(r2s)
     with open(outdir / "sweep_ts.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ts", "r2", "rse"])
-        for ts, r2, rse in rows:
+        for ts, (_, r2, rse) in zip(args.ts_values, rows):
             writer.writerow([ts, f"{r2:.6f}", f"{rse:.6f}"])
         writer.writerow(["stability_max_minus_min_r2", f"{stability:.6f}", ""])
-    _echo_config(_trained_config(cfg, dataset), outdir, _data_source(args))
     print(f"R2 stability (max - min): {stability:.4f}")
     return 0
 

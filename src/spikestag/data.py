@@ -73,6 +73,7 @@ class SplitWindows:
     val_starts: list = field(default_factory=list)
     test_starts: list = field(default_factory=list)
     train_steps: int = 0    # length of the train split's segment of the series
+    val_steps: int = 0      # and of the val split's
     mean: np.ndarray | None = None
     std: np.ndarray | None = None
 
@@ -163,7 +164,7 @@ def make_windows(
     def starts(lo, hi):
         return [i for i in range(lo, hi - span + 1, stride)] if hi - lo >= span else []
 
-    sw = SplitWindows(ds, t_in, horizon, train_steps=b1,
+    sw = SplitWindows(ds, t_in, horizon, train_steps=b1, val_steps=b2 - b1,
                       train_starts=starts(0, b1),
                       val_starts=starts(b1, b2),
                       test_starts=starts(b2, n))
@@ -270,7 +271,8 @@ def synth_generate(
     equal degree d share one gather of their neighbours' previous values, a
     row sum and a division by d, which sums in `ndarray.mean`'s order (each
     node's neighbours in edge-set order), so the series is the one a
-    per-node `x[t - 1, nb].mean()` gives.
+    per-node `x[t - 1, nb].mean()` gives.  A series that leaves float32's
+    range (|coupling| > 1 can make it grow without bound) is refused.
     """
     if n_nodes < 2:
         raise ContractError("synth_generate: need at least 2 nodes")
@@ -300,9 +302,16 @@ def synth_generate(
     if coupling != 0.0:
         groups = _neighbor_groups(neighbors)
         lagged = np.empty(n_nodes)
-        for t in range(1, steps):
-            _neighbor_mean(x[t - 1], groups, lagged)
-            x[t] = base[t] + coupling * lagged + noise[t]
+        # a diverging series is refused below, not warned about step by step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, steps):
+                _neighbor_mean(x[t - 1], groups, lagged)
+                x[t] = base[t] + coupling * lagged + noise[t]
+        diverged = ~(np.abs(x) <= np.finfo(np.float32).max).all(axis=1)   # inf and NaN too
+        if diverged.any():
+            raise ContractError(f"synth_generate: coupling={coupling} makes the series diverge: "
+                                f"step {diverged.argmax()} leaves float32's range "
+                                f"(|coupling| < 1 keeps it bounded)")
     names = [f"node_{i}" for i in range(n_nodes)]
     return SeriesDataset(times.astype("datetime64[s]"), x.astype(np.float32), 3600, names)
 

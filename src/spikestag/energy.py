@@ -139,15 +139,14 @@ class OpCounter:
         n, f, h = cfg.n_nodes, cfg.feature_width, cfg.h_dim
         positions = b * t * cfg.ts * n          # every frame of every node
         self._dense("adjacency", n * n * cfg.emb_dim)
-        s1_sizes = sum(len(s) for s in graph.samples_local)
+        s1_sizes = int(np.count_nonzero(graph.local[1]))
         self._dense("obs", b * t * (3 * n * f * f + 2 * s1_sizes * f))
         src = "mssa.encoder"
         self._fire(src)
-        for layer, sets, width in (("mssa.hop1", graph.samples_local, cfg.d1),
-                                   ("mssa.hop2", graph.samples_semiglobal, cfg.d2)):
+        for layer, (index, valid), width in (("mssa.hop1", graph.local, cfg.d1),
+                                             ("mssa.hop2", graph.semiglobal, cfg.d2)):
             # node j's spikes are summed once per set that holds j
-            in_degree = np.bincount(np.fromiter((j for s in sets for j in s), dtype=np.intp),
-                                    minlength=n).astype(np.float64)
+            in_degree = np.bincount(index.ravel(), weights=valid.ravel(), minlength=n)
             per_node = self._seen[src][1].sum(axis=-1, dtype=np.float64).reshape(-1, n).sum(0)
             self._spike_proj(layer, float(per_node @ in_degree), src, width, n_nodes=n)
             self._fire(layer)

@@ -20,13 +20,16 @@ node index.
 
 A feeds nothing but this discrete top-k sampling, so no gradient reaches E.
 The graph is therefore a constant: plain numpy builds it once, when the model
-is constructed or loaded, and every forward reuses it.  Construction keeps a
-graph with empty local sets; `train()` refuses one before its first step.
+is constructed or loaded, and every forward reuses it.  That includes each
+level's sets padded to a rectangle (`padded_index_mask`), which the graph
+forms as it is built and observation attention and the MSSA hops read.
+Construction keeps a graph with empty local sets; `train()` refuses one
+before its first step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +41,21 @@ MAX_TRIES = 200
 
 @dataclass
 class AdaptiveGraph:
-    """Candidate and two-level sample sets derived from the adjacency."""
+    """Candidate and two-level sample sets derived from the adjacency.
+
+    `local` and `semiglobal` are the two sample levels as the (index, valid)
+    pair of `padded_index_mask`, formed here from the lists.
+    """
 
     candidate_sets: list
     samples_local: list       # S_i^(1)
     samples_semiglobal: list  # S_i^(2)
+    local: tuple = field(init=False, compare=False, repr=False)
+    semiglobal: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.local = padded_index_mask(self.samples_local, len(self.samples_local))
+        self.semiglobal = padded_index_mask(self.samples_semiglobal, len(self.samples_local))
 
 
 def build_adjacency(e: np.ndarray, lam: float = 1.0) -> np.ndarray:

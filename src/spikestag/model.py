@@ -261,7 +261,7 @@ class ForecastModel:
         for start in range(0, t_steps, chunk):
             steps = min(chunk, t_steps - start)
             x_chunk = x if steps == t_steps else ag.narrow(x, t_axis, start, steps)
-            x_obs = obs_forward(x_chunk, self.graph.samples_local, self.obs_params)
+            x_obs = obs_forward(x_chunk, self.graph.local, self.obs_params)
             s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, carry)
             if ab == "W2":
                 ssa_out = ssa_forward(s_mssa, self.ssa_params, lif, carry)

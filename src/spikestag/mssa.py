@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .graph import AdaptiveGraph, padded_index_mask
+from .graph import AdaptiveGraph
 from .spiking import Carry, LifParams, encode_sequence, lif_linear
 
 
@@ -44,12 +44,12 @@ class HopWeights:
         return cls(w1, w2)
 
 
-def _hop(spikes: Tensor, sets: list, w: Tensor, lif: LifParams, layer: str,
+def _hop(spikes: Tensor, neighborhood: tuple, w: Tensor, lif: LifParams, layer: str,
          carry: Carry | None = None) -> Tensor:
-    """One sample-index-sum-project-fire hop over all frames at once; its
-    spikes are reported, and its LIF state carried, under `layer`."""
-    idx, valid = padded_index_mask(sets, spikes.shape[-2])
-    summed = ag.gather_sum(spikes, idx, valid, axis=spikes.data.ndim - 2)
+    """One sample-index-sum-project-fire hop over all frames at once, over a
+    sample level's (index, valid) pair; its spikes are reported, and its LIF
+    state carried, under `layer`."""
+    summed = ag.gather_sum(spikes, *neighborhood, axis=spikes.data.ndim - 2)
     out = lif_linear(summed, w, lif, carry, layer)
     ag.observe_spikes(layer, out)
     return out
@@ -72,6 +72,6 @@ def mssa_forward(
     """
     encoded = encode_sequence(x_obs, ts, lif)
     ag.observe_spikes("mssa.encoder", encoded)
-    s1 = _hop(encoded, graph.samples_local, weights.w1, lif, layer="mssa.hop1", carry=carry)
-    s2 = _hop(s1, graph.samples_semiglobal, weights.w2, lif, layer="mssa.hop2", carry=carry)
+    s1 = _hop(encoded, graph.local, weights.w1, lif, layer="mssa.hop1", carry=carry)
+    s2 = _hop(s1, graph.semiglobal, weights.w2, lif, layer="mssa.hop2", carry=carry)
     return s2

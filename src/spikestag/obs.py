@@ -5,9 +5,11 @@ For node i at step t, with q/k/v projections of the step features,
     alpha_ij = softmax_{j in S_i} (q_i . k_j / sqrt(f))
     x_i' = x_i + sum_j alpha_ij v_j
 
-Attention is restricted to the local sample set; nodes with an empty set pass
-through unchanged (the residual survives, the sum is empty).  No cross-time
-mixing happens here.
+Attention is restricted to the local sample set, which arrives padded to
+kmax slots (`graph.AdaptiveGraph.local`).  The padding enters the scores as an
+additive bias of -1e9, so its softmax weights underflow to exactly 0; nodes
+with an empty set pass through unchanged (the residual survives, the sum is
+empty).  No cross-time mixing happens here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .graph import padded_index_mask
 
 
 @dataclass
@@ -37,16 +38,14 @@ class ObsParams:
         return cls(mk(), mk(), mk())
 
 
-def obs_forward(x: Tensor, neighborhoods: list, params: ObsParams) -> Tensor:
+def obs_forward(x: Tensor, neighborhood: tuple, params: ObsParams) -> Tensor:
     """Apply residual neighborhood attention.
 
     `x` has shape (..., N, f); leading axes (batch, time) are carried through.
-    `neighborhoods` is the per-node local sample set from the graph module.
+    `neighborhood` is the local sample sets' (index, valid) pair, each (N, kmax).
     """
-    n = x.shape[-2]
     f = x.shape[-1]
-    idx, valid = padded_index_mask(neighborhoods, n)
-    pad = valid == 0.0  # (N, kmax) bool
+    idx, valid = neighborhood
 
     q = ag.matmul(x, params.w_q)
     k = ag.matmul(x, params.w_k)
@@ -57,7 +56,7 @@ def obs_forward(x: Tensor, neighborhoods: list, params: ObsParams) -> Tensor:
 
     q_exp = ag.reshape(q, list(q.shape[:-1]) + [1, f])
     scores = ag.mul(ag.tsum(ag.mul(q_exp, k_nb), axis=-1), 1.0 / math.sqrt(f))
-    scores = ag.masked_fill(scores, pad, -1e9)
+    scores = ag.add(scores, np.where(valid == 0.0, -1e9, 0.0))
     attn = ag.softmax(scores, axis=-1)
     # fully-padded rows softmax to uniform junk; the mask zeroes them out
     attn = ag.mul(attn, Tensor(valid, dtype=x.data.dtype))

@@ -248,7 +248,7 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
     z = Tensor(batch.normalized_inputs())
     x = model.embed_inputs(z, batch.input_times)
     graph = model.graph
-    x_obs = obs_forward(x, graph.samples_local, model.obs_params)
+    x_obs = obs_forward(x, graph.local, model.obs_params)
     s_mssa = mssa_forward(x_obs, graph, model.hop_weights, lif, cfg.ts)
 
     t_frames = x.shape[1] * cfg.ts

@@ -37,11 +37,6 @@ class TestForwardOps:
         a, b = t([[1.0, 2.0]]), t([[3.0]])
         np.testing.assert_array_equal(ag.concat([a, b], axis=-1).data, [[1.0, 2.0, 3.0]])
 
-    def test_masked_fill(self):
-        x = t([1.0, 2.0, 3.0])
-        out = ag.masked_fill(x, np.array([False, True, False]), -9.0)
-        np.testing.assert_array_equal(out.data, [1.0, -9.0, 3.0])
-
     def test_take_gathers_rows(self):
         x = t([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         out = ag.take(x, np.array([2, 0]), axis=0)
@@ -174,7 +169,6 @@ SMOOTH_CASES = [
     ("take", lambda x: ag.tsum(ag.mul(ag.take(x, np.array([[0, 2], [1, 1]]), axis=0), 1.5)), (3, 2)),
     ("take_index", lambda x: ag.tsum(ag.mul(ag.take(x, 1, axis=0), ag.take(x, -3, axis=0))), (3, 4)),
     ("narrow", lambda x: ag.tsum(ag.mul(ag.narrow(x, -1, 1, 2), ag.narrow(x, -1, 0, 2))), (3, 4)),
-    ("masked_fill", lambda x: ag.tsum(ag.mul(ag.masked_fill(x, np.eye(3, dtype=bool), 0.5), x)), (3, 3)),
     ("transpose", lambda x: ag.tsum(ag.mul(ag.transpose(x, (1, 0)), 2.0)), (2, 4)),
     ("reshape", lambda x: ag.tsum(ag.mul(ag.reshape(x, (6,)), ag.reshape(tanh(x), (6,)))), (2, 3)),
     ("broadcast_to", lambda x: ag.tsum(ag.mul(ag.broadcast_to(ag.reshape(x, (1, 4)), (3, 4)), 0.7)), (4,)),

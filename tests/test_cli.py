@@ -122,7 +122,9 @@ def test_train_eval_predict_energy(tmp_path, capsys):
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and float(rows[0]["grad_norm"]) > 0.0
-    assert "grad_norm=" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "val_r2=" in out_text and "grad_norm=" in out_text
+    assert "no validation window" not in out_text
 
     data = ["--synth-steps", "60"]
     assert cli.main(["eval", ckpt, *data]) == 0
@@ -138,6 +140,20 @@ def test_train_eval_predict_energy(tmp_path, capsys):
                      "--batch", "2"]) == 0
     assert (tmp_path / "energy" / "energy.txt").is_file()
     assert (tmp_path / "energy" / "energy.csv").is_file()
+
+
+def test_train_without_a_val_window_says_so_once(tmp_path, capsys):
+    # 40 steps: a val split of round(32) - round(28) = 4 steps, shorter than T + L = 6
+    out = tmp_path / "run"
+    assert cli.main(["train", *TINY_FLAGS, "--synth-steps", "40", "--epochs", "2",
+                     "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    note = "  no validation window: the val split holds 4 steps, fewer than T + L = 6"
+    assert lines.count(note) == 1
+    epochs = [line for line in lines if line.startswith("  epoch ")]
+    assert len(epochs) == 2 and not any("nan" in line or "val_" in line for line in epochs)
+    with open(out / "metrics.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["epoch", "loss", "r2", "rse", "grad_norm"]
 
 
 def test_checkpoint_commands_need_synth_steps_on_synthetic_data(tmp_path, capsys):

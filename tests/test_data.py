@@ -262,6 +262,18 @@ class TestSynth:
         with pytest.raises(ContractError, match=name):
             synth_generate(4, seed=0, **{"steps": 10, **kwargs})
 
+    # 5,000 steps at coupling 3 also leave float64's range (inf, then NaN);
+    # RuntimeWarnings are errors here, so none may escape either way
+    @pytest.mark.parametrize("coupling,steps,step", [(-1.7, 500, 169), (1.5, 500, 219),
+                                                     (3.0, 5000, 83)])
+    def test_refuses_a_diverging_series(self, coupling, steps, step):
+        with pytest.raises(ContractError, match=f"coupling={coupling} .* step {step} "):
+            synth_generate(8, steps, seed=1, coupling=coupling)
+
+    @pytest.mark.parametrize("coupling", [-0.99, 0.99])
+    def test_coupling_below_one_stays_finite(self, coupling):
+        assert np.isfinite(synth_generate(8, 2000, seed=1, coupling=coupling).values).all()
+
     def test_single_step(self):
         assert synth_generate(4, 1, seed=0).values.shape == (1, 4)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,17 @@ class TestBuildGraphAndPadding:
     def test_padded_index_mask_range_check(self):
         with pytest.raises(ContractError):
             padded_index_mask([[5]], n_nodes=3)
+
+    def test_graph_holds_its_padded_sample_sets(self):
+        g = AdaptiveGraph([[1], [0], [0]], [[1, 2], [], [0]], [[], [2], [1]])
+        for pair, sets in ((g.local, g.samples_local), (g.semiglobal, g.samples_semiglobal)):
+            for got, want in zip(pair, padded_index_mask(sets, 3)):
+                np.testing.assert_array_equal(got, want)
+        # derived fields: replace re-pads, and equality and repr read only the lists
+        other = replace(g, samples_semiglobal=[[1, 2], [0], [0, 1]])
+        np.testing.assert_array_equal(other.semiglobal[1], [[1, 1], [1, 0], [1, 1]])
+        assert other != g and replace(g) == g
+        assert repr(g) == ("AdaptiveGraph(candidate_sets=[[1], [0], [0]], samples_local=[[1, 2], "
+                           "[], [0]], samples_semiglobal=[[], [2], [1]])")
+        with pytest.raises(ContractError):
+            AdaptiveGraph([[1]], [[5]], [[]])

@@ -7,8 +7,11 @@ import pytest
 
 import per_step
 
+import spikestag.energy
 import spikestag.graph
 import spikestag.model
+import spikestag.mssa
+import spikestag.obs
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.checkpoint import load_model, save_model
@@ -387,6 +390,22 @@ class TestGraphBuiltOnce:
         self.forbid_rebuild(monkeypatch)
         with pytest.raises(ContractError, match="32 of 32 nodes have an empty local sample set"):
             train(model, tiny_dataset(nodes=32))
+
+    def test_forwards_read_the_sets_padded_at_construction(self, monkeypatch):
+        """A taped step, a chunked no-grad forward and a counted one pad nothing."""
+        model, batch = chunked_case("W4", 4)
+        assert batch.inputs.shape[1] * model.config.ts > LSTM_CHUNK
+        for module in (spikestag.graph, spikestag.obs, spikestag.mssa, spikestag.energy):
+            monkeypatch.setattr(module, "padded_index_mask", _rebuild, raising=False)
+        loss = mse_loss(model.forward(batch), batch.normalized_targets())
+        ag.backward(loss)
+        assert all(p.grad is not None for p in model.parameters().values())
+        with ag.no_grad():
+            chunked = model.forward(batch).data
+            counter = OpCounter()
+            counted = model.forward(batch, counter=counter).data
+        assert chunked.tobytes() == counted.tobytes()
+        assert counter.counts.layers["mssa.hop2"].ac_ops > 0
 
     def test_embeddings_are_a_buffer_not_a_parameter(self):
         model = ForecastModel(TINY)

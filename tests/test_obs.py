@@ -5,6 +5,7 @@ import pytest
 
 from spikestag import autograd as ag
 from spikestag.autograd import Tensor
+from spikestag.graph import padded_index_mask
 from spikestag.obs import ObsParams, obs_forward
 
 from gradcheck import TOL, f64, fd_error
@@ -31,6 +32,11 @@ def obs_oracle(x, neighborhoods, wq, wk, wv):
     return out, attn_rows
 
 
+def padded(sets):
+    """The (index, valid) pair `obs_forward` reads, from hand-written sets."""
+    return padded_index_mask(sets, len(sets))
+
+
 def params_from(wq, wk, wv):
     return ObsParams(
         Tensor(wq.astype(np.float32), requires_grad=True),
@@ -43,7 +49,7 @@ def test_empty_neighborhoods_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3, 5)).astype(np.float32)
     p = ObsParams.init(5, rng)
-    out = obs_forward(Tensor(x), [[], [], []], p)
+    out = obs_forward(Tensor(x), padded([[], [], []]), p)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -52,7 +58,7 @@ def test_single_neighbor_softmax_is_one():
     x = rng.standard_normal((2, 3, 4)).astype(np.float32)
     wq, wk, wv = (rng.standard_normal((4, 4)) for _ in range(3))
     p = params_from(wq, wk, wv)
-    out = obs_forward(Tensor(x), [[2], [], []], p)
+    out = obs_forward(Tensor(x), padded([[2], [], []]), p)
     expected = x.copy()
     for t in range(2):
         expected[t, 0] = x[t, 0] + x[t, 2] @ wv.astype(np.float32)
@@ -65,7 +71,7 @@ def test_matches_double_loop_oracle_identity_weights():
     eye = np.eye(4)
     p = params_from(eye, eye, eye)
     nbrs = [[1, 2], [0], []]
-    out = obs_forward(Tensor(x), nbrs, p)
+    out = obs_forward(Tensor(x), padded(nbrs), p)
     expected, _ = obs_oracle(x.astype(np.float64), nbrs, eye, eye, eye)
     np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -76,7 +82,7 @@ def test_matches_oracle_random_weights_and_attention_sums():
     wq, wk, wv = (rng.standard_normal((6, 6)) * 0.5 for _ in range(3))
     nbrs = [[1, 3], [0, 2, 3], [1], []]
     p = params_from(wq, wk, wv)
-    out = obs_forward(Tensor(x), nbrs, p)
+    out = obs_forward(Tensor(x), padded(nbrs), p)
     expected, attn = obs_oracle(
         x.astype(np.float64), nbrs,
         p.w_q.data.astype(np.float64), p.w_k.data.astype(np.float64),
@@ -90,7 +96,7 @@ def test_zero_value_projection_is_identity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 4, 5)).astype(np.float32)
     p = params_from(rng.standard_normal((5, 5)), rng.standard_normal((5, 5)), np.zeros((5, 5)))
-    out = obs_forward(Tensor(x), [[1], [2, 3], [0], [0, 1]], p)
+    out = obs_forward(Tensor(x), padded([[1], [2, 3], [0], [0, 1]]), p)
     np.testing.assert_allclose(out.data, x, atol=1e-7)
 
 
@@ -101,7 +107,7 @@ def test_gradient_check():
     r = rng.standard_normal((2, 3, 3)).astype(np.float32)
 
     def f(x):
-        out = obs_forward(x, nbrs, ObsParams(f64(p.w_q), f64(p.w_k), f64(p.w_v)))
+        out = obs_forward(x, padded(nbrs), ObsParams(f64(p.w_q), f64(p.w_k), f64(p.w_v)))
         return ag.tsum(ag.mul(out, Tensor(r, dtype=np.float64)))
 
     x0 = Tensor(rng.standard_normal((2, 3, 3)).astype(np.float32), requires_grad=True)
@@ -118,7 +124,7 @@ def test_gradient_check_wrt_projections():
         def f(w):
             mats = [Tensor(b, dtype=np.float64) for b in base]
             mats[slot] = w
-            out = obs_forward(Tensor(x, dtype=np.float64), nbrs, ObsParams(*mats))
+            out = obs_forward(Tensor(x, dtype=np.float64), padded(nbrs), ObsParams(*mats))
             return ag.tsum(ag.mul(out, out))
 
         err = fd_error(f, Tensor(base[slot].astype(np.float32), requires_grad=True))

@@ -33,12 +33,17 @@ def load_tool(name: str):
     return module
 
 
-@pytest.fixture
-def fingerprint(monkeypatch):
+def tiny_fingerprint():
+    """A fresh `tools/fingerprint.py` module set to the tiny config and a 60-step series."""
     module = load_tool("fingerprint")
-    monkeypatch.setattr(module, "CONFIGS", TINY_CONFIG)
-    monkeypatch.setattr(module, "SYNTH_STEPS", 60)
+    module.CONFIGS = TINY_CONFIG
+    module.SYNTH_STEPS = 60
     return module
+
+
+@pytest.fixture
+def fingerprint():
+    return tiny_fingerprint()
 
 
 @pytest.mark.parametrize("argv", [
