@@ -10,9 +10,10 @@ backward passes the node, so a tape is single-use: run the forward again
 before a second backward.
 
 The op set is deliberately small, one code path per op: `add`, `sub`,
-`mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum` /
-`tmean`, the gathers `take` and `gather_sum`, `narrow`, `reshape`,
-`transpose` and `broadcast_to`.  `affine` (a @ w with an optional
+`mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum`, the
+gathers `take` and `gather_sum`, `reshape`, `transpose` and
+`broadcast_to`.  A slice along an axis is a `take` of an index range, and
+a mean is `tsum` times one over the count.  `affine` (a @ w with an optional
 bias) is the one flattened-GEMM kernel; `matmul` hands it every 2-d right
 operand and itself runs only the batched product.  `gather_sum` adds its k
 gathered slots into the output one slot at a time, so it never holds the
@@ -29,7 +30,7 @@ them.  A `bool` Tensor's gradient is float32.  `matmul`, `affine` and
 `gather_sum` cast a `bool` operand to float32 where they do arithmetic on
 it (`as_float`), forward and backward, keeping its memory layout, so their
 float operations are those of the same 0/1 values stored as float32;
-`narrow`, `reshape` and `transpose` pass spikes on as `bool`.
+`take`, `reshape` and `transpose` pass spikes on as `bool`.
 
 Modules with a hand-written multi-step backward (the fused LIF and LSTM
 recurrences) build their node with `_result` and test `is_recording` first,
@@ -73,10 +74,13 @@ class no_grad:
 class Tensor:
     """Dense value array with an optional gradient record.
 
-    `data` is always a numpy array in row-major order: float32 or float64,
-    or `bool` for spikes (given `dtype=bool`, or made by a LIF layer).
-    `grad` is lazily allocated during backward and has the shape of `data`
-    and its dtype, float32 for `bool` data.
+    `data` is a numpy array: float32 or float64, or `bool` for spikes
+    (given `dtype=bool`, or made by a LIF layer).  The constructor stores
+    it row-major (C-contiguous); an op's result may be a strided view of
+    its input instead (`transpose` returns one, and `reshape` may), so code
+    that needs a layout makes it.  `grad` is lazily allocated during
+    backward and has the shape of `data` and its dtype, float32 for `bool`
+    data.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -405,20 +409,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _result(data, tuple(tensors), bw, "concat")
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along `axis`."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    data = a.data[idx].copy()
-
-    def bw(g):
-        buf = a._grad_buffer()
-        buf[idx] += g
-
-    return _result(data, (a,), bw, "narrow")
-
-
 # -- reductions --------------------------------------------------------------
 
 
@@ -433,11 +423,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         a._accum(np.broadcast_to(g, src_shape))
 
     return _result(data, (a,), bw, "sum")
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, 1.0 / (a.data.size // s.data.size))
 
 
 # -- gathers and masking ------------------------------------------------------

@@ -22,9 +22,9 @@ declared order, with the attention readout `ssa/proj` and gain `ssa/gain`
 header is exactly `{"config": dataclasses.asdict(config)}`, so config ints
 and floats round-trip exactly.  A load reads every record or refuses the
 file: a record the config does not name, a missing or misshaped one, or a
-non-finite value is a `CheckpointFormatError`.  A save refuses what the
-load would: a tensor holding a non-finite value is a `ContractError`, and
-no file is written.
+non-finite value is a `CheckpointFormatError`, and a model whose graph
+leaves a local sample set empty is a `ContractError`.  A save refuses what
+the load would, with a `ContractError`, and writes nothing then.
 
 Files of an older layout are recognised and refused, with a message naming
 `tools/upgrade_checkpoint.py`, which rewrites them as format v2: version 1,
@@ -37,8 +37,10 @@ second reader here.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -83,8 +85,14 @@ def _read_records(blob: bytes, off: int) -> dict:
 
 
 def save_model(path, model: ForecastModel) -> None:
-    """Write `model` in format v2; ContractError, naming the tensor, if one
-    holds a non-finite value (nothing is written then)."""
+    """Write `model` in format v2; ContractError, and nothing written, if a
+    tensor holds a non-finite value (naming it) or a local sample set is empty.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over `path`, so a save that fails partway leaves the file
+    that was there as it was.
+    """
+    model.check_local_sets()
     header = json.dumps({"config": asdict(model.config)}, allow_nan=False)
     tensors = {"emb/e": model.embeddings}
     tensors.update((name, p.data) for name, p in model.parameters().items())
@@ -95,9 +103,15 @@ def save_model(path, model: ForecastModel) -> None:
         if not np.isfinite(arr).all():
             raise ContractError(f"save_model: tensor '{name}' holds a non-finite value")
     encoded = header.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<II", VERSION, len(encoded)) + encoded)
-        _write_records(fh, tensors)
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(encoded)) + encoded)
+            _write_records(fh, tensors)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _older_layout(what: str) -> CheckpointFormatError:
@@ -106,19 +120,14 @@ def _older_layout(what: str) -> CheckpointFormatError:
 
 
 def _config_from_header(header) -> ModelConfig:
-    """ModelConfig from a v2 header; keys and value types must match."""
+    """ModelConfig from a v2 header, which must name exactly its fields;
+    `ModelConfig` checks their values and types."""
     if isinstance(header, dict) and "ssa_scale" in header:
         raise _older_layout("a header holding 'ssa_scale'")
-    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     values = header.get("config") if isinstance(header, dict) else None
-    if (not isinstance(values, dict) or values.keys() != kinds.keys()
+    if (not isinstance(values, dict) or values.keys() != {f.name for f in fields(ModelConfig)}
             or header.keys() != {"config"}):
         raise CheckpointFormatError("header must be exactly a 'config' of the ModelConfig fields")
-    for name, kind in kinds.items():
-        v = values[name]
-        if type(v) is not kind and not (kind is float and type(v) is int):
-            raise CheckpointFormatError(f"header config field {name} must be {kind.__name__}, "
-                                        f"got {v!r}")
     return ModelConfig(**values)
 
 
@@ -176,6 +185,7 @@ def _build(config: ModelConfig, tensors: dict) -> ForecastModel:
                                for stat in ("mean", "std")))
     if tensors:
         raise CheckpointFormatError(f"records the config does not read: {', '.join(tensors)}")
+    model.check_local_sets()
     return model
 
 

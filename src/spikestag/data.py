@@ -177,28 +177,28 @@ def make_windows(
     return sw
 
 
-def metric_rse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Root relative squared error over all nodes and steps jointly."""
+def _relative_squared_error(name: str, pred: np.ndarray, target: np.ndarray) -> float:
+    """Squared error over the target's squared deviation from its mean, in
+    float64, over all nodes and steps jointly; the metric `name` refuses a
+    shape mismatch (ContractError) and a constant target (UndefinedMetricError)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ContractError(f"metric_rse: shape mismatch {pred.shape} vs {target.shape}")
+        raise ContractError(f"{name}: shape mismatch {pred.shape} vs {target.shape}")
     denom = ((target - target.mean()) ** 2).sum()
     if denom == 0.0:
-        raise UndefinedMetricError("metric_rse: constant target")
-    return float(math.sqrt(((pred - target) ** 2).sum() / denom))
+        raise UndefinedMetricError(f"{name}: constant target")
+    return ((pred - target) ** 2).sum() / denom
+
+
+def metric_rse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Root relative squared error over all nodes and steps jointly."""
+    return float(math.sqrt(_relative_squared_error("metric_rse", pred, target)))
 
 
 def metric_r2(pred: np.ndarray, target: np.ndarray) -> float:
     """Coefficient of determination over all nodes and steps jointly."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ContractError(f"metric_r2: shape mismatch {pred.shape} vs {target.shape}")
-    denom = ((target - target.mean()) ** 2).sum()
-    if denom == 0.0:
-        raise UndefinedMetricError("metric_r2: constant target")
-    return float(1.0 - ((pred - target) ** 2).sum() / denom)
+    return float(1.0 - _relative_squared_error("metric_r2", pred, target))
 
 
 def covariate_indices(times: np.ndarray):

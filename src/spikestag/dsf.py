@@ -34,9 +34,10 @@ LIF recurrence over every frame, and report their spikes
 
 Without a tape the model feeds this block its frames in chunks (see
 `ForecastModel.forward`).  The LSTM and the Q/K/V LIF layers then carry
-their states from chunk to chunk in a `spiking.Carry`, and attention keeps
-only the final query frame and the K and V spikes of every frame, as bool,
-reading out once the window's last chunk is in.
+their states from chunk to chunk in a `spiking.Carry`, each sizing its own
+state and `Carry.get` checking it, and attention keeps only the final query
+frame and the K and V spikes of every frame, as bool, reading out once the
+window's last chunk is in.
 """
 
 from __future__ import annotations
@@ -128,16 +129,16 @@ LSTM_CHUNK = 32
 
 
 def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
-          carry: tuple | None = None) -> Tensor:
+          carry: Carry | None = None) -> Tensor:
     """LSTM recurrence over the frame axis (-3) of `x` as one tape node.
 
     `x` is (..., T', N, d_in); `wx` (d_in, 4h), `b` (4h,) and `wh` (h, 4h)
     are the fused weights in gate order (i, f, g, o).  States start at zero,
-    or at `carry`, a gate-major (h, c) pair of (h, rows) arrays, rows =
-    (..., N) flattened, which the call leaves holding the final states; a
-    carry needs a call that records no tape (ContractError otherwise).
-    Returns the hidden states of frames stride-1, 2*stride-1, ..., shape
-    (..., T' // stride, N, h).
+    or, given `carry`, at its `lstm.h` and `lstm.c` entries: gate-major
+    (h, rows) arrays, rows = (..., N) flattened, which the call leaves
+    holding the final states.  A carry needs a call that records no tape
+    (ContractError otherwise).  Returns the hidden states of frames
+    stride-1, 2*stride-1, ..., shape (..., T' // stride, N, h).
 
     The forward is gate-major over rows = (..., N): h and c are (h, rows)
     and each frame's gates (4h, rows), formed as W_h'^T h^T plus the frame's
@@ -195,11 +196,8 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     gx_buf = np.empty((chunk, 4 * h_dim, rows), dtype=dtype)
     gates = np.empty((4 * h_dim, rows), dtype=dtype)
     i_g, f_g, g_g, o_g = gates.reshape(4, h_dim, rows)
-    if carry is None:
-        carry = (np.zeros((h_dim, rows), dtype=dtype), np.zeros((h_dim, rows), dtype=dtype))
-    h, c = carry
-    if any((a.shape, a.dtype) != ((h_dim, rows), dtype) for a in carry):
-        raise ContractError(f"_lstm: carried states must be {dtype}{(h_dim, rows)}")
+    states = Carry(t_frames) if carry is None else carry
+    h, c = (states.get(f"lstm.{name}", (h_dim, rows), dtype) for name in "hc")
     tmp = np.empty_like(h)
     row_major = lambda arr: arr.T.reshape(state_shape[:-1] + (len(arr),))  # (k, rows) -> (..., N, k)
     for t0 in range(0, t_frames, LSTM_CHUNK):
@@ -305,12 +303,7 @@ def lstm_forward(x: Tensor, params: LstmParams, stride: int = 1,
     streams its input gates (see `_lstm`), so without a tape its largest
     buffers are one chunk of gates and the returned frames.
     """
-    state = None
-    if carry is not None:
-        shape = (params.wh.shape[0], math.prod(x.shape[:-3]) * x.shape[-2])   # (h, rows)
-        dtype = np.result_type(x.data, params.wx.data)
-        state = (carry.get("lstm.h", shape, dtype), carry.get("lstm.c", shape, dtype))
-    return _lstm(x, params.wx, params.b, params.wh, stride, state)
+    return _lstm(x, params.wx, params.b, params.wh, stride, carry)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -369,8 +362,7 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
     bit-identical.
     """
     q, k, v = qkv_spikes(s, params, lif, carry)
-    t_axis = q.data.ndim - 3
-    q_last = ag.narrow(q, t_axis, q.shape[t_axis] - 1, 1)
+    q_last = ag.take(q, [-1], q.data.ndim - 3)
     if carry is None:
         return attention_core(q_last, k, v)
     shape = k.shape[:1] + (carry.frames,) + k.shape[2:]

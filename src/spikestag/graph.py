@@ -23,8 +23,9 @@ The graph is therefore a constant: plain numpy builds it once, when the model
 is constructed or loaded, and every forward reuses it.  That includes each
 level's sets padded to a rectangle (`padded_index_mask`), which the graph
 forms as it is built and observation attention and the MSSA hops read.
-Construction keeps a graph with empty local sets; `train()` refuses one
-before its first step.
+Construction keeps a graph with empty local sets, so that it can be
+inspected; `ForecastModel.check_local_sets` refuses one, and `train()`
+(before its first step), `save_model` and `load_model` call it.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def init_live_embeddings(n_nodes: int, dim: int, lam: float, k1: int, k2: int, s
     graph is built once from the embeddings and never changes.  The retry
     scans up to MAX_TRIES deterministic sub-seeds until all nodes have at
     least one candidate and one semi-global sample, falling back to the last
-    attempt without a word; `train()` is what refuses a graph with an empty
-    local set.
+    attempt without a word; `ForecastModel.check_local_sets` is what refuses
+    a graph with an empty local set.
     """
     for attempt in range(MAX_TRIES):
         rng = np.random.default_rng([seed, 1, attempt])

@@ -12,7 +12,7 @@ Ablations select what happens after the spiking aggregation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,8 +46,9 @@ class ModelConfig:
     checkpoint header are all derived from these fields.
 
     A config is valid by construction: `ModelConfig(...)` and `replace(...)`
-    raise ContractError on a value out of range, and it is frozen, so no
-    later assignment can make it invalid.
+    raise ContractError on a value of another type than its field's (an int
+    passes as a float, a bool is not an int) or out of range, and it is
+    frozen, so no later assignment can make it invalid.
     """
 
     n_nodes: int = _field(8, "node count (synthetic data; a CSV sets its own)", flag="--nodes")
@@ -82,6 +83,11 @@ class ModelConfig:
                                     "sample rate", flag=None)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind, value = type(f.default), getattr(self, f.name)
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise ContractError(f"config field {f.name} must be {kind.__name__}, "
+                                    f"got {value!r}")
         if self.ablation not in ABLATIONS:
             raise ContractError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         # a zero sample budget leaves every local or semi-global set empty
@@ -106,16 +112,37 @@ class ModelConfig:
         return 1 + COV_WIDTH * (3 if self.minute_covariate else 2)
 
 
+@dataclass
+class ReadoutParams:
+    """The attention readout (W2-W4): the gain `gain` (1,) scales the
+    attention output, and `proj` (d_k, h) maps it to the hidden width."""
+
+    proj: Tensor
+    gain: Tensor
+
+
+@dataclass
+class HeadParams:
+    """The forecast head: the final hidden state times `w` (h, L), plus `b` (L,)."""
+
+    w: Tensor
+    b: Tensor
+
+
 class ForecastModel:
     """Holds all parameter tensors and the normalization stats of a trained run.
 
-    No forward changes the model.  The attention readout's gain `ssa_gain`
-    (W2-W4, shape (1,), starting at `SSA_GAIN_INIT`) is a parameter like any
-    other: `parameters()` names it `ssa/gain` and training updates it.
+    No forward changes the model.  The attention readout's gain
+    (`ssa_readout.gain`, W2-W4, shape (1,), starting at `SSA_GAIN_INIT`) is
+    a parameter like any other: `parameters()` names it `ssa/gain` and
+    training updates it.
 
     `embeddings` (N, emb_dim) float32 is a buffer, not a parameter: the graph
     built from it once here is all the forward reads.  Given embeddings (a
-    loaded checkpoint's) are used as they are; otherwise they are drawn.
+    loaded checkpoint's) are used as they are; otherwise they are drawn.  A
+    graph that leaves a local sample set empty is kept, so that it can be
+    inspected; `check_local_sets` refuses it, and `train`, `save_model` and
+    `load_model` call that.
     """
 
     def __init__(self, config: ModelConfig, embeddings: np.ndarray | None = None):
@@ -140,26 +167,23 @@ class ForecastModel:
         ab = config.ablation
         self.lstm_params = LstmParams.init(config.d2, config.h_dim, comp(7)) if ab != "W2" else None
         if ab == "W1":
-            self.ssa_params = self.ssa_proj = self.ssa_gain = None
+            self.ssa_params = self.ssa_readout = None
         else:
             ssa_in = config.d2 if ab == "W2" else config.h_dim
             self.ssa_params = SsaParams.init(ssa_in, config.d_k, comp(8))
             # W4 starts the fusion branch silent (zero readout) so it only
             # enters once its projection learns a target-correlated signal;
             # W2/W3 feed the head directly and need a live path from step one
-            if ab == "W4":
-                proj = np.zeros((config.d_k, config.h_dim), dtype=np.float32)
-            else:
-                proj = (comp(9).standard_normal((config.d_k, config.h_dim))
-                        / np.sqrt(config.d_k)).astype(np.float32)
-            self.ssa_proj = Tensor(proj, requires_grad=True)
-            self.ssa_gain = Tensor(np.full(1, SSA_GAIN_INIT, dtype=np.float32), requires_grad=True)
+            shape = (config.d_k, config.h_dim)
+            proj = (np.zeros(shape) if ab == "W4"
+                    else comp(9).standard_normal(shape) / np.sqrt(config.d_k))
+            self.ssa_readout = ReadoutParams(
+                Tensor(proj.astype(np.float32), requires_grad=True),
+                Tensor(np.full(1, SSA_GAIN_INIT, dtype=np.float32), requires_grad=True))
         self.gate_params = GateParams.init(config.h_dim, comp(10)) if ab == "W4" else None
-        rng_head = comp(11)
-        self.head_w = Tensor(
-            (rng_head.standard_normal((config.h_dim, config.horizon)) / np.sqrt(config.h_dim)).astype(np.float32),
-            requires_grad=True)
-        self.head_b = Tensor(np.zeros(config.horizon, dtype=np.float32), requires_grad=True)
+        head_w = comp(11).standard_normal((config.h_dim, config.horizon)) / np.sqrt(config.h_dim)
+        self.head = HeadParams(Tensor(head_w.astype(np.float32), requires_grad=True),
+                               Tensor(np.zeros(config.horizon, dtype=np.float32), requires_grad=True))
         self.norm_mean: np.ndarray | None = None
         self.norm_std: np.ndarray | None = None
 
@@ -172,16 +196,25 @@ class ForecastModel:
 
     def parameters(self) -> dict:
         """Every parameter, named `<group>/<field>` in checkpoint record order:
-        the covariate tables, then the fields of each parameter group."""
-        fields_of = lambda group: {} if group is None else vars(group)
-        groups = {"cov": self.cov_tables, "obs": fields_of(self.obs_params),
-                  "mssa": fields_of(self.hop_weights), "lstm": fields_of(self.lstm_params),
-                  "ssa": {**fields_of(self.ssa_params), "proj": self.ssa_proj,
-                          "gain": self.ssa_gain},
-                  "gate": fields_of(self.gate_params),
-                  "head": {"w": self.head_w, "b": self.head_b}}
-        return {f"{group}/{name}": t for group, members in groups.items()
-                for name, t in members.items() if t is not None}
+        the covariate tables, then the fields of each parameter group the
+        variant has, the attention readout's after the attention's under `ssa`."""
+        groups = (("cov", self.cov_tables), ("obs", self.obs_params), ("mssa", self.hop_weights),
+                  ("lstm", self.lstm_params), ("ssa", self.ssa_params), ("ssa", self.ssa_readout),
+                  ("gate", self.gate_params), ("head", self.head))
+        return {f"{prefix}/{name}": t for prefix, group in groups if group is not None
+                for name, t in (group if isinstance(group, dict) else vars(group)).items()}
+
+    def check_local_sets(self) -> None:
+        """ContractError if a node's local sample set is empty: MSSA would
+        aggregate nothing for it, in every forward, as the graph never changes."""
+        cfg = self.config
+        empty = sum(not s for s in self.graph.samples_local)
+        if empty:
+            raise ContractError(
+                f"{empty} of {cfg.n_nodes} nodes have an empty local sample set "
+                f"(N={cfg.n_nodes}, lam={cfg.lam}, k1={cfg.k1}); pruning keeps fewer than "
+                f"1+lam candidates per node, so MSSA would aggregate nothing for them. "
+                f"Raise lam (roughly N/2) or k1.")
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self.parameters().values())
@@ -260,7 +293,7 @@ class ForecastModel:
         ab = cfg.ablation
         for start in range(0, t_steps, chunk):
             steps = min(chunk, t_steps - start)
-            x_chunk = x if steps == t_steps else ag.narrow(x, t_axis, start, steps)
+            x_chunk = x if steps == t_steps else ag.take(x, np.arange(start, start + steps), t_axis)
             x_obs = obs_forward(x_chunk, self.graph.local, self.obs_params)
             s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, carry)
             if ab == "W2":
@@ -277,19 +310,20 @@ class ForecastModel:
                 ssa_out = ssa_forward(re_encoded, self.ssa_params, lif, carry)
                 del re_encoded
 
+        readout = self.ssa_readout
         if ab == "W2":
-            feat = ag.matmul(ag.mul(ssa_out, self.ssa_gain), self.ssa_proj)
+            feat = ag.matmul(ag.mul(ssa_out, readout.gain), readout.proj)
         else:
-            h_last = ag.narrow(h_lstm, t_axis, h_lstm.shape[t_axis] - 1, 1)    # (B, 1, N, h)
+            h_last = ag.take(h_lstm, [-1], t_axis)                      # (B, 1, N, h)
             if ab == "W1":
                 feat = h_last
             else:
-                h_ssa = ag.matmul(ag.mul(ssa_out, self.ssa_gain), self.ssa_proj)
+                h_ssa = ag.matmul(ag.mul(ssa_out, readout.gain), readout.proj)
                 feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)
 
         b, _, n, h = feat.shape                                     # one frame: (B, 1, N, h)
         final = ag.reshape(feat, (b, n, h))
-        pred = ag.affine(final, self.head_w, self.head_b)           # (B, N, L)
+        pred = ag.affine(final, self.head.w, self.head.b)           # (B, N, L)
         return ag.transpose(pred, (0, 2, 1))                        # (B, L, N)
 
     def predict(self, batch: WindowBatch):
@@ -396,7 +430,7 @@ def evaluate(model: ForecastModel, windows: SplitWindows, starts: list,
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = ag.sub(pred, Tensor(np.asarray(target, dtype=np.float32)))
-    return ag.tmean(ag.mul(diff, diff))
+    return ag.mul(ag.tsum(ag.mul(diff, diff)), 1.0 / diff.data.size)
 
 
 def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
@@ -410,14 +444,8 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
     before the first step when a node's local sample set is empty or the
     train split holds no window.
     """
+    model.check_local_sets()
     cfg = model.config
-    empty = sum(not s for s in model.graph.samples_local)
-    if empty:
-        raise ContractError(
-            f"{empty} of {cfg.n_nodes} nodes have an empty local sample set "
-            f"(N={cfg.n_nodes}, lam={cfg.lam}, k1={cfg.k1}); pruning keeps fewer than "
-            f"1+lam candidates per node, so MSSA would aggregate nothing for them. "
-            f"Raise lam (roughly N/2) or k1.")
     windows = make_windows(dataset, cfg.t_in, cfg.horizon, stride=cfg.stride)
     if not windows.train_starts:
         raise ContractError(

@@ -51,7 +51,9 @@ where a_t and b_t are computed for all frames before the backward loop.
 A no-grad forward may feed a `lif_linear` layer its frames in chunks: given
 a `Carry`, which keeps H under the layer's name, each call starts from the
 state the previous chunk left, so the chunks' spikes are those of one call
-over the whole sequence, bit for bit.
+over the whole sequence, bit for bit.  `Carry.get` is the one place a
+carried state is made (zeros on first use) and checked against the shape
+and dtype the calling layer expects.
 
 `encode_sequence` aligns each series step with `ts` SNN sub-steps by driving
 a fresh LIF neuron with the step's constant value for `ts` sub-steps, one
@@ -113,19 +115,17 @@ def _fire(inputs, shape: tuple, dtype, lif: LifParams, carry: np.ndarray | None,
     -3) for the frames (or sub-steps) `inputs` yields, in order; the state
     is of the float `dtype`.
 
-    H starts at zero, or at `carry`, which the call leaves holding the final
-    H.  Given `u_all` (of `shape`), each frame's U is written into it; it may
-    be the buffer `inputs` views, as each frame's input is read before its U
-    is written.
+    H starts at zero, or at `carry` (of the state's shape and dtype, as
+    `Carry.get` makes it), which the call leaves holding the final H.  Given
+    `u_all` (of `shape`), each frame's U is written into it; it may be the
+    buffer `inputs` views, as each frame's input is read before its U is
+    written.
     """
     axis = len(shape) - 3
     spikes = np.empty(shape, dtype=bool)
     s_frames = np.moveaxis(spikes, axis, 0)
     u_frames = None if u_all is None else np.moveaxis(u_all, axis, 0)
     state = s_frames.shape[1:]
-    if carry is not None and (carry.shape, carry.dtype) != (state, dtype):
-        raise ContractError(f"LIF: carried state is {carry.dtype}{carry.shape}, "
-                            f"expected {dtype}{state}")
     u = np.empty(state, dtype=dtype)
     h = np.zeros(state, dtype=dtype) if carry is None else carry
     keep = np.empty(state, dtype=dtype)
@@ -222,17 +222,24 @@ def _lif(x: Tensor, lif: LifParams, steps: int | None = None) -> Tensor:
 
 class Carry:
     """The state a no-grad forward carries from one chunk of frames to the
-    next: each recurrence's state under its layer name, zero on first use,
-    and `frames`, the frame count of the whole window."""
+    next: each recurrence's state under its layer name, and `frames`, the
+    frame count of the whole window."""
 
     def __init__(self, frames: int):
         self.frames = frames
         self.states: dict = {}
 
-    def get(self, layer: str, shape: tuple, dtype=np.float32) -> np.ndarray:
+    def get(self, layer: str, shape: tuple, dtype) -> np.ndarray:
+        """The state carried under `layer`: zeros of `shape` and `dtype` on
+        first use, else the entry, which must have that shape and dtype
+        (ContractError naming the layer otherwise)."""
         if layer not in self.states:
             self.states[layer] = np.zeros(shape, dtype=dtype)
-        return self.states[layer]
+        state = self.states[layer]
+        if (state.shape, state.dtype) != (tuple(shape), np.dtype(dtype)):
+            raise ContractError(f"{layer}: carried state is {state.dtype}{state.shape}, "
+                                f"expected {np.dtype(dtype)}{tuple(shape)}")
+        return state
 
 
 def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,

@@ -202,10 +202,9 @@ def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     outs = []
     for t in range(gates_x.shape[-3]):
         g = ag.add(ag.take(gates_x, t, axis=time_axis), ag.matmul(h, wh))
-        i_g = ag.sigmoid(ag.narrow(g, -1, 0, h_dim))
-        f_g = ag.sigmoid(ag.narrow(g, -1, h_dim, h_dim))
-        g_g = tanh(ag.narrow(g, -1, 2 * h_dim, h_dim))
-        o_g = ag.sigmoid(ag.narrow(g, -1, 3 * h_dim, h_dim))
+        i_g, f_g, g_g, o_g = (ag.take(g, np.arange(k * h_dim, (k + 1) * h_dim), axis=-1)
+                              for k in range(4))
+        i_g, f_g, g_g, o_g = ag.sigmoid(i_g), ag.sigmoid(f_g), tanh(g_g), ag.sigmoid(o_g)
         c = ag.add(ag.mul(f_g, c), ag.mul(i_g, g_g))
         h = ag.mul(o_g, tanh(c))
         outs.append(h)
@@ -235,7 +234,7 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
 
     Attention, the attention projection and the gate produce every frame,
     the head reads the final one; the attention readout is scaled by
-    `model.ssa_gain` at every frame.  A `counter` is entered and
+    `model.ssa_readout.gain` at every frame.  A `counter` is entered and
     counts the forward as in `ForecastModel.forward`.
     """
     if counter is not None:
@@ -254,9 +253,10 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
     t_frames = x.shape[1] * cfg.ts
     time_axis = x.data.ndim - 3
     ab = cfg.ablation
+    readout = model.ssa_readout
     if ab == "W2":
-        ssa_out = ag.mul(ssa_forward_full(s_mssa, model.ssa_params, lif), model.ssa_gain)
-        feat_seq = ag.matmul(ssa_out, model.ssa_proj)
+        ssa_out = ag.mul(ssa_forward_full(s_mssa, model.ssa_params, lif), readout.gain)
+        feat_seq = ag.matmul(ssa_out, readout.proj)
     else:
         h_lstm = lstm_forward(s_mssa, model.lstm_params)
         if ab == "W1":
@@ -265,11 +265,10 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
             boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
             re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif)
             ag.observe_spikes("dsf.encoder", re_encoded)
-            ssa_out = ag.mul(ssa_forward_full(re_encoded, model.ssa_params, lif),
-                              model.ssa_gain)
-            h_ssa = ag.matmul(ssa_out, model.ssa_proj)
+            ssa_out = ag.mul(ssa_forward_full(re_encoded, model.ssa_params, lif), readout.gain)
+            h_ssa = ag.matmul(ssa_out, readout.proj)
             feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)
 
     final = ag.take(feat_seq, t_frames - 1, axis=time_axis)
-    pred = ag.add(ag.matmul(final, model.head_w), model.head_b)
+    pred = ag.add(ag.matmul(final, model.head.w), model.head.b)
     return ag.transpose(pred, (0, 2, 1))

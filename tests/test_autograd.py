@@ -164,11 +164,13 @@ SMOOTH_CASES = [
     ("softmax", lambda x: ag.tsum(ag.mul(ag.softmax(x, axis=-1), x)), (2, 5)),
     ("concat", lambda x: ag.tsum(ag.mul(ag.concat([x, x], axis=-1), ag.concat([x, tanh(x)], axis=-1))), (2, 3)),
     ("stack", lambda x: ag.tsum(ag.mul(stack([x, tanh(x)], axis=0), stack([ag.sigmoid(x), x], axis=0))), (2, 3)),
-    ("mean", lambda x: ag.tmean(ag.mul(x, x)), (7,)),
+    # a mean as `mse_loss` forms it: the sum times one over the count
+    ("mean", lambda x: ag.mul(ag.tsum(ag.mul(x, x)), 1.0 / 7), (7,)),
     ("sum_axis", lambda x: ag.tsum(ag.mul(ag.tsum(x, axis=0), ag.tsum(x, axis=0))), (3, 4)),
     ("take", lambda x: ag.tsum(ag.mul(ag.take(x, np.array([[0, 2], [1, 1]]), axis=0), 1.5)), (3, 2)),
     ("take_index", lambda x: ag.tsum(ag.mul(ag.take(x, 1, axis=0), ag.take(x, -3, axis=0))), (3, 4)),
-    ("narrow", lambda x: ag.tsum(ag.mul(ag.narrow(x, -1, 1, 2), ag.narrow(x, -1, 0, 2))), (3, 4)),
+    ("take_range", lambda x: ag.tsum(ag.mul(ag.take(x, np.arange(1, 3), axis=-1),
+                                            ag.take(x, np.arange(0, 2), axis=-1))), (3, 4)),
     ("transpose", lambda x: ag.tsum(ag.mul(ag.transpose(x, (1, 0)), 2.0)), (2, 4)),
     ("reshape", lambda x: ag.tsum(ag.mul(ag.reshape(x, (6,)), ag.reshape(tanh(x), (6,)))), (2, 3)),
     ("broadcast_to", lambda x: ag.tsum(ag.mul(ag.broadcast_to(ag.reshape(x, (1, 4)), (3, 4)), 0.7)), (4,)),
@@ -373,13 +375,14 @@ class TestBoolOperands:
         s = lif_spikes(rng, (2, 16, 3, 40))
         self.check(ag.matmul, s, rng.standard_normal((40, 6)).astype(np.float32))
 
-    def test_transpose_and_narrow_pass_spikes_on(self):
+    def test_transpose_and_take_pass_spikes_on(self):
         rng = np.random.default_rng(4)
         s = lif_spikes(rng, (2, 7, 3, 4))
         self.check(lambda s: ag.transpose(s, (0, 2, 1, 3)), s, bool_out=True)
-        # narrow's gradient buffer is float32, not the data's `bool`
-        self.check(lambda s: ag.narrow(s, 1, 6, 1), s, bool_out=True)
-        self.check(lambda s: ag.narrow(ag.transpose(s, (0, 2, 1, 3)), 2, 2, 3), s, bool_out=True)
+        # take's gradient buffer is float32, not the data's `bool`
+        self.check(lambda s: ag.take(s, [-1], axis=1), s, bool_out=True)
+        self.check(lambda s: ag.take(ag.transpose(s, (0, 2, 1, 3)), np.arange(2, 5), axis=2), s,
+                   bool_out=True)
 
     def test_scalar_operand_is_float(self):
         # a python scalar taken in a `bool` operand's dtype would be True

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikestag.checkpoint
 import spikestag.graph
 import spikestag.model
 from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_model, save_model
@@ -47,7 +48,7 @@ def fixture_model() -> ForecastModel:
     """A fresh model of the fixtures' config with their norm stats and gain."""
     model = ForecastModel(V1_CONFIG)
     model.set_norm_stats(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 2.0]))
-    model.ssa_gain.data[:] = FIXTURE_GAIN
+    model.ssa_readout.gain.data[:] = FIXTURE_GAIN
     return model
 
 
@@ -105,7 +106,7 @@ class TestRoundTrip:
         cfg = replace(TINY, seed=16777217, lr=1e-3, beta=0.1, minute_covariate=True,
                       ablation="W3")
         model, _ = with_norm_stats(cfg)
-        model.ssa_gain.data[:] = 2.5
+        model.ssa_readout.gain.data[:] = 2.5
         save_model(tmp_path / "m.stag", model)
         loaded = load_model(tmp_path / "m.stag")
 
@@ -135,12 +136,12 @@ class TestRoundTrip:
 
     def test_null_ssa_scale_of_older_v2_loads_the_initial_gain(self, tmp_path):
         model = ForecastModel(TINY)
-        model.ssa_gain.data[:] = 2.5
+        model.ssa_readout.gain.data[:] = 2.5
         _, tensors = v2_parts(saved_blob(tmp_path, model))
         del tensors["ssa/gain"]
         path = write_v2(tmp_path / "old.stag", {"config": asdict(TINY), "ssa_scale": None},
                         tensors)
-        assert upgraded(tmp_path, path).ssa_gain.data.tolist() == [SSA_GAIN_INIT]
+        assert upgraded(tmp_path, path).ssa_readout.gain.data.tolist() == [SSA_GAIN_INIT]
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model, batch = with_norm_stats()
@@ -237,7 +238,7 @@ MALFORMED_HEADERS = {
     json.dumps({"config": {"n_nodes": 4}}).encode(): "header must be exactly a 'config'",
     json.dumps({"config": asdict(TINY), "note": 1}).encode(): "header must be exactly a 'config'",
     json.dumps({"config": {**asdict(TINY), "seed": "1"}}).encode():
-        "header config field seed must be int, got '1'",
+        "config field seed must be int, got '1'",
     json.dumps({"config": {**asdict(TINY), "extra": 1}}).encode():
         "header must be exactly a 'config'",
     json.dumps({"config": asdict(TINY), "ssa_scale": "big"}).encode():
@@ -395,3 +396,42 @@ def test_save_refuses_non_finite_tensor(tmp_path, name, value):
     with pytest.raises(ContractError, match=f"'{name}' holds a non-finite value"):
         save_model(path, model)
     assert not path.exists()
+
+
+class TestEmptyLocalSets:
+    """N=32 at lam=4 empties every local sample set (see test_model)."""
+
+    DEGENERATE = replace(TINY, n_nodes=32, lam=4.0)
+
+    def test_save_refuses(self, tmp_path):
+        path = tmp_path / "m.stag"
+        with pytest.raises(ContractError, match="32 of 32 nodes have an empty local sample set"):
+            save_model(path, ForecastModel(self.DEGENERATE))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_refuses(self, tmp_path):
+        # written record by record: `save_model` refuses such a model
+        model = ForecastModel(self.DEGENERATE)
+        tensors = {"emb/e": model.embeddings,
+                   **{name: p.data for name, p in model.parameters().items()}}
+        path = write_v2(tmp_path / "m.stag", {"config": asdict(self.DEGENERATE)}, tensors)
+        with pytest.raises(ContractError, match="32 of 32 nodes have an empty local sample set"):
+            load_model(path)
+
+
+def test_failed_save_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.stag"
+    model = ForecastModel(TINY)
+    save_model(path, model)
+    before = path.read_bytes()
+
+    def fail_partway(fh, tensors):
+        _write_records(fh, dict(list(tensors.items())[:2]))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(spikestag.checkpoint, "_write_records", fail_partway)
+    model.parameters()["head/b"].data[:] = 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, model)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.stag"]

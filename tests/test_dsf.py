@@ -211,7 +211,7 @@ class TestAttentionCore:
         rng = np.random.default_rng(17)
         q, k, v = (Tensor((rng.random((2, 9, 3, 4)) < 0.5).astype(np.float32)) for _ in range(3))
         full = attention_core(q, k, v)
-        last = attention_core(ag.narrow(q, 1, 8, 1), k, v)
+        last = attention_core(ag.take(q, [8], axis=1), k, v)
         assert last.shape == (2, 1, 3, 4)
         np.testing.assert_allclose(last.data, full.data[:, -1:], rtol=1e-6, atol=1e-7)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -62,6 +63,18 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             TINY.k1 = 0
 
+    @pytest.mark.parametrize("name,value,kind", [
+        ("ts", 2.5, "int"), ("lam", "4", "float"), ("minute_covariate", "no", "bool"),
+        ("epochs", True, "int"), ("lr", True, "float")])
+    def test_rejects_a_value_of_another_type(self, name, value, kind):
+        # checked before the ranges: a bool is not an int, nor a str a float
+        with pytest.raises(ContractError,
+                           match=re.escape(f"config field {name} must be {kind}, got {value!r}")):
+            ModelConfig(**{name: value})
+
+    def test_int_passes_as_float(self):
+        assert ModelConfig(lam=4, lr=0).lam == 4
+
     def test_feature_width(self):
         assert ModelConfig(minute_covariate=False).feature_width == 9
         assert ModelConfig(minute_covariate=True).feature_width == 13
@@ -123,7 +136,7 @@ class TestForward:
         cfg1 = replace(TINY, ablation="W1")
         m4, m1 = ForecastModel(cfg4), ForecastModel(cfg1)
         # shared components start bit-identical thanks to per-component seeding
-        np.testing.assert_array_equal(m4.head_w.data, m1.head_w.data)
+        np.testing.assert_array_equal(m4.head.w.data, m1.head.w.data)
         m4.gate_params.w_g.data[:] = 0.0
         m4.gate_params.bias.data[:] = 50.0
         ds = tiny_dataset(nodes=cfg4.n_nodes)
@@ -249,14 +262,15 @@ def test_forward_leaves_the_model_unchanged(ablation, loaded, tmp_path):
 
 def test_attention_gain_is_trained():
     model, _, windows = prepared(replace(TINY, ablation="W3"))
-    assert model.ssa_gain.data.tolist() == [3.0]
+    gain = model.ssa_readout.gain
+    assert gain.data.tolist() == [3.0]
     batch = windows.batch(windows.train_starts[:2])
     params = model.parameters()
     model.zero_grad()
     ag.backward(mse_loss(model.forward(batch), batch.normalized_targets()))
-    assert model.ssa_gain.grad.shape == (1,) and model.ssa_gain.grad[0] != 0
+    assert gain.grad.shape == (1,) and gain.grad[0] != 0
     Adam(params).step()
-    assert model.ssa_gain.data[0] != 3.0
+    assert gain.data[0] != 3.0
 
 
 class TestTraining:

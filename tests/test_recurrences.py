@@ -174,10 +174,6 @@ class TestFusedLif:
         w = Tensor(np.ones((4, 4), dtype=np.float32))
         with pytest.raises(ContractError, match="carried state"):
             lif_linear(s, w, LifParams(), Carry(3), "layer")
-        carry = Carry(3)
-        carry.states["layer"] = np.zeros((4, 2), dtype=np.float32)   # (d, N), not (N, d)
-        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
-            lif_linear(s, w, LifParams(), carry, "layer")
 
     def test_grad_check_refuses_fused_node(self):
         x = Tensor(np.array([[[0.3, -0.2]], [[0.9, 0.1]]], dtype=np.float32), requires_grad=True)
@@ -393,9 +389,9 @@ class TestFusedLstm:
         weights = [Tensor(a) for a in lstm_weights(rng, d_in, h_dim)]
 
         def run(parts):
-            state = tuple(np.zeros((h_dim, 2 * n), dtype=np.float32) for _ in range(2))
-            outs = [dsf._lstm(Tensor(part), *weights, stride, state).data for part in parts]
-            return np.concatenate(outs, axis=1), state
+            carry = Carry(len(x[0]))
+            outs = [dsf._lstm(Tensor(part), *weights, stride, carry).data for part in parts]
+            return np.concatenate(outs, axis=1), (carry.states["lstm.h"], carry.states["lstm.c"])
 
         with ag.no_grad():
             out, (h, c) = run([x])
@@ -413,11 +409,8 @@ class TestFusedLstm:
         rng = np.random.default_rng(64)
         wx, b, wh = lstm_weights(rng, 2, 3)
         x = Tensor(np.ones((1, 4, 2, 2), dtype=np.float32))
-        state = (np.zeros((3, 2), dtype=np.float32), np.zeros((3, 2), dtype=np.float32))
         with pytest.raises(ContractError, match="carried state"):
-            dsf._lstm(x, Tensor(wx, requires_grad=True), Tensor(b), Tensor(wh), 1, state)
-        with ag.no_grad(), pytest.raises(ContractError, match="carried state"):
-            dsf._lstm(x, Tensor(wx), Tensor(b), Tensor(wh), 1, (state[0], state[1].T))
+            dsf._lstm(x, Tensor(wx, requires_grad=True), Tensor(b), Tensor(wh), 1, Carry(4))
 
     def test_lstm_forward_parameter_grads_match_oracle(self, monkeypatch):
         rng = np.random.default_rng(60)
@@ -475,6 +468,29 @@ def train_step(model, batch):
     model.zero_grad()
     ag.backward(loss)
     return pred, loss
+
+
+class TestCarry:
+    def test_state_of_another_shape_or_dtype_refused(self):
+        """Each layer sizes its own state, and `Carry.get` refuses an entry
+        that does not fit it, naming the layer: a LIF (N, d) state stored
+        transposed, and a gate-major LSTM state of the wrong shape or dtype."""
+        s = Tensor(np.full((3, 2, 4), 0.6, dtype=np.float32))
+        w = Tensor(np.ones((4, 4), dtype=np.float32))
+        carry = Carry(3)
+        carry.states["layer"] = np.zeros((4, 2), dtype=np.float32)   # (d, N), not (N, d)
+        with ag.no_grad(), pytest.raises(
+                ContractError, match=r"^layer: carried state is float32\(4, 2\), "
+                                     r"expected float32\(2, 4\)$"):
+            lif_linear(s, w, LifParams(), carry, "layer")
+        weights = [Tensor(a) for a in lstm_weights(np.random.default_rng(64), 2, 3)]
+        x = Tensor(np.ones((1, 4, 2, 2), dtype=np.float32))
+        for name, state in (("lstm.h", np.zeros((2, 3), dtype=np.float32)),   # (rows, h)
+                            ("lstm.c", np.zeros((3, 2), dtype=np.float64))):
+            carry = Carry(4)
+            carry.states[name] = state
+            with ag.no_grad(), pytest.raises(ContractError, match=rf"^{name}: carried state"):
+                dsf._lstm(x, *weights, 1, carry)
 
 
 class TestModelStep:

@@ -5,6 +5,7 @@
 `--compare` must report a differing field.  `upgrade_checkpoint.py` runs in
 a subprocess on the older-layout fixtures and on files it must refuse,
 among them v1 files whose config values are not what their fields claim.
+`loc.py` refuses a root it cannot count.
 """
 
 import importlib.util
@@ -152,3 +153,11 @@ def test_upgrader_refusal_exits_2_and_writes_nothing(write_old, message, tmp_pat
     assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "new.stag").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["src"]], ids=["flag", "src"])
+def test_loc_refuses_a_root_without_src_and_tests(argv):
+    done = subprocess.run([sys.executable, str(TOOLS / "loc.py"), *argv],
+                          capture_output=True, text=True, timeout=60, cwd=TOOLS.parent)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [f"error: {argv[0]} has no src/ or tests/ to count"]

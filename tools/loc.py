@@ -6,7 +6,8 @@ with blank lines and docstrings (module, class and function) left out.
 
     python3 tools/loc.py [ROOT]
 
-ROOT defaults to the repository this script lives in.
+ROOT defaults to the repository this script lives in.  A ROOT without a
+`src/` or a `tests/` directory is refused: one `error:` line, exit 2.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ def count(source: str) -> tuple:
 
 def main(argv: list) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
+    missing = [part + "/" for part in ("src", "tests") if not (root / part).is_dir()]
+    if missing:
+        print(f"error: {root} has no {' or '.join(missing)} to count", file=sys.stderr)
+        return 2
     for part in ("src", "tests"):
         raw = code = 0
         for path in sorted((root / part).rglob("*.py")):
