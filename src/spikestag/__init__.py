@@ -2,11 +2,13 @@
 
 Importing the package tunes glibc's allocator (on glibc only, see
 `_keep_freed_heap`).  A train step or inference batch allocates and frees
-thousands of numpy temporaries, up to the 32 MiB LSTM gate store of the
-default model.  With glibc's defaults, large arrays are mmapped and the
-freed heap top is trimmed, so every step faulted its pages in again: ~6,600
-minor faults per batch of the infer-ts8 benchmark and 3,000-6,100 per train
-step.  After the import, arrays under 64 MiB come from the heap, and freed
+thousands of numpy temporaries.  In a train step of the default model the
+largest are 8 MiB, the (B, T', N, h) float32 arrays: the LSTM's h and c
+stores, the DSF re-encoder's potentials and its backward's temporaries.
+With glibc's defaults, large arrays are mmapped and the freed heap top is
+trimmed, so every step faulted its pages in again: ~6,600 minor faults per
+batch of the infer-ts8 benchmark and 3,000-6,100 per train step.  After the
+import, arrays under 64 MiB come from the heap, and freed
 heap stays mapped for the next step, which then takes no page faults.  The
 cost is memory held between steps: the process's RSS stays at its high-water
 mark instead of dropping back once a step's arrays are freed.  Set glibc's

@@ -21,10 +21,12 @@ declared order, with the attention readout `ssa/proj` and gain `ssa/gain`
 `lstm/wx`, `lstm/wh` and `lstm/b` are fused in gate order i, f, g, o.  The
 header is exactly `{"config": dataclasses.asdict(config)}`, so config ints
 and floats round-trip exactly.  A load reads every record or refuses the
-file: a record the config does not name, a missing or misshaped one, or a
-non-finite value is a `CheckpointFormatError`, and a model whose graph
-leaves a local sample set empty is a `ContractError`.  A save refuses what
-the load would, with a `ContractError`, and writes nothing then.
+file: a header config that `ModelConfig` refuses ("invalid config in
+checkpoint header: ..."), a record the config does not name, a missing or
+misshaped one, or a non-finite value is a `CheckpointFormatError`, and a
+model whose graph leaves a local sample set empty is a `ContractError`.  A
+save refuses what the load would, with a `ContractError`, and writes
+nothing then.
 
 Files of an older layout are recognised and refused, with a message naming
 `tools/upgrade_checkpoint.py`, which rewrites them as format v2: version 1,
@@ -121,14 +123,18 @@ def _older_layout(what: str) -> CheckpointFormatError:
 
 def _config_from_header(header) -> ModelConfig:
     """ModelConfig from a v2 header, which must name exactly its fields;
-    `ModelConfig` checks their values and types."""
+    `ModelConfig` checks their values and types, and a value it refuses is
+    an invalid config, not a corrupt file."""
     if isinstance(header, dict) and "ssa_scale" in header:
         raise _older_layout("a header holding 'ssa_scale'")
     values = header.get("config") if isinstance(header, dict) else None
     if (not isinstance(values, dict) or values.keys() != {f.name for f in fields(ModelConfig)}
             or header.keys() != {"config"}):
         raise CheckpointFormatError("header must be exactly a 'config' of the ModelConfig fields")
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ContractError as exc:
+        raise CheckpointFormatError(f"invalid config in checkpoint header: {exc}") from exc
 
 
 def _header(blob: bytes) -> tuple:

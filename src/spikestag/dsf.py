@@ -11,14 +11,15 @@ stored: fused, in (i, f, g, o) column blocks (`LstmParams` says why that
 order is fixed).  It forms the input-side gate pre-activations `LSTM_CHUNK`
 frames at a time and returns only the frames its caller reads, every
 `stride`-th: every ts-th frame for the re-encoder (W3/W4), the last alone
-for W1.  So without a tape it never holds a (..., T', N, 4h) array; with
-one it keeps the gate activations and cells of every frame for the
-backward, which rebuilds the hidden states from them.  Its forward is
-gate-major (states and gates hold one row per gate unit and one column per
-node and batch entry, so each gate block is contiguous) and folds the
-inner 1/2 of each sigmoid into copies of the i, f and o weights, so one
-tanh covers all four gates.  It saves for the backward in the row layout (..., N, 4h),
-which fixes the gradient bits (see `_lstm`).
+for W1.  So it never holds a (..., T', N, 4h) array.  With a tape it keeps
+only h_t and c_t of every frame, and its backward recomputes each frame's
+gates from h_{t-1}, one chunk of input gates at a time.  Forward and
+backward are gate-major (states and gates hold one row per gate unit and
+one column per node and batch entry, so each gate block is contiguous) and
+fold the inner 1/2 of each sigmoid into copies of the i, f and o weights,
+so one tanh covers all four gates.  The gradient of x has the bits of one
+row-layout product over all frames; the weight and bias gradients sum
+frame by frame (see `_lstm`).
 
 The self-attention branch projects binary frames through LIF neurons to get
 binary Q/K/V, scores them with QK^T/sqrt(d_k), applies a row softmax and
@@ -60,8 +61,9 @@ class LstmParams:
     each a row of column blocks in gate order (input, forget, cell, output).
 
     The order stays (i, f, g, o).  Any order gives the same forward bits, but
-    the backward's dG W_h^T sums over the 4h columns in their stored order,
-    so another order changes the gradient bits: (o, i, f, g) was measured to.
+    the backward's W_h dG and dG^T W_x^T (the gradients of h_{t-1} and of x)
+    sum over the 4h gate units in their stored order, so another order changes
+    the gradient bits: (o, i, f, g) was measured to.
     """
 
     wx: Tensor
@@ -118,14 +120,53 @@ class GateParams:
         return cls(w, b)
 
 
-def _gate_blocks(arr: np.ndarray, h_dim: int) -> list:
-    """Views of the (i, f, g, o) blocks along the last axis of a (..., 4h) array."""
-    return [arr[..., k * h_dim:(k + 1) * h_dim] for k in range(4)]
-
-
 # Frames whose input-side gate pre-activations x W_x + b are formed at once:
 # that buffer is (LSTM_CHUNK, 4h, rows) whatever the sequence length.
 LSTM_CHUNK = 32
+
+
+def _folded(wxd: np.ndarray, bd: np.ndarray, whd: np.ndarray, dtype) -> tuple:
+    """W_x'^T, b' (a column) and W_h'^T: copies of the fused weights with the
+    i, f and o columns halved, the inner 1/2 of each sigmoid."""
+    fold = np.full(len(bd), 0.5, dtype=dtype)
+    h_dim = len(bd) // 4
+    fold[2 * h_dim:3 * h_dim] = 1.0
+    return (wxd * fold).T, (bd * fold)[:, None], (whd * fold).T
+
+
+def _chunk_buffers(x_f: np.ndarray, n_gates: int, dtype) -> tuple:
+    """Buffers for `_input_gates` over the frames `x_f` (T', ..., N, d_in):
+    a chunk of frames transposed to (d_in, rows), in x's dtype, and their
+    gates."""
+    chunk, rows = min(LSTM_CHUNK, len(x_f)), math.prod(x_f.shape[1:-1])
+    return (np.empty((chunk, x_f.shape[-1], rows), dtype=x_f.dtype),
+            np.empty((chunk, n_gates, rows), dtype=dtype))
+
+
+def _input_gates(x_c: np.ndarray, wx_fold: np.ndarray, b_fold: np.ndarray, bufs: tuple) -> tuple:
+    """W_x'^T x^T + b' of the frames `x_c` (n, ..., N, d_in), by one batched
+    product over the chunk.  Returns the frames transposed to (n, d_in,
+    rows), in x's dtype, and their gates (n, 4h, rows): views of the
+    `_chunk_buffers` `bufs`."""
+    x_t, gx = (buf[:len(x_c)] for buf in bufs)
+    # `bool` spikes are transposed in bool and then cast, contiguous: a
+    # casting copy from the strided frames is several times slower
+    np.copyto(x_t.reshape(x_t.shape[:2] + x_c.shape[1:-1]), np.moveaxis(x_c, -1, 1))
+    np.matmul(wx_fold, ag.as_float(x_t), out=gx)
+    gx += b_fold
+    return x_t, gx
+
+
+def _cell_gates(wh_fold: np.ndarray, h: np.ndarray, gx_t: np.ndarray, gates: np.ndarray) -> None:
+    """One frame's gate activations into `gates` (4h, rows): W_h'^T h + gx_t,
+    one tanh over all 4h rows, then t/2 + 1/2 over the i, f and o rows."""
+    np.matmul(wh_fold, h, out=gates)
+    gates += gx_t
+    np.tanh(gates, out=gates)
+    h_dim = len(gates) // 4
+    for block in (gates[:2 * h_dim], gates[3 * h_dim:]):
+        block *= 0.5
+        block += 0.5
 
 
 def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
@@ -141,32 +182,34 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     stride-1, 2*stride-1, ..., shape (..., T' // stride, N, h).
 
     The forward is gate-major over rows = (..., N): h and c are (h, rows)
-    and each frame's gates (4h, rows), formed as W_h'^T h^T plus the frame's
-    input gates into buffers allocated once, so every gate block and every
-    cell operation is one contiguous pass.  The input gates W_x'^T x^T + b'
-    are formed `LSTM_CHUNK` frames at a time by one batched product over the
-    chunk, transposed once into a reused buffer, so no (..., T', N, 4h)
-    array of them exists.  W_x', b' and W_h' are copies of the weights with
-    the i, f and o columns halved.  Since sigmoid(z) = tanh(z/2)/2 + 1/2
-    and halving is exact (barring subnormals), one tanh over all 4h rows and
-    a t/2 + 1/2 pass over the i, f and o rows repeat the float operations of
+    and each frame's gates (4h, rows) (`_cell_gates`), so every gate block
+    and every cell operation is one contiguous pass.  The input gates
+    W_x'^T x^T + b' are formed `LSTM_CHUNK` frames at a time
+    (`_input_gates`), so no (..., T', N, 4h) array of them exists.  W_x',
+    b' and W_h' are copies of the weights with the i, f and o columns halved
+    (`_folded`).  Since sigmoid(z) = tanh(z/2)/2 + 1/2 and halving is exact
+    (barring subnormals), one tanh over all 4h rows and a t/2 + 1/2 pass
+    over the i, f and o rows repeat the float operations of
     `autograd.sigmoid`.  Each entry of W'^T x^T sums the same products in
     the same order as x W' does, so hidden states are bit-identical to the
     per-frame row-major cell; that rests on the BLAS (numpy 2.4's bundled
     OpenBLAS gives it; `tools/fingerprint.py` records which BLAS ran).
 
-    The recorded node keeps the gate activations and the cell states of
-    every frame, written back transposed into (..., T', N, ·) buffers: the
-    backward's bulk dW_h, dW_x and dx products reduce over all rows of all
-    frames, so their row order fixes the gradient bits.  It keeps no hidden
-    states: the backward rebuilds h_t = o_t tanh(c_t), with the float
-    operations of the forward, from values it reads anyway.  With no tape
-    the node keeps only the returned frames.  The backward runs one dG W_h^T
-    product per frame, writing each frame's dG over its gate activations
-    and h_t over the spent c_{t+1}, then forms dW_h (from those h_{t-1}),
-    dW_x and dx as single products over all frames and db as one sum.
-    Reusing those buffers means the backward can run only once (see
-    `autograd.backward`).
+    The recorded node keeps h_t and c_t of every frame, gate-major, in two
+    (T', h, rows) arrays, and no gate activations; with no tape it keeps
+    only the returned frames.  The backward walks the chunks last first,
+    forms each chunk's input gates again from x, and recomputes each
+    frame's activations from h_{t-1} (zeros at t = 0) with the same two
+    helpers, so they carry the forward's bits.  Per frame it forms dG on
+    one (4h, rows) buffer, passes W_h dG back to h_{t-1}, writes
+    dG^T W_x^T into frame t of x's row-layout gradient, and adds
+    h_{t-1} dG^T to dW_h, x_t dG^T to dW_x and the row sum of dG to db.
+    Both products sum over the 4h gate units in their stored order, as one
+    row-layout product over the dG of all frames does, so x's gradient has
+    that product's bits (on the BLAS noted above).  dW_h, dW_x and db sum
+    over the rows of a frame, then over the frames, last first.  The
+    backward keeps no dG of more than one frame, and casts no copy of all
+    of x.
     """
     xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
     axis = xd.ndim - 3
@@ -177,116 +220,102 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
         raise ContractError("_lstm: a carried state needs a call that records no tape")
     frames = lambda arr: np.moveaxis(arr, axis, 0)
     x_f = frames(xd)
-    t_frames, d_in = len(x_f), xd.shape[-1]
-    state_shape = x_f.shape[1:-1] + (h_dim,)
-    gate_shape = state_shape[:-1] + (4 * h_dim,)
-    rows = math.prod(state_shape[:-1])
-    out = np.empty(xd.shape[:axis] + (t_frames // stride,) + state_shape[-2:], dtype=dtype)
-    out_f = frames(out)
+    t_frames, d_in, lead = len(x_f), xd.shape[-1], x_f.shape[1:-1]   # lead = (..., N)
+    rows = math.prod(lead)
+    # what the call keeps is allocated before its scratch buffers, and the
+    # backward does the same, so the scratch is freed as one block and
+    # leaves no holes between kept arrays: the allocator then serves a warm
+    # step from the heap it already holds (see `spikestag`)
     if record:
-        acts = np.empty(xd.shape[:-1] + (4 * h_dim,), dtype=dtype)
-        cells = np.empty(xd.shape[:-1] + (h_dim,), dtype=dtype)
-        acts_f, cells_f = frames(acts), frames(cells)
-    # halve the i, f and o columns: the inner 1/2 of each sigmoid
-    fold = np.full(4 * h_dim, 0.5, dtype=dtype)
-    fold[2 * h_dim:3 * h_dim] = 1.0
-    wx_fold, wh_fold, b_fold = (wxd * fold).T, (whd * fold).T, (bd * fold)[:, None]
-    chunk = min(LSTM_CHUNK, t_frames)
-    x_buf = np.empty((chunk, d_in, rows), dtype=xd.dtype)
-    gx_buf = np.empty((chunk, 4 * h_dim, rows), dtype=dtype)
+        hs, cs = (np.empty((t_frames, h_dim, rows), dtype=dtype) for _ in "hc")
+    out = np.empty(xd.shape[:axis] + (t_frames // stride,) + xd.shape[-2:-1] + (h_dim,),
+                   dtype=dtype)
+    out_f = frames(out)
+    row_major = lambda arr: arr.T.reshape(lead + (len(arr),))  # (k, rows) -> (..., N, k)
+    wx_fold, b_fold, wh_fold = _folded(wxd, bd, whd, dtype)
+    bufs = _chunk_buffers(x_f, 4 * h_dim, dtype)
     gates = np.empty((4 * h_dim, rows), dtype=dtype)
     i_g, f_g, g_g, o_g = gates.reshape(4, h_dim, rows)
     states = Carry(t_frames) if carry is None else carry
     h, c = (states.get(f"lstm.{name}", (h_dim, rows), dtype) for name in "hc")
     tmp = np.empty_like(h)
-    row_major = lambda arr: arr.T.reshape(state_shape[:-1] + (len(arr),))  # (k, rows) -> (..., N, k)
     for t0 in range(0, t_frames, LSTM_CHUNK):
-        x_c = x_f[t0:t0 + LSTM_CHUNK]
-        xt = x_buf[:len(x_c)]
-        np.copyto(xt.reshape(xt.shape[:2] + state_shape[:-1]), np.moveaxis(x_c, -1, 1))
-        gx = gx_buf[:len(x_c)]
-        # `bool` spikes are transposed in bool and then cast, contiguous: a
-        # casting copy from the strided frames is several times slower
-        np.matmul(wx_fold, ag.as_float(xt), out=gx)
-        gx += b_fold
-        for t in range(t0, t0 + len(x_c)):
-            np.matmul(wh_fold, h, out=gates)
-            gates += gx[t - t0]
-            np.tanh(gates, out=gates)
-            for block in (gates[:2 * h_dim], o_g):
-                block *= 0.5
-                block += 0.5
-            c *= f_g
+        _, gx = _input_gates(x_f[t0:t0 + LSTM_CHUNK], wx_fold, b_fold, bufs)
+        for t in range(t0, t0 + len(gx)):
+            _cell_gates(wh_fold, h, gx[t - t0], gates)
+            h_t, c_t = (hs[t], cs[t]) if record else (h, c)
+            np.multiply(c, f_g, out=c_t)
             np.multiply(i_g, g_g, out=tmp)
-            c += tmp
-            np.tanh(c, out=tmp)
-            np.multiply(o_g, tmp, out=h)
-            if record:
-                acts_f[t] = row_major(gates)
-                cells_f[t] = row_major(c)
+            c_t += tmp
+            np.tanh(c_t, out=tmp)
+            np.multiply(o_g, tmp, out=h_t)
+            h, c = h_t, c_t
             if (t + 1) % stride == 0:
                 out_f[t // stride] = row_major(h)
 
     def bw(g_out):
         # per frame, so each frame's gates stay in cache while all of their
         # factors are formed (full-array passes were slower, being bound by
-        # memory bandwidth); the tape is single-use, so each frame's dG
-        # overwrites its gate activations once they are read, and h_t =
-        # o_t tanh(c_t) overwrites c_{t+1}, spent once frame t+1 is done
-        dg = np.empty(gate_shape, dtype=dtype)
-        dg_flat = dg.reshape(-1, 4 * h_dim)
-        dg_ifg = dg.reshape(state_shape[:-1] + (4, h_dim))[..., :3, :]
-        d_i, d_f, d_g, d_o = _gate_blocks(dg, h_dim)
-        tmp = np.empty(state_shape, dtype=dtype)
-        tanh_c = np.empty(state_shape, dtype=dtype)
-        dh = np.zeros(state_shape, dtype=dtype)   # carries dG_{t+1} W_h^T
-        dh_flat = dh.reshape(-1, h_dim)
-        dc = np.zeros(state_shape, dtype=dtype)   # carries dc_{t+1} * f_{t+1}
-        g_out_f = frames(g_out)
-        wh_t = whd.T
-        for t in range(t_frames - 1, -1, -1):
-            act = acts_f[t]
-            i_a, f_a, g_a, o_a = _gate_blocks(act, h_dim)
-            np.tanh(cells_f[t], out=tanh_c)
-            if t + 1 < t_frames:
-                np.multiply(o_a, tanh_c, out=cells_f[t + 1])
-            if (t + 1) % stride == 0:
-                dh += g_out_f[t // stride]
-            np.multiply(tanh_c, tanh_c, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            tmp *= o_a
-            tmp *= dh
-            dc += tmp
-            # local derivatives: sigmoid' = s (1 - s) on i, f, o; tanh' = 1 - g^2
-            np.subtract(1.0, act, out=dg)
-            dg *= act
-            np.multiply(g_a, g_a, out=d_g)
-            np.subtract(1.0, d_g, out=d_g)
-            d_i *= g_a
-            d_g *= i_a
-            if t > 0:
-                d_f *= cells_f[t - 1]
-            else:
-                d_f[...] = 0.0
-            dg_ifg *= dc[..., None, :]
-            d_o *= tanh_c
-            d_o *= dh
-            dc *= f_a                   # f_a is a view into act: use it first
-            act[...] = dg
-            np.matmul(dg_flat, wh_t, out=dh_flat)
-        d_gates = acts                  # now dG of every frame
-        d_flat = d_gates.reshape(-1, 4 * h_dim)
-        if wh.requires_grad:
-            h_prev = cells              # now h_{t-1} of every frame t
-            cells_f[0] = 0.0
-            wh._accum_own(h_prev.reshape(-1, h_dim).T @ d_flat)
-        # dW_x first: its float copy of `bool` spikes goes before dx is formed
-        if wx.requires_grad:
-            wx._accum_own(ag.as_float(xd).reshape(-1, xd.shape[-1]).T @ d_flat)
-        if x.requires_grad:
-            x._accum_own((d_flat @ wxd.T).reshape(xd.shape))
-        if b.requires_grad:
-            b._accum(ag._unbroadcast(d_gates, bd.shape))
+        # memory bandwidth); the gradients are allocated first, as above
+        dx, dwx, db, dwh = (np.zeros(p.shape, dtype=dtype) if p.requires_grad else None
+                            for p in (x, wx, b, wh))
+        g_out_f, dx_f = frames(g_out), frames(dx) if dx is not None else None
+        wx_fold, b_fold, wh_fold = _folded(wxd, bd, whd, dtype)
+        bufs = _chunk_buffers(x_f, 4 * h_dim, dtype)
+        act = np.empty((4 * h_dim, rows), dtype=dtype)
+        dg = np.empty_like(act)
+        i_a, f_a, g_a, o_a = act.reshape(4, h_dim, rows)
+        d_i, d_f, d_g, d_o = dg.reshape(4, h_dim, rows)
+        d_ifg = dg[:3 * h_dim].reshape(3, h_dim, rows)
+        zeros = np.zeros((h_dim, rows), dtype=dtype)
+        tanh_c, tmp = np.empty_like(zeros), np.empty_like(zeros)
+        dh = np.zeros_like(zeros)       # carries W_h dG_{t+1}
+        dc = np.zeros_like(zeros)       # carries dc_{t+1} * f_{t+1}
+        dh_lead = dh.reshape((h_dim,) + lead)
+        prod = np.empty((max(d_in, h_dim), 4 * h_dim), dtype=dtype)
+        dx_t = np.empty((rows, d_in), dtype=dtype)
+        for t0 in reversed(range(0, t_frames, LSTM_CHUNK)):
+            x_t, gx = _input_gates(x_f[t0:t0 + LSTM_CHUNK], wx_fold, b_fold, bufs)
+            for t in reversed(range(t0, t0 + len(gx))):
+                h_prev = hs[t - 1] if t else zeros
+                _cell_gates(wh_fold, h_prev, gx[t - t0], act)
+                np.tanh(cs[t], out=tanh_c)
+                if (t + 1) % stride == 0:
+                    dh_lead += np.moveaxis(g_out_f[t // stride], -1, 0)
+                np.multiply(tanh_c, tanh_c, out=tmp)
+                np.subtract(1.0, tmp, out=tmp)
+                tmp *= o_a
+                tmp *= dh
+                dc += tmp
+                # local derivatives: sigmoid' = s (1 - s) on i, f, o; tanh' = 1 - g^2
+                np.subtract(1.0, act, out=dg)
+                dg *= act
+                np.multiply(g_a, g_a, out=d_g)
+                np.subtract(1.0, d_g, out=d_g)
+                d_i *= g_a
+                d_g *= i_a
+                if t:
+                    d_f *= cs[t - 1]
+                else:
+                    d_f[...] = 0.0
+                d_ifg *= dc
+                d_o *= tanh_c
+                d_o *= dh
+                dc *= f_a
+                if dwh is not None and t:       # h_{-1} = 0 adds nothing
+                    dwh += np.matmul(h_prev, dg.T, out=prod[:h_dim])
+                if dwx is not None:
+                    dwx += np.matmul(ag.as_float(x_t[t - t0]), dg.T, out=prod[:d_in])
+                if db is not None:
+                    db += dg.sum(axis=1)
+                if dx is not None:
+                    np.matmul(dg.T, wxd.T, out=dx_t)
+                    dx_f[t] = dx_t.reshape(lead + (d_in,))
+                if t:
+                    np.matmul(whd, dg, out=dh)
+        for p, g in ((x, dx), (wx, dwx), (b, db), (wh, dwh)):
+            if g is not None:
+                p._accum_own(g)
 
     return ag._result(out, (x, wx, b, wh), bw, "lstm")
 

@@ -44,12 +44,15 @@ def test_train_step_takes_no_page_faults_after_warm_up():
         clip_grad_norm(params, 1.0)
         opt.step()
 
-    step()
-    step()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    step()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 100, f"{faults} minor page faults in a warm train step"
+    def faults_of_step():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        step()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    warm_up = [faults_of_step(), faults_of_step()]
+    faults = faults_of_step()
+    assert faults < 100, (f"{faults} minor page faults in a warm train step, "
+                          f"after {warm_up} in the two warm-up steps")
 
 
 class _NoMallopt:

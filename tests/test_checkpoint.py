@@ -238,13 +238,13 @@ MALFORMED_HEADERS = {
     json.dumps({"config": {"n_nodes": 4}}).encode(): "header must be exactly a 'config'",
     json.dumps({"config": asdict(TINY), "note": 1}).encode(): "header must be exactly a 'config'",
     json.dumps({"config": {**asdict(TINY), "seed": "1"}}).encode():
-        "config field seed must be int, got '1'",
+        "^invalid config in checkpoint header: config field seed must be int, got '1'$",
     json.dumps({"config": {**asdict(TINY), "extra": 1}}).encode():
         "header must be exactly a 'config'",
     json.dumps({"config": asdict(TINY), "ssa_scale": "big"}).encode():
         "a header holding 'ssa_scale' is an older checkpoint layout",
     json.dumps({"config": {**asdict(TINY), "n_nodes": 0}}).encode():
-        "config field n_nodes must be positive",
+        "^invalid config in checkpoint header: config field n_nodes must be positive$",
 }
 
 
@@ -263,6 +263,14 @@ class TestRejects:
     def test_malformed_header(self, tmp_path, header):
         with pytest.raises(CheckpointFormatError, match=MALFORMED_HEADERS[header]):
             load_blob(tmp_path, v2_blob(header))
+
+    @pytest.mark.parametrize("field, value", [("seed", "1"), ("n_nodes", 0)])
+    def test_invalid_config_is_not_called_corrupt(self, tmp_path, field, value):
+        header = json.dumps({"config": {**asdict(TINY), field: value}}).encode()
+        with pytest.raises(CheckpointFormatError, match="^invalid config in checkpoint header: "
+                                                        f"config field {field} ") as info:
+            load_blob(tmp_path, v2_blob(header))
+        assert "truncated or corrupt" not in str(info.value)
 
     @pytest.mark.parametrize("fixture", [V1_FIXTURE, V2_GATES_FIXTURE], ids=["v1", "v2_gates"])
     def test_older_layout_refused_naming_the_upgrader(self, fixture):

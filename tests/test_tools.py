@@ -66,6 +66,13 @@ def test_peak_reports_one_byte_per_held_spike():
     assert r["spike_mb"] < r["held_mb"]
 
 
+def test_peak_reports_the_lstm_h_and_c_stores():
+    r = load_tool("peak").measure(4, 2, 8)
+    # float32 h and c of each of the T' = 8 * ts frames, for B * N = 2 * 4 rows
+    assert r["lstm_mb"] * 2**20 == 2 * (8 * ModelConfig.ts) * ModelConfig.h_dim * 2 * 4 * 4
+    assert r["lstm_mb"] < r["held_mb"]
+
+
 @pytest.mark.parametrize("ablation", ["W1", "W2", "W3", "W4"])
 def test_fingerprint_is_reproducible(fingerprint, ablation, tmp_path):
     first, second = (fingerprint.fingerprint_case("tiny", 1, ablation, tmp_path)

@@ -11,7 +11,9 @@ Prints the peaks of the plain and the counted no-grad forward, the traced
 memory held once the loss exists and the peak of the whole step, in MiB; all
 count only what the forward or step allocates, not the model or the data.
 Also prints `spike_mb`, the bytes of the spikes (the outputs of the "lif"
-tape nodes) the taped forward holds for its backward.
+tape nodes) the taped forward holds for its backward, and `lstm_mb`, the
+bytes the "lstm" tape node holds for its backward: the arrays its backward
+closure keeps beyond its parents' data.
 Also prints `maxrss_mb`, the
 process's peak resident set from `resource.getrusage` (where the platform
 has it), which counts everything: the interpreter, numpy, the model, and the
@@ -36,6 +38,8 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 SYNTH_STEPS = 1000
 MB = 2**20
@@ -71,7 +75,9 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
         tracemalloc.reset_peak()
         loss = mse_loss(model.forward(batch), target)
         held = tracemalloc.get_traced_memory()[0]
-        spikes = sum(node.data.nbytes for node in ag._topo_order(loss) if node._op == "lif")
+        tape = ag._topo_order(loss)
+        spikes = sum(node.data.nbytes for node in tape if node._op == "lif")
+        lstm = sum(saved_nbytes(node) for node in tape if node._op == "lstm")
         model.zero_grad()
         ag.backward(loss)
         peak = tracemalloc.get_traced_memory()[1]
@@ -81,7 +87,15 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
             "empty_local_sets": sum(not s for s in model.graph.samples_local),
             "no_grad_peak_mb": no_grad_peak / MB, "counted_peak_mb": counted_peak / MB,
             "held_mb": held / MB, "peak_mb": peak / MB, "spike_mb": spikes / MB,
-            "maxrss_mb": maxrss_mb()}
+            "lstm_mb": lstm / MB, "maxrss_mb": maxrss_mb()}
+
+
+def saved_nbytes(node) -> int:
+    """Bytes of the arrays a tape node's backward closure holds that are not
+    views of its parents' data."""
+    cells = [cell.cell_contents for cell in node._backward.__closure__ or ()]
+    return sum(a.nbytes for a in cells if isinstance(a, np.ndarray)
+               and not any(np.may_share_memory(a, p.data) for p in node._parents))
 
 
 def maxrss_mb() -> float | None:
@@ -112,6 +126,7 @@ def main(argv=None) -> int:
           f"(counted {r['counted_peak_mb']:.2f} MB), "
           f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
     print(f"spike_mb {r['spike_mb']:.2f}")
+    print(f"lstm_mb {r['lstm_mb']:.2f}")
     if r["maxrss_mb"] is not None:
         print(f"maxrss_mb {r['maxrss_mb']:.1f}")
     return 0
