@@ -1,9 +1,9 @@
 """The tiny fingerprint is pinned: any change to the model's bits fails here.
 
-`tools/fingerprint.py` runs W1-W4 x seeds 1-2 on the tiny config that
-`test_tools.py` uses, and every field (the series, the predictions, the
-loss, each gradient, each layer's op count, the tape size and the
-checkpoint bytes) must equal `data/fingerprint_tiny.json`.  A mismatch
+`tools/fingerprint.py` runs W1-W4 x seeds 1-2 on the two tiny configs of
+`test_tools.py` (16 and 45 frames), and every field (the series, the
+predictions, the loss, each gradient, each layer's op count, the tape size
+and the checkpoint bytes) must equal `data/fingerprint_tiny.json`.  A mismatch
 prints the differing fields as `fingerprint.py --compare` does.  The pin
 rests on the numpy and BLAS it was recorded with (`_env`); on another one
 the test fails and names both.

@@ -23,8 +23,11 @@ from spikestag.model import ForecastModel, ModelConfig
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 FIXTURES = Path(__file__).resolve().parent / "data"
-TINY_CONFIG = {"tiny": ({"n_nodes": 4, "t_in": 8, "horizon": 2, "emb_dim": 4, "d1": 4, "d2": 4,
-                         "h_dim": 4, "d_k": 4, "ts": 2, "batch_size": 2}, False)}
+TINY = {"n_nodes": 4, "t_in": 8, "horizon": 2, "emb_dim": 4, "d1": 4, "d2": 4, "h_dim": 4,
+        "d_k": 4, "ts": 2, "batch_size": 2}
+# "tiny-45" runs T' = 9 * 5 = 45 frames, a multiple of no chunk length the
+# LSTM or the no-grad forward uses, so its last chunks are short ones
+TINY_CONFIG = {"tiny": (TINY, False), "tiny-45": ({**TINY, "t_in": 9, "ts": 5}, False)}
 
 
 def load_tool(name: str):
@@ -35,7 +38,7 @@ def load_tool(name: str):
 
 
 def tiny_fingerprint():
-    """A fresh `tools/fingerprint.py` module set to the tiny config and a 60-step series."""
+    """A fresh `tools/fingerprint.py` module set to the tiny configs and a 60-step series."""
     module = load_tool("fingerprint")
     module.CONFIGS = TINY_CONFIG
     module.SYNTH_STEPS = 60
@@ -106,7 +109,7 @@ def test_upgrader_rewrites_older_layout(fixture, tmp_path):
 
 
 def current_file(path):
-    save_model(path, ForecastModel(ModelConfig(**TINY_CONFIG["tiny"][0])))
+    save_model(path, ForecastModel(ModelConfig(**TINY)))
 
 
 def truncated_file(path):
