@@ -3,8 +3,9 @@
 Importing the package tunes glibc's allocator (on glibc only, see
 `_keep_freed_heap`).  A train step or inference batch allocates and frees
 thousands of numpy temporaries.  In a train step of the default model the
-largest are 8 MiB, the (B, T', N, h) float32 arrays: the LSTM's h and c
-stores, the DSF re-encoder's potentials and its backward's temporaries.
+largest are 8 MiB, the (B, T', N, h) float32 arrays: the DSF re-encoder's
+potentials and its backward's temporaries (the LSTM keeps (h, c) only where
+one of its chunks begins).
 With glibc's defaults, large arrays are mmapped and the freed heap top is
 trimmed, so every step faulted its pages in again: ~6,600 minor faults per
 batch of the infer-ts8 benchmark and 3,000-6,100 per train step.  After the

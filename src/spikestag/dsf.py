@@ -12,12 +12,13 @@ order is fixed).  It forms the input-side gate pre-activations `LSTM_CHUNK`
 frames at a time and returns only the frames its caller reads, every
 `stride`-th: every ts-th frame for the re-encoder (W3/W4), the last alone
 for W1.  So it never holds a (..., T', N, 4h) array.  With a tape it keeps
-only h_t and c_t of every frame, and its backward recomputes each frame's
-gates from h_{t-1}, one chunk of input gates at a time.  Forward and
-backward are gate-major (states and gates hold one row per gate unit and
-one column per node and batch entry, so each gate block is contiguous) and
-fold the inner 1/2 of each sigmoid into copies of the i, f and o weights,
-so one tanh covers all four gates.  The gradient of x has the bits of one
+only the (h, c) entering each chunk, and its backward re-runs one chunk at
+a time from that state, repeating the forward's float operations in their
+order, so the re-run carries the forward's bits.  Forward and backward are
+gate-major (states and gates hold one row per gate unit and one column per
+node and batch entry, so each gate block is contiguous) and fold the inner
+1/2 of each sigmoid into copies of the i, f and o weights, so one tanh
+covers all four gates.  The gradient of x has the bits of one
 row-layout product over all frames; the weight and bias gradients sum
 frame by frame (see `_lstm`).
 
@@ -120,9 +121,13 @@ class GateParams:
         return cls(w, b)
 
 
-# Frames whose input-side gate pre-activations x W_x + b are formed at once:
-# that buffer is (LSTM_CHUNK, 4h, rows) whatever the sequence length.
-LSTM_CHUNK = 32
+# Frames per chunk of the recurrence: the input-side gate pre-activations
+# x W_x + b are formed for one chunk at a time, into a (LSTM_CHUNK, 4h, rows)
+# buffer, and a taped call keeps (h, c) only where a chunk begins.  At 8 the
+# backward's re-run of one chunk (~1 MB of activations at the default model's
+# train step) stays in cache: 32-frame chunks made the backward 1-17% slower
+# at every benchmark shape (`tools/kernels.py`, 2-core x86 host).
+LSTM_CHUNK = 8
 
 
 def _folded(wxd: np.ndarray, bd: np.ndarray, whd: np.ndarray, dtype) -> tuple:
@@ -169,6 +174,19 @@ def _cell_gates(wh_fold: np.ndarray, h: np.ndarray, gx_t: np.ndarray, gates: np.
         block += 0.5
 
 
+def _cell(gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tanh_c: np.ndarray,
+          h: np.ndarray, tmp: np.ndarray) -> None:
+    """One frame's cell from its gates (4h, rows): c = f c_prev + i g into
+    `c`, tanh c into `tanh_c` and h = o tanh c into `h`, all (h, rows).
+    `c` may be `c_prev`, and `tanh_c` may be the scratch `tmp`."""
+    i_g, f_g, g_g, o_g = gates.reshape(4, len(c), -1)
+    np.multiply(c_prev, f_g, out=c)
+    np.multiply(i_g, g_g, out=tmp)
+    c += tmp
+    np.tanh(c, out=tanh_c)
+    np.multiply(o_g, tanh_c, out=h)
+
+
 def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
           carry: Carry | None = None) -> Tensor:
     """LSTM recurrence over the frame axis (-3) of `x` as one tape node.
@@ -182,34 +200,38 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     stride-1, 2*stride-1, ..., shape (..., T' // stride, N, h).
 
     The forward is gate-major over rows = (..., N): h and c are (h, rows)
-    and each frame's gates (4h, rows) (`_cell_gates`), so every gate block
-    and every cell operation is one contiguous pass.  The input gates
-    W_x'^T x^T + b' are formed `LSTM_CHUNK` frames at a time
-    (`_input_gates`), so no (..., T', N, 4h) array of them exists.  W_x',
-    b' and W_h' are copies of the weights with the i, f and o columns halved
-    (`_folded`).  Since sigmoid(z) = tanh(z/2)/2 + 1/2 and halving is exact
-    (barring subnormals), one tanh over all 4h rows and a t/2 + 1/2 pass
-    over the i, f and o rows repeat the float operations of
-    `autograd.sigmoid`.  Each entry of W'^T x^T sums the same products in
-    the same order as x W' does, so hidden states are bit-identical to the
-    per-frame row-major cell; that rests on the BLAS (numpy 2.4's bundled
-    OpenBLAS gives it; `tools/fingerprint.py` records which BLAS ran).
+    and each frame's gates (4h, rows) (`_cell_gates`, `_cell`), so every
+    gate block and every cell operation is one contiguous pass, in place on
+    one h and one c.  The input gates W_x'^T x^T + b' are formed
+    `LSTM_CHUNK` frames at a time (`_input_gates`), so no (..., T', N, 4h)
+    array of them exists.  W_x', b' and W_h' are copies of the weights with
+    the i, f and o columns halved (`_folded`).  Since sigmoid(z) =
+    tanh(z/2)/2 + 1/2 and halving is exact (barring subnormals), one tanh
+    over all 4h rows and a t/2 + 1/2 pass over the i, f and o rows repeat
+    the float operations of `autograd.sigmoid`.  Each entry of W'^T x^T sums
+    the same products in the same order as x W' does, so hidden states are
+    bit-identical to the per-frame row-major cell; that rests on the BLAS
+    (numpy 2.4's bundled OpenBLAS gives it; `tools/fingerprint.py` records
+    which BLAS ran).
 
-    The recorded node keeps h_t and c_t of every frame, gate-major, in two
-    (T', h, rows) arrays, and no gate activations; with no tape it keeps
-    only the returned frames.  The backward walks the chunks last first,
-    forms each chunk's input gates again from x, and recomputes each
-    frame's activations from h_{t-1} (zeros at t = 0) with the same two
-    helpers, so they carry the forward's bits.  Per frame it forms dG on
-    one (4h, rows) buffer, passes W_h dG back to h_{t-1}, writes
-    dG^T W_x^T into frame t of x's row-layout gradient, and adds
-    h_{t-1} dG^T to dW_h, x_t dG^T to dW_x and the row sum of dG to db.
+    The recorded node keeps only the (h, c) that enters each chunk, in two
+    (ceil(T' / LSTM_CHUNK), h, rows) arrays, and no per-frame state or gate
+    activations; with no tape it keeps only the returned frames.  The
+    backward walks the chunks last first.  For each it forms the chunk's
+    input gates again from x and re-runs the chunk forward from its
+    boundary state with the same helpers, filling one chunk of activations,
+    c, tanh c and h.  Every float operation of the forward repeats in the
+    same order on the same operands, so these carry the forward's bits, and
+    so do the gradients.  Then it walks the chunk back frame by frame.  Per
+    frame it forms dG on one (4h, rows) buffer, passes W_h dG back to
+    h_{t-1}, writes dG^T W_x^T into frame t of x's row-layout gradient, and
+    adds h_{t-1} dG^T to dW_h, x_t dG^T to dW_x and the row sum of dG to db.
     Both products sum over the 4h gate units in their stored order, as one
     row-layout product over the dG of all frames does, so x's gradient has
     that product's bits (on the BLAS noted above).  dW_h, dW_x and db sum
     over the rows of a frame, then over the frames, last first.  The
-    backward keeps no dG of more than one frame, and casts no copy of all
-    of x.
+    backward keeps no dG of more than one frame and no state of more than
+    one chunk, and casts no copy of all of x.
     """
     xd, wxd, bd, whd = x.data, wx.data, b.data, wh.data
     axis = xd.ndim - 3
@@ -222,12 +244,13 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     x_f = frames(xd)
     t_frames, d_in, lead = len(x_f), xd.shape[-1], x_f.shape[1:-1]   # lead = (..., N)
     rows = math.prod(lead)
+    starts = range(0, t_frames, LSTM_CHUNK)
     # what the call keeps is allocated before its scratch buffers, and the
     # backward does the same, so the scratch is freed as one block and
     # leaves no holes between kept arrays: the allocator then serves a warm
     # step from the heap it already holds (see `spikestag`)
     if record:
-        hs, cs = (np.empty((t_frames, h_dim, rows), dtype=dtype) for _ in "hc")
+        h_in, c_in = (np.empty((len(starts), h_dim, rows), dtype=dtype) for _ in "hc")
     out = np.empty(xd.shape[:axis] + (t_frames // stride,) + xd.shape[-2:-1] + (h_dim,),
                    dtype=dtype)
     out_f = frames(out)
@@ -235,21 +258,16 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
     wx_fold, b_fold, wh_fold = _folded(wxd, bd, whd, dtype)
     bufs = _chunk_buffers(x_f, 4 * h_dim, dtype)
     gates = np.empty((4 * h_dim, rows), dtype=dtype)
-    i_g, f_g, g_g, o_g = gates.reshape(4, h_dim, rows)
     states = Carry(t_frames) if carry is None else carry
     h, c = (states.get(f"lstm.{name}", (h_dim, rows), dtype) for name in "hc")
     tmp = np.empty_like(h)
-    for t0 in range(0, t_frames, LSTM_CHUNK):
+    for k, t0 in enumerate(starts):
+        if record:
+            h_in[k], c_in[k] = h, c
         _, gx = _input_gates(x_f[t0:t0 + LSTM_CHUNK], wx_fold, b_fold, bufs)
         for t in range(t0, t0 + len(gx)):
             _cell_gates(wh_fold, h, gx[t - t0], gates)
-            h_t, c_t = (hs[t], cs[t]) if record else (h, c)
-            np.multiply(c, f_g, out=c_t)
-            np.multiply(i_g, g_g, out=tmp)
-            c_t += tmp
-            np.tanh(c_t, out=tmp)
-            np.multiply(o_g, tmp, out=h_t)
-            h, c = h_t, c_t
+            _cell(gates, c, c, tmp, h, tmp)
             if (t + 1) % stride == 0:
                 out_f[t // stride] = row_major(h)
 
@@ -262,24 +280,30 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
         g_out_f, dx_f = frames(g_out), frames(dx) if dx is not None else None
         wx_fold, b_fold, wh_fold = _folded(wxd, bd, whd, dtype)
         bufs = _chunk_buffers(x_f, 4 * h_dim, dtype)
-        act = np.empty((4 * h_dim, rows), dtype=dtype)
-        dg = np.empty_like(act)
-        i_a, f_a, g_a, o_a = act.reshape(4, h_dim, rows)
+        # one chunk of the forward's activations, c, tanh c and h
+        acts = np.empty((len(bufs[1]), 4 * h_dim, rows), dtype=dtype)
+        cs, tanh_cs, hs = (np.empty((len(acts), h_dim, rows), dtype=dtype) for _ in "cth")
+        dg = np.empty_like(acts[0])
         d_i, d_f, d_g, d_o = dg.reshape(4, h_dim, rows)
         d_ifg = dg[:3 * h_dim].reshape(3, h_dim, rows)
-        zeros = np.zeros((h_dim, rows), dtype=dtype)
-        tanh_c, tmp = np.empty_like(zeros), np.empty_like(zeros)
-        dh = np.zeros_like(zeros)       # carries W_h dG_{t+1}
-        dc = np.zeros_like(zeros)       # carries dc_{t+1} * f_{t+1}
+        tmp = np.empty_like(cs[0])
+        dh = np.zeros_like(tmp)         # carries W_h dG_{t+1}
+        dc = np.zeros_like(tmp)         # carries dc_{t+1} * f_{t+1}
         dh_lead = dh.reshape((h_dim,) + lead)
         prod = np.empty((max(d_in, h_dim), 4 * h_dim), dtype=dtype)
         dx_t = np.empty((rows, d_in), dtype=dtype)
-        for t0 in reversed(range(0, t_frames, LSTM_CHUNK)):
+        for k, t0 in reversed(list(enumerate(starts))):
             x_t, gx = _input_gates(x_f[t0:t0 + LSTM_CHUNK], wx_fold, b_fold, bufs)
-            for t in reversed(range(t0, t0 + len(gx))):
-                h_prev = hs[t - 1] if t else zeros
-                _cell_gates(wh_fold, h_prev, gx[t - t0], act)
-                np.tanh(cs[t], out=tanh_c)
+            h_prev, c_prev = h_in[k], c_in[k]
+            for j in range(len(gx)):
+                _cell_gates(wh_fold, h_prev, gx[j], acts[j])
+                _cell(acts[j], c_prev, cs[j], tanh_cs[j], hs[j], tmp)
+                h_prev, c_prev = hs[j], cs[j]
+            for j in reversed(range(len(gx))):
+                t = t0 + j
+                act, tanh_c = acts[j], tanh_cs[j]
+                i_a, f_a, g_a, o_a = act.reshape(4, h_dim, rows)
+                h_prev, c_prev = (hs[j - 1], cs[j - 1]) if j else (h_in[k], c_in[k])
                 if (t + 1) % stride == 0:
                     dh_lead += np.moveaxis(g_out_f[t // stride], -1, 0)
                 np.multiply(tanh_c, tanh_c, out=tmp)
@@ -295,7 +319,7 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
                 d_i *= g_a
                 d_g *= i_a
                 if t:
-                    d_f *= cs[t - 1]
+                    d_f *= c_prev
                 else:
                     d_f[...] = 0.0
                 d_ifg *= dc
@@ -305,7 +329,7 @@ def _lstm(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
                 if dwh is not None and t:       # h_{-1} = 0 adds nothing
                     dwh += np.matmul(h_prev, dg.T, out=prod[:h_dim])
                 if dwx is not None:
-                    dwx += np.matmul(ag.as_float(x_t[t - t0]), dg.T, out=prod[:d_in])
+                    dwx += np.matmul(ag.as_float(x_t[j]), dg.T, out=prod[:d_in])
                 if db is not None:
                     db += dg.sum(axis=1)
                 if dx is not None:

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .data import SeriesDataset, SplitWindows, WindowBatch, covariate_indices, make_windows, metric_r2, metric_rse
-from .dsf import LSTM_CHUNK, GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
+from .dsf import GateParams, LstmParams, SsaParams, gate_fuse, lstm_forward, ssa_forward
 from .errors import ContractError, DivergenceError
 from .graph import AdaptiveGraph, build_graph, init_live_embeddings
 from .mssa import HopWeights, mssa_forward
@@ -33,6 +33,10 @@ COV_WIDTH = 4
 # 3.0 is the median of the 1/std gains that calibrating on the first batch
 # gave (2.69-3.60 over W2-W4, seeds 1-3 and the three benchmark configs).
 SSA_GAIN_INIT = 3.0
+# frames per chunk of a no-grad forward (`ForecastModel.forward`), which the
+# LSTM runs in `dsf.LSTM_CHUNK`-frame pieces; forward chunks of that length
+# made the infer-ts8 benchmark's step 13-19% slower (2-core x86 host)
+CHUNK_FRAMES = 32
 
 
 def _field(default, help: str, **meta):
@@ -259,8 +263,8 @@ class ForecastModel:
         The covariate embedding runs once over the window.  Everything after
         it up to the attention readout (observation attention, MSSA encoder
         and hops, LSTM, re-encoder, Q/K/V) is causal along the time axis, so
-        with no tape it runs in chunks of `LSTM_CHUNK // ts` series steps
-        (`LSTM_CHUNK` frames; at least one step), each recurrence carrying
+        with no tape it runs in chunks of `CHUNK_FRAMES // ts` series steps
+        (`CHUNK_FRAMES` frames; at least one step), each recurrence carrying
         its state to the next chunk (`spiking.Carry`), while attention keeps
         K and V as bool and reads out after the last chunk
         (`dsf.ssa_forward`).  Memory then grows with the window only by
@@ -286,7 +290,7 @@ class ForecastModel:
         if ag.is_recording(*self.parameters().values()):
             chunk, carry = t_steps, None
         else:
-            chunk, carry = max(1, LSTM_CHUNK // cfg.ts), Carry(t_steps * cfg.ts)
+            chunk, carry = max(1, CHUNK_FRAMES // cfg.ts), Carry(t_steps * cfg.ts)
 
         # everything after the recurrences works on the final frame only,
         # the one the head reads; the last chunk leaves it in h_lstm/ssa_out

@@ -17,10 +17,10 @@ from spikestag import autograd as ag
 from spikestag.autograd import Tensor
 from spikestag.checkpoint import load_model, save_model
 from spikestag.data import SeriesDataset, make_windows, synth_generate
-from spikestag.dsf import LSTM_CHUNK
 from spikestag.energy import OpCounter
 from spikestag.errors import ContractError, DivergenceError
-from spikestag.model import Adam, ForecastModel, ModelConfig, clip_grad_norm, mse_loss, train
+from spikestag.model import (CHUNK_FRAMES, Adam, ForecastModel, ModelConfig, clip_grad_norm,
+                             mse_loss, train)
 
 TINY = ModelConfig(n_nodes=6, t_in=12, horizon=2, ts=2, d1=8, d2=8, h_dim=12,
                    d_k=8, emb_dim=8, batch_size=4, epochs=1, max_batches=3, seed=1)
@@ -173,7 +173,7 @@ class TestForward:
 
 def chunked_case(ablation, ts, t_in=23, batch_size=3):
     """A default-width model and a batch of `batch_size` train windows;
-    t_in = 23 makes T * ts no multiple of LSTM_CHUNK, so the last chunk of a
+    t_in = 23 makes T * ts no multiple of CHUNK_FRAMES, so the last chunk of a
     no-grad forward is a short one."""
     cfg = ModelConfig(t_in=t_in, ts=ts, ablation=ablation, batch_size=batch_size)
     windows = make_windows(synth_generate(cfg.n_nodes, t_in + 200, cfg.seed), t_in, cfg.horizon)
@@ -189,7 +189,7 @@ class TestChunkedForward:
     @pytest.mark.parametrize("ts", [4, 8])
     @pytest.mark.parametrize("ablation", ["W1", "W2", "W3", "W4"])
     def test_matches_taped_forward_and_oracle_counts(self, ablation, ts):
-        assert (23 * ts) % LSTM_CHUNK != 0
+        assert (23 * ts) % CHUNK_FRAMES != 0
         model, batch = chunked_case(ablation, ts)
         taped = model.forward(batch)
         assert taped._backward is not None
@@ -408,7 +408,7 @@ class TestGraphBuiltOnce:
     def test_forwards_read_the_sets_padded_at_construction(self, monkeypatch):
         """A taped step, a chunked no-grad forward and a counted one pad nothing."""
         model, batch = chunked_case("W4", 4)
-        assert batch.inputs.shape[1] * model.config.ts > LSTM_CHUNK
+        assert batch.inputs.shape[1] * model.config.ts > CHUNK_FRAMES
         for module in (spikestag.graph, spikestag.obs, spikestag.mssa, spikestag.energy):
             monkeypatch.setattr(module, "padded_index_mask", _rebuild, raising=False)
         loss = mse_loss(model.forward(batch), batch.normalized_targets())

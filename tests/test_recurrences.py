@@ -335,6 +335,11 @@ def backward_peak(build_loss):
         tracemalloc.stop()
 
 
+def lstm_boundary_bytes(t_frames, h_dim, rows):
+    """Bytes of the float32 (h, c) entering each LSTM_CHUNK-frame chunk."""
+    return 2 * -(-t_frames // dsf.LSTM_CHUNK) * h_dim * rows * 4
+
+
 def lstm_weights(rng, d_in, h_dim):
     """Fused (wx, b, wh) arrays in gate order (i, f, g, o)."""
     wx = (rng.standard_normal((d_in, 4 * h_dim)) / np.sqrt(d_in)).astype(np.float32)
@@ -344,7 +349,7 @@ def lstm_weights(rng, d_in, h_dim):
 
 
 class TestFusedLstm:
-    # T' = 70 crosses two boundaries of the LSTM_CHUNK-frame gate buffer
+    # T' = 70 crosses LSTM_CHUNK boundaries and ends in a short chunk
     @pytest.mark.parametrize("lead,t_frames,n,d_in,h_dim", [
         ((), 6, 3, 2, 4),
         ((2,), 9, 5, 3, 7),
@@ -353,7 +358,7 @@ class TestFusedLstm:
         ((2,), 70, 3, 5, 6),
     ])
     def test_matches_per_frame_oracle(self, lead, t_frames, n, d_in, h_dim):
-        assert 70 > dsf.LSTM_CHUNK
+        assert 70 > dsf.LSTM_CHUNK and 70 % dsf.LSTM_CHUNK
         rng = np.random.default_rng(t_frames * 100 + h_dim)
         x = (rng.standard_normal(lead + (t_frames, n, d_in)) * 1.5).astype(np.float32)
         arrays = (x,) + lstm_weights(rng, d_in, h_dim)
@@ -404,22 +409,23 @@ class TestFusedLstm:
                     assert rel_err(grads[0][name], grads[1][name]) < LSTM_GRAD_TOL, (stride, name)
 
     def test_taped_forward_keeps_no_gate_array(self):
-        """After a taped forward, the largest live arrays are h and c of every
-        frame, each a quarter of a (..., T', N, 4h) gate array, and no array
-        is that large."""
+        """After a taped forward, the node holds its output and the (h, c)
+        that enters each LSTM_CHUNK-frame chunk, and nothing per frame: no
+        gate activations and no h or c of every frame, which would be
+        LSTM_CHUNK times the boundary bytes."""
         rng = np.random.default_rng(66)
         params = LstmParams.init(16, 32, rng)
         x = Tensor((rng.random((4, 256, 8, 16)) < 0.4), requires_grad=True)
-        gates_bytes = 4 * 256 * 8 * 4 * 32 * 4          # (4, 256, 8, 4h) float32
+        boundary_bytes = lstm_boundary_bytes(256, 32, 4 * 8)
         tracemalloc.start()
         try:
             out = lstm_forward(x, params, 4)
-            sizes = sorted(trace.size for trace in tracemalloc.take_snapshot().traces)
+            held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert out._backward is not None
-        assert sizes[-2:] == [gates_bytes // 4] * 2
-        assert sizes[-3] < gates_bytes // 4
+        kept = held - out.data.nbytes
+        assert boundary_bytes <= kept < boundary_bytes + 2**14
 
     @pytest.mark.parametrize("stride", [1, 5])
     def test_carry_splits_the_sequence_bit_for_bit(self, stride):
@@ -479,23 +485,33 @@ class TestFusedLstm:
             peak_off, out = traced_peak(lambda: lstm_forward(x, params, 4))
         assert out._backward is None and out.shape == (4, 64, 8, 32)
         assert peak_off < gates_bytes / 4
-        # the tape keeps h and c of every frame, half the gate bytes, and no
-        # gate activations: the backward recomputes them
+        # the tape adds only the (h, c) entering each chunk to the no-grad
+        # peak: the backward re-runs each chunk from it
         peak_on, out = traced_peak(lambda: lstm_forward(x, params, 4))
         assert out._backward is not None
-        assert 0.5 * gates_bytes <= peak_on < 0.75 * gates_bytes
+        boundary_bytes = lstm_boundary_bytes(256, 32, 4 * 8)
+        assert boundary_bytes <= peak_on - peak_off < boundary_bytes + 2**12
 
     def test_backward_holds_one_frame_of_gates(self):
-        # the backward recomputes one chunk of input gates and one frame of
-        # activations and dG at a time, so it allocates no (..., T', N, 4h)
-        # array: what it holds above the tape is mostly x's gradient
+        # the backward re-runs one chunk from its boundary state and walks it
+        # back with one frame of dG, so over the forward and the backward
+        # the node holds, beyond x's gradient, its output and the output's
+        # gradient, less than one (..., T', N, h) array, the size of a store
+        # of every frame's h (measured: 0.76 of it; a tape of every frame's
+        # h and c measured 2.7 times it)
         rng = np.random.default_rng(62)
         params = LstmParams.init(16, 32, rng)
         x = Tensor((rng.random((4, 256, 8, 16)) < 0.4).astype(np.float32), requires_grad=True)
         gates_bytes = x.data.size // 16 * 4 * 32 * 4      # (4, 256, 8, 4h) float32
-        peak = backward_peak(lambda: ag.tsum(lstm_forward(x, params, 4)))
+        tracemalloc.start()
+        try:
+            out = lstm_forward(x, params, 4)
+            ag.backward(ag.tsum(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert x.grad is not None and params.wh.grad is not None
-        assert peak < gates_bytes / 2
+        assert peak - x.grad.nbytes - 2 * out.data.nbytes < gates_bytes / 4
 
 
 def small_batch(cfg, size=2):
@@ -598,13 +614,15 @@ class TestModelStep:
         backward reads, and no projection's potentials are a tape node.
 
         The backward reads, per frame: U (float32) and S (`bool`, one byte
-        per spike) of every LIF layer, the LSTM's h and c, and the gather
-        sums the hops project.  The bound allows 25% over that for what each
-        series step adds (embedding, observation attention, the LSTM's
-        returned frames), shared among its ts frames.  Measured: 1.17 times
-        those bytes.  A tape that also kept the LSTM's four gate activations
-        measured 1.58 times them, and spikes kept as float32 or each
-        projection's potentials kept more.
+        per spike) of every LIF layer and the gather sums the hops project;
+        the LSTM reads h and c of the first frame of each LSTM_CHUNK-frame
+        chunk only.  The bound allows 25% over that for what each series
+        step adds (embedding, observation attention, the LSTM's returned
+        frames), shared among its ts frames.  Measured: 1.22 times those
+        bytes.  A tape that also kept the LSTM's h and c of every frame
+        measured 1.54 times them, one that kept its four gate activations
+        more, and spikes kept as float32 or each projection's potentials
+        kept more.
         """
         cfg = ModelConfig(batch_size=2)
         held = {}
@@ -616,11 +634,13 @@ class TestModelStep:
                 held[t_in] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-        f = cfg.feature_width
+        f, rows = cfg.feature_width, cfg.batch_size * cfg.n_nodes
         lif_widths = (f, cfg.d1, cfg.d2, cfg.h_dim) + (cfg.d_k,) * 3   # encoders, hops, Q/K/V
-        floats = sum(lif_widths) + 2 * cfg.h_dim + f + cfg.d1
-        per_frame = (4 * floats + sum(lif_widths)) * cfg.batch_size * cfg.n_nodes
-        assert (held[32] - held[16]) / (16 * cfg.ts) < 1.25 * per_frame
+        floats = sum(lif_widths) + f + cfg.d1
+        per_frame = (4 * floats + sum(lif_widths)) * rows
+        lstm = (lstm_boundary_bytes(32 * cfg.ts, cfg.h_dim, rows)
+                - lstm_boundary_bytes(16 * cfg.ts, cfg.h_dim, rows))
+        assert held[32] - held[16] < 1.25 * (16 * cfg.ts * per_frame + lstm)
 
         lifs = [node for node in ag._topo_order(loss) if node._op == "lif"]
         assert len(lifs) == len(lif_widths)

@@ -1,8 +1,9 @@
 """The scripts under `tools/` run on this checkout.
 
 `peak.py` and `kernels.py` run in subprocesses at small sizes and must exit
-0; `fingerprint.py` fingerprints W1-W4 on a tiny config in process, and its
-`--compare` must report a differing field.  `upgrade_checkpoint.py` runs in
+0, `kernels.py` printing each backward's peak; `fingerprint.py`
+fingerprints W1-W4 on a tiny config in process, and its `--compare` must
+report a differing field.  `upgrade_checkpoint.py` runs in
 a subprocess on the older-layout fixtures and on files it must refuse,
 among them v1 files whose config values are not what their fields claim.
 `loc.py` refuses a root it cannot count.
@@ -18,7 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spikestag import autograd as ag
+from spikestag.autograd import Tensor
 from spikestag.checkpoint import MAGIC, _read_records, _write_records, load_model, save_model
+from spikestag.dsf import LSTM_CHUNK
 from spikestag.model import ForecastModel, ModelConfig
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -58,6 +62,11 @@ def test_script_exits_0(argv):
     done = subprocess.run([sys.executable, str(TOOLS / argv[0]), *argv[1:]],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if argv[0] == "kernels.py":
+        # five kernels for each of three configs, each with its backward's peak
+        header, *rows = done.stdout.splitlines()
+        assert header.split()[-1] == "backward_peak_mb"
+        assert len(rows) == 15 and all(float(row.split()[-1]) > 0 for row in rows), rows
 
 
 def test_peak_reports_one_byte_per_held_spike():
@@ -71,9 +80,25 @@ def test_peak_reports_one_byte_per_held_spike():
 
 def test_peak_reports_the_lstm_h_and_c_stores():
     r = load_tool("peak").measure(4, 2, 8)
-    # float32 h and c of each of the T' = 8 * ts frames, for B * N = 2 * 4 rows
-    assert r["lstm_mb"] * 2**20 == 2 * (8 * ModelConfig.ts) * ModelConfig.h_dim * 2 * 4 * 4
+    # float32 h and c entering each chunk of the T' = 8 * ts frames, for
+    # B * N = 2 * 4 rows
+    chunks = -(-8 * ModelConfig.ts // LSTM_CHUNK)
+    assert r["lstm_mb"] * 2**20 == 2 * chunks * ModelConfig.h_dim * 2 * 4 * 4
     assert r["lstm_mb"] < r["held_mb"]
+
+
+def test_saved_nbytes_counts_arrays_in_tuples_and_lists():
+    """A closure's arrays count alone or inside a tuple or list, and views of
+    the node's parents do not."""
+    parent = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+    stores, more, view = (np.zeros(3), np.zeros(5, dtype=np.float32)), [np.zeros(2)], parent.data[2:]
+    bare = np.zeros(7, dtype=np.int8)
+
+    def backward(g):
+        return stores, more, view, bare, (view,), parent
+
+    node = ag._result(np.zeros(8, dtype=np.float32), (parent,), backward, "probe")
+    assert load_tool("peak").saved_nbytes(node) == 8 * 3 + 4 * 5 + 8 * 2 + 7
 
 
 @pytest.mark.parametrize("ablation", ["W1", "W2", "W3", "W4"])

@@ -20,7 +20,10 @@ The spikes are `bool`, as the model's LIF layers make them.
 Each call is timed as a no-grad forward, a taped forward, and the backward
 of that taped node alone (called directly on a fixed upstream gradient, so no
 other tape node is timed).  Prints the median over `--repeats` rounds, in
-ms, after one untimed round.
+ms, after one untimed round.  Then one more untimed round traces the
+backward with tracemalloc and prints `backward_peak_mb`: the peak it
+allocates above what was held before it (the tape and the upstream
+gradient), in MiB, so that its temporaries show; no timed call is traced.
 
     python3 tools/kernels.py [--repeats 21] [--root DIR]
 
@@ -37,9 +40,11 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 PHASES = ("no_grad_ms", "taped_ms", "backward_ms")
+COLUMNS = PHASES + ("backward_peak_mb",)
 
 
 def kernel_cases(cfg, rng):
@@ -97,7 +102,18 @@ def time_case(leaves, call, repeats: int, rng) -> dict:
         t4 = time.perf_counter()
         for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t4 - t3)):
             times[phase].append(dt * 1e3)
-    return {phase: statistics.median(ms[1:]) for phase, ms in times.items()}
+    result = {phase: statistics.median(ms[1:]) for phase, ms in times.items()}
+    out = call()
+    g = g_out.copy()
+    for x in leaves:
+        x.grad = None
+    tracemalloc.start()     # after the forward: only the backward's blocks are traced
+    try:
+        out._backward(g)
+        result["backward_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return result
 
 
 def main(argv=None) -> int:
@@ -118,13 +134,13 @@ def main(argv=None) -> int:
 
     print(f"timing {Path(spikestag.__file__).parent}, median of {args.repeats}", file=sys.stderr)
     print(f"{'config':<10} {'kernel':<16} {'input shape':<18} " + " ".join(
-        f"{phase:>11}" for phase in PHASES))
+        f"{column:>11}" for column in COLUMNS))
     for name, (overrides, _) in CONFIGS.items():
         rng = np.random.default_rng(1)
         for label, shape, leaves, call in kernel_cases(ModelConfig(**overrides), rng):
-            ms = time_case(leaves, call, args.repeats, rng)
+            r = time_case(leaves, call, args.repeats, rng)
             print(f"{name:<10} {label:<16} {str(tuple(shape)):<18} " + " ".join(
-                f"{ms[phase]:11.2f}" for phase in PHASES), flush=True)
+                f"{r[column]:11.2f}" for column in COLUMNS), flush=True)
     return 0
 
 

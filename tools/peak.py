@@ -13,8 +13,8 @@ count only what the forward or step allocates, not the model or the data.
 Also prints `spike_mb`, the bytes of the spikes (the outputs of the "lif"
 tape nodes) the taped forward holds for its backward, and `lstm_mb`, the
 bytes the "lstm" tape node holds for its backward: the arrays its backward
-closure keeps beyond its parents' data.
-Also prints `maxrss_mb`, the
+closure keeps beyond its parents' data, which are the h and c entering each
+of its `dsf.LSTM_CHUNK`-frame chunks.  Also prints `maxrss_mb`, the
 process's peak resident set from `resource.getrusage` (where the platform
 has it), which counts everything: the interpreter, numpy, the model, and the
 heap that the allocator keeps mapped after the arrays in it are freed
@@ -91,10 +91,14 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
 
 
 def saved_nbytes(node) -> int:
-    """Bytes of the arrays a tape node's backward closure holds that are not
-    views of its parents' data."""
-    cells = [cell.cell_contents for cell in node._backward.__closure__ or ()]
-    return sum(a.nbytes for a in cells if isinstance(a, np.ndarray)
+    """Bytes of the arrays a tape node's backward closure holds, as cells or
+    inside tuples and lists held as cells, that are not views of its
+    parents' data."""
+    arrays = []
+    for cell in node._backward.__closure__ or ():
+        held = cell.cell_contents
+        arrays.extend(held if isinstance(held, (tuple, list)) else [held])
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)
                and not any(np.may_share_memory(a, p.data) for p in node._parents))
 
 
