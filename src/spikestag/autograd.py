@@ -51,8 +51,10 @@ DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 # Optional instrumentation hook, installed by `set_observer` (the energy
-# module's op counter, while counting).  It receives only the spikes:
-# `.spikes(layer, tensor)` for every spiking layer's output.
+# module's op counter, while counting).  It receives only the spikes, from
+# the two LIF kernels that make them: `spiking.lif_linear` and
+# `spiking.encode_sequence` pass each output to `observe_spikes`, which calls
+# `.spikes(layer, tensor)` with the layer name the kernel was given.
 _OBSERVER = None
 
 
@@ -412,13 +414,12 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    data = np.asarray(data, dtype=a.data.dtype)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = np.asarray(a.data.sum(axis=axis), dtype=a.data.dtype)
     src_shape = a.data.shape
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accum(np.broadcast_to(g, src_shape))
 

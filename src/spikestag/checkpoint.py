@@ -23,10 +23,10 @@ header is exactly `{"config": dataclasses.asdict(config)}`, so config ints
 and floats round-trip exactly.  A load reads every record or refuses the
 file: a header config that `ModelConfig` refuses ("invalid config in
 checkpoint header: ..."), a record the config does not name, a missing or
-misshaped one, or a non-finite value is a `CheckpointFormatError`, and a
-model whose graph leaves a local sample set empty is a `ContractError`.  A
-save refuses what the load would, with a `ContractError`, and writes
-nothing then.
+misshaped one, a non-finite value or bytes after the last record is a
+`CheckpointFormatError`, and a model whose graph leaves a local sample set
+empty is a `ContractError`.  A save refuses what the load would, with a
+`ContractError`, and writes nothing then.
 
 Files of an older layout are recognised and refused, with a message naming
 `tools/upgrade_checkpoint.py`, which rewrites them as format v2: version 1,
@@ -83,6 +83,8 @@ def _read_records(blob: bytes, off: int) -> dict:
         # a read-only view of `blob`: the load copies each record it takes once
         tensors[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims)
         off += 4 * n
+    if off != len(blob):
+        raise CheckpointFormatError(f"{len(blob) - off} bytes after the last record")
     return tensors
 
 

@@ -135,6 +135,8 @@ def _read_config_file(path: str) -> dict:
             raise ContractError(f"{path}:{lineno}: expected key=value")
         if key not in kinds:
             raise ContractError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in values:
+            raise ContractError(f"{path}:{lineno}: duplicate key '{key}'")
         try:
             values[key] = _CASTERS[kinds[key]](val)
         except ValueError as exc:

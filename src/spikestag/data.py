@@ -97,7 +97,8 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 
 
 def load_csv(path) -> SeriesDataset:
-    """Parse a schema CSV, validating regular spacing and finite numeric cells."""
+    """Parse a schema CSV, validating distinct non-empty node names, regular
+    spacing and finite numeric cells."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -107,6 +108,10 @@ def load_csv(path) -> SeriesDataset:
         if len(header) < 2 or header[0].strip() != "timestamp":
             raise IngestionError("header must be 'timestamp,<node>,...'")
         names = [h.strip() for h in header[1:]]
+        for col, name in enumerate(names, start=2):
+            if not name or name in names[:col - 2]:
+                what = f"duplicate node name '{name}'" if name else "empty node name"
+                raise IngestionError(f"header column {col}: {what}")
         times, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -31,8 +31,9 @@ The forecast head reads only the final frame, so the attention readout is
 formed for that frame alone: its query is scored against all T' = T * ts key
 frames, O(T') per node instead of the O(T'^2) of scoring every frame, and
 the gate runs on the final frame of both branches.  Q/K/V still run their
-LIF recurrence over every frame, and report their spikes
-(`autograd.observe_spikes`) for the energy module to count.
+LIF recurrence over every frame, as `spiking.lif_linear` layers named
+`ssa.q`, `ssa.k` and `ssa.v`, which report their spikes for the energy
+module to count.
 
 Without a tape the model feeds this block its frames in chunks (see
 `ForecastModel.forward`).  The LSTM and the Q/K/V LIF layers then carry
@@ -380,17 +381,17 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams, carry: Carry | None = None) -> tuple:
     """Binary Q, K and V: LIF spikes of the projected input over every frame,
-    reported as the spikes of `ssa.q`, `ssa.k` and `ssa.v` (their LIF states
-    carried under those names, given `carry`)."""
+    from `lif_linear` layers named `ssa.q`, `ssa.k` and `ssa.v`, which report
+    their spikes and, given `carry`, carry their LIF states under those names."""
     if not ag.is_recording(s, params.w_q, params.w_k, params.w_v):
         # one float32 copy of `bool` spikes for the three projections; a tape
         # keeps the spikes as they are, so a taped call casts them per use
         s = Tensor(ag.as_float(s.data))
+    # a loop, not a generator: a generator's frame would sit on the traced
+    # heap through all three layers, at the no-grad forward's peak
     out = []
     for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        spikes = lif_linear(s, w, lif, carry, f"ssa.{name}")
-        ag.observe_spikes(f"ssa.{name}", spikes)
-        out.append(spikes)
+        out.append(lif_linear(s, w, lif, carry, f"ssa.{name}"))
     return tuple(out)
 
 

@@ -1,15 +1,17 @@
 """Theoretical energy estimation via operation counting on 45nm coefficients.
 
-Every counting rule lives here.  The model's layers only report their spikes:
-the autograd observer receives the output of each spiking layer
-(`mssa.encoder`, `mssa.hop1`, `mssa.hop2`, `dsf.encoder`, `ssa.q`, `ssa.k`,
-`ssa.v`).  A no-grad forward runs its frame pipeline in chunks, so a layer
-may report several chunks of frames.  Every rule reads only sums over the
-frames, so the counter reduces each chunk as it arrives and keeps, per
-layer, the number of spikes reported and their sums over the frame axis,
+Every counting rule lives here.  The model only reports its spikes: each
+of the two LIF kernels, `spiking.lif_linear` and `spiking.encode_sequence`,
+passes its output to the autograd observer under the layer name its caller
+gives it (`mssa.encoder`, `mssa.hop1`, `mssa.hop2`, `dsf.encoder`, `ssa.q`,
+`ssa.k`, `ssa.v`).  A no-grad forward runs its frame pipeline in chunks, so
+a layer may report several chunks of frames.  Every rule reads only sums
+over the frames, so the counter reduces each chunk as it arrives and keeps,
+per layer, the number of spikes reported and their sums over the frame axis,
 (..., N, d).  `OpCounter.count_forward` then derives every layer's tallies
-from the model's config, its graph and those two values, which are the same
-however the frames were chunked.
+from the parts the model holds (the LSTM, attention and gate, as the forward
+runs them), its config's shapes, its graph and those two values, which are
+the same however the frames were chunked.  A counter counts one forward.
 
 Counting rules:
   * dense layers: input_width * output_width multiply-accumulates per
@@ -132,9 +134,13 @@ class OpCounter:
     def count_forward(self, model, b: int, t: int) -> OpCounts:
         """Add the tallies of the forward just run, on `b` windows of `t` steps.
 
-        Reads `model.config`, `model.graph` and the reported spike counts,
-        which it then drops; also sets `batch_elements` and `param_count`.
+        Reads `model.config`, `model.graph`, the parts the model holds and
+        the reported spike counts, which it then drops; also sets
+        `batch_elements` and `param_count`.  A counter counts one forward: a
+        second call, on a counter that holds layer counts, is a ContractError.
         """
+        if self.counts.layers:
+            raise ContractError("OpCounter counts one forward; count another with a new counter")
         cfg, graph = model.config, model.graph
         n, f, h = cfg.n_nodes, cfg.feature_width, cfg.h_dim
         positions = b * t * cfg.ts * n          # every frame of every node
@@ -151,21 +157,21 @@ class OpCounter:
             self._spike_proj(layer, float(per_node @ in_degree), src, width, n_nodes=n)
             self._fire(layer)
             src = layer
-        ab = cfg.ablation
-        if ab != "W2":
+        lstm, ssa = model.lstm_params is not None, model.ssa_params is not None
+        if lstm:
             self._spike_proj("lstm.input", self._active(src), src, 4 * h)
             self._tally("lstm.input", src)
             self._dense("lstm.recurrent", positions * h * 4 * h)
-        if ab in ("W3", "W4"):
+        if lstm and ssa:
             src = "dsf.encoder"
             self._fire(src)
-        if ab != "W1":
+        if ssa:
             for layer in ("ssa.q", "ssa.k", "ssa.v"):
                 self._spike_proj(layer, self._active(src), src, cfg.d_k)
                 self._fire(layer)
             self._spike_attention("ssa")
             self._dense("ssa.proj", positions * cfg.d_k * h)
-        if ab == "W4":
+        if model.gate_params is not None:
             self._dense("gate", positions * 2 * h * h)
         self._dense("head", b * n * h * cfg.horizon)
         self.counts.batch_elements = b

@@ -7,10 +7,17 @@ Ablations select what happens after the spiking aggregation:
   W2  spikes -> self-attention -> head (no LSTM)
   W3  LSTM -> re-encode -> self-attention -> head (no gate)
   W4  gated fusion of the LSTM and self-attention branches (full model)
+
+`ForecastModel.__init__` is the one place that maps a variant to its parts:
+`lstm_params`, `ssa_params` with `ssa_readout`, and `gate_params`, each None
+where the variant has no such part.  The forward and the energy counter
+(`OpCounter.count_forward`) run and count the parts the model holds and
+never read `config.ablation`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -240,15 +247,10 @@ class ForecastModel:
         hourly data carries hour-of-day and day-of-week only.
         """
         b, t, n = z.shape
-        minute, hour, dow = covariate_indices(times)
+        indices = dict(zip(("minute", "hour", "dow"), covariate_indices(times)))
         feats = [ag.reshape(z, (b, t, n, 1))]
-        lookups = []
-        if "minute" in self.cov_tables:
-            lookups.append((self.cov_tables["minute"], minute))
-        lookups.append((self.cov_tables["hour"], hour))
-        lookups.append((self.cov_tables["dow"], dow))
-        for table, idx in lookups:
-            e = ag.take(table, idx, axis=0)                # (B, T, w)
+        for name, table in self.cov_tables.items():       # in feature order
+            e = ag.take(table, indices[name], axis=0)      # (B, T, w)
             e = ag.reshape(e, (b, t, 1, COV_WIDTH))
             feats.append(ag.broadcast_to(e, (b, t, n, COV_WIDTH)))
         return ag.concat(feats, axis=-1)
@@ -259,6 +261,11 @@ class ForecastModel:
 
     def forward(self, batch: WindowBatch, counter=None) -> Tensor:
         """Normalized-scale predictions of shape (B, L, N).
+
+        The forward runs the parts the model holds.  With no LSTM, attention
+        reads MSSA's spikes; with no attention, the LSTM returns each chunk's
+        final frame only, and that frame feeds the head; with no gate, the
+        attention readout feeds the head.
 
         The covariate embedding runs once over the window.  Everything after
         it up to the attention readout (observation attention, MSSA encoder
@@ -294,36 +301,30 @@ class ForecastModel:
 
         # everything after the recurrences works on the final frame only,
         # the one the head reads; the last chunk leaves it in h_lstm/ssa_out
-        ab = cfg.ablation
+        lstm, ssa = self.lstm_params, self.ssa_params
         for start in range(0, t_steps, chunk):
             steps = min(chunk, t_steps - start)
             x_chunk = x if steps == t_steps else ag.take(x, np.arange(start, start + steps), t_axis)
             x_obs = obs_forward(x_chunk, self.graph.local, self.obs_params)
-            s_mssa = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, carry)
-            if ab == "W2":
-                ssa_out = ssa_forward(s_mssa, self.ssa_params, lif, carry)
-                continue
-            # W1 reads the chunk's final frame only; W3/W4 re-encode the
-            # last frame of every series step
-            stride = steps * cfg.ts if ab == "W1" else cfg.ts
-            h_lstm = lstm_forward(s_mssa, self.lstm_params, stride, carry)  # (B, T'/stride, N, h)
-            del s_mssa      # without a tape nothing else holds the spikes
-            if ab != "W1":
-                re_encoded = encode_sequence(h_lstm, cfg.ts, lif)
-                ag.observe_spikes("dsf.encoder", re_encoded)
-                ssa_out = ssa_forward(re_encoded, self.ssa_params, lif, carry)
-                del re_encoded
+            spikes = mssa_forward(x_obs, self.graph, self.hop_weights, lif, cfg.ts, carry)
+            if lstm is not None:
+                # attention re-encodes the last frame of every series step;
+                # without it the head reads the chunk's final frame only
+                stride = cfg.ts if ssa is not None else steps * cfg.ts
+                h_lstm = lstm_forward(spikes, lstm, stride, carry)  # (B, T'/stride, N, h)
+                del spikes      # without a tape nothing else holds the spikes
+                if ssa is not None:
+                    spikes = encode_sequence(h_lstm, cfg.ts, lif, "dsf.encoder")
+            if ssa is not None:
+                ssa_out = ssa_forward(spikes, ssa, lif, carry)
+                del spikes
 
-        readout = self.ssa_readout
-        if ab == "W2":
-            feat = ag.matmul(ag.mul(ssa_out, readout.gain), readout.proj)
-        else:
-            h_last = ag.take(h_lstm, [-1], t_axis)                      # (B, 1, N, h)
-            if ab == "W1":
-                feat = h_last
-            else:
-                h_ssa = ag.matmul(ag.mul(ssa_out, readout.gain), readout.proj)
-                feat = h_ssa if ab == "W3" else gate_fuse(h_last, h_ssa, self.gate_params)
+        if lstm is not None:
+            feat = ag.take(h_lstm, [-1], t_axis)                        # (B, 1, N, h)
+        if ssa is not None:
+            readout = self.ssa_readout
+            h_ssa = ag.matmul(ag.mul(ssa_out, readout.gain), readout.proj)
+            feat = h_ssa if self.gate_params is None else gate_fuse(feat, h_ssa, self.gate_params)
 
         b, _, n, h = feat.shape                                     # one frame: (B, 1, N, h)
         final = ag.reshape(feat, (b, n, h))
@@ -464,10 +465,8 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
     for epoch in range(1, cfg.epochs + 1):
         order = [windows.train_starts[i] for i in rng.permutation(len(windows.train_starts))]
         losses, norms = [], []
-        n_batches = 0
-        for chunk in _batched_starts(order, cfg.batch_size):
-            if cfg.max_batches and n_batches >= cfg.max_batches:
-                break
+        for chunk in itertools.islice(_batched_starts(order, cfg.batch_size),
+                                      cfg.max_batches or None):
             batch = windows.batch(chunk)
             pred = model.forward(batch)
             loss = mse_loss(pred, batch.normalized_targets())
@@ -479,7 +478,6 @@ def train(model: ForecastModel, dataset: SeriesDataset, log_fn=None) -> tuple:
                 if not np.all(np.isfinite(p.data)):
                     raise DivergenceError(name)
             losses.append(loss.item())
-            n_batches += 1
         if windows.val_starts:
             r2, rse = evaluate(model, windows, windows.val_starts, cfg.batch_size)
         else:

@@ -10,9 +10,10 @@ No dense N-by-N product is formed on this path (the test suite asserts that
 from the operand shapes of every product).  Each hop's projection and its
 LIF layer are one `spiking.lif_linear` node, whose state evolves across the
 whole frame sequence, and hop 2 repeats the routine on hop-1 spikes over the
-semi-global sample sets.  The encoder and both hops report their spikes
-(`autograd.observe_spikes`); the energy module derives their op counts from
-those.
+semi-global sample sets.  The encoder and both hops name their layer
+(`mssa.encoder`, and `_hop`'s `layer`: `mssa.hop1`, `mssa.hop2`) to the LIF
+kernel, which reports its spikes under that name; the energy module derives
+their op counts from those.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ class HopWeights:
 def _hop(spikes: Tensor, neighborhood: tuple, w: Tensor, lif: LifParams, layer: str,
          carry: Carry | None = None) -> Tensor:
     """One sample-index-sum-project-fire hop over all frames at once, over a
-    sample level's (index, valid) pair; its spikes are reported, and its LIF
-    state carried, under `layer`."""
+    sample level's (index, valid) pair; `lif_linear` reports its spikes, and
+    carries its LIF state, under `layer`."""
     summed = ag.gather_sum(spikes, *neighborhood, axis=spikes.data.ndim - 2)
-    out = lif_linear(summed, w, lif, carry, layer)
-    ag.observe_spikes(layer, out)
-    return out
+    return lif_linear(summed, w, lif, carry, layer)
 
 
 def mssa_forward(
@@ -70,8 +69,7 @@ def mssa_forward(
     Every step is encoded on its own, so given `carry` (no tape) `x_obs` may
     be one chunk of the window's steps: the hops carry their LIF states in it.
     """
-    encoded = encode_sequence(x_obs, ts, lif)
-    ag.observe_spikes("mssa.encoder", encoded)
+    encoded = encode_sequence(x_obs, ts, lif, "mssa.encoder")
     s1 = _hop(encoded, graph.local, weights.w1, lif, layer="mssa.hop1", carry=carry)
     s2 = _hop(s1, graph.semiglobal, weights.w2, lif, layer="mssa.hop2", carry=carry)
     return s2

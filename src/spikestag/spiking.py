@@ -60,6 +60,12 @@ a fresh LIF neuron with the step's constant value for `ts` sub-steps, one
 binary frame per sub-step, so a window of length T becomes T*ts frames.  The
 frames come out in time order (all sub-steps of step 0, then of step 1, ...),
 written there by the same single node; spikes are `bool` Tensors throughout.
+
+`lif_linear` and `encode_sequence` are the model's only spike sources, and
+each reports its output to the autograd observer (`autograd.observe_spikes`,
+the energy counter while counting) under the `layer` name its caller gives;
+`lif_linear` keeps its carried state under that name too.  No other code
+reports spikes.
 """
 
 from __future__ import annotations
@@ -249,7 +255,8 @@ def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
 
     `s` is (..., T, N, k), `bool` spikes or float gather sums, and `w` a
     (k, d) weight; the output is (..., T, N, d) `bool` spikes, the neuron
-    state (..., N, d) starting from zero.  Given `carry`, the
+    state (..., N, d) starting from zero.  The spikes are reported under
+    `layer` (`autograd.observe_spikes`).  Given `carry`, the
     state starts from and is left in its `layer` entry, so the frames may
     come in chunks (no tape; ContractError otherwise).
 
@@ -288,11 +295,14 @@ def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry: Carry | None = None,
         if s.requires_grad:
             s._accum_own((du @ wd.T).reshape(sd.shape))
 
-    return ag._result(spikes, (s, w), bw, "lif")
+    out = ag._result(spikes, (s, w), bw, "lif")
+    ag.observe_spikes(layer, out)
+    return out
 
 
-def encode_sequence(x: Tensor, ts: int, params: LifParams) -> Tensor:
-    """Encode a (..., T, N, f) step sequence into (..., T*ts, N, f) spike frames.
+def encode_sequence(x: Tensor, ts: int, params: LifParams, layer: str = "") -> Tensor:
+    """Encode a (..., T, N, f) step sequence into (..., T*ts, N, f) spike frames,
+    reported as the spikes of `layer`.
 
     Each series step drives a fresh neuron with its constant value for `ts`
     sub-steps, so all steps run in parallel; frame t*ts + k is sub-step k of
@@ -301,4 +311,6 @@ def encode_sequence(x: Tensor, ts: int, params: LifParams) -> Tensor:
     """
     if ts < 1:
         raise ContractError(f"encode_sequence: ts must be >= 1, got {ts}")
-    return _lif(x, params, steps=ts)
+    out = _lif(x, params, steps=ts)
+    ag.observe_spikes(layer, out)
+    return out

@@ -181,9 +181,12 @@ def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None, carry=None) 
 
 def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry=None, layer: str = "") -> Tensor:
     """Per-step stand-in for `spiking.lif_linear` (no carried state): the
-    projection as its own `matmul` node, then one `lif_step` per frame."""
+    projection as its own `matmul` node, then one `lif_step` per frame; the
+    spikes are reported under `layer`, as the kernel reports them."""
     _no_carry(carry)
-    return lif_over_frames(ag.matmul(s, w), lif)
+    out = lif_over_frames(ag.matmul(s, w), lif)
+    ag.observe_spikes(layer, out)
+    return out
 
 
 def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,
@@ -263,8 +266,8 @@ def full_sequence_forward(model, batch, counter=None) -> Tensor:
             feat_seq = h_lstm
         else:
             boundary = np.arange(cfg.ts - 1, t_frames, cfg.ts, dtype=np.intp)
-            re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif)
-            ag.observe_spikes("dsf.encoder", re_encoded)
+            re_encoded = encode_sequence(ag.take(h_lstm, boundary, axis=time_axis), cfg.ts, lif,
+                                         "dsf.encoder")
             ssa_out = ag.mul(ssa_forward_full(re_encoded, model.ssa_params, lif), readout.gain)
             h_ssa = ag.matmul(ssa_out, readout.proj)
             feat_seq = h_ssa if ab == "W3" else gate_fuse(h_lstm, h_ssa, model.gate_params)

@@ -279,6 +279,11 @@ class TestRejects:
                                  "tools/upgrade_checkpoint.py OLD NEW'"):
             load_model(fixture)
 
+    def test_one_byte_after_the_last_record(self, tmp_path):
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        with pytest.raises(CheckpointFormatError, match="^1 bytes after the last record$"):
+            load_blob(tmp_path, blob + b"\x00")
+
     def test_truncated(self, tmp_path):
         blob = saved_blob(tmp_path, ForecastModel(TINY))
         (header_len,) = struct.unpack_from("<I", blob, 8)

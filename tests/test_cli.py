@@ -235,17 +235,23 @@ def test_grid_commands_echo_the_config_as_trained(tmp_path, grid):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A tiny trained run on hourly data, a truncated copy of its checkpoint,
-    a CSV with a non-numeric cell, a CSV of six nodes, where the run has
-    four, and a CSV sampled every 30 minutes."""
+    """A tiny trained run on hourly data, a truncated copy of its checkpoint
+    and one with bytes appended, a CSV with a non-numeric cell, two CSVs
+    whose headers name a node twice or leave one unnamed, a CSV of six
+    nodes, where the run has four, a CSV sampled every 30 minutes and a
+    config file that sets a key twice."""
     root = tmp_path_factory.mktemp("inputs")
     assert cli.main(["train", *TINY_FLAGS, "--epochs", "1", "--out", str(root / "run")]) == 0
     blob = (root / "run" / "checkpoint.stag").read_bytes()
     (root / "truncated.stag").write_bytes(blob[:len(blob) // 2])
+    (root / "appended.stag").write_bytes(blob + bytes(29))
     save_csv(synth_generate(4, 60, 1), root / "good.csv")
     lines = (root / "good.csv").read_text().splitlines()
+    for name, header in (("twice", "timestamp,a,b,c,a"), ("unnamed", "timestamp,a,,c,d")):
+        (root / f"{name}.csv").write_text("\n".join([header] + lines[1:]) + "\n")
     lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
     (root / "bad.csv").write_text("\n".join(lines) + "\n")
+    (root / "twice.txt").write_text("ts = 2\nepochs = 1\nts = 3\n")
     save_csv(synth_generate(6, 60, 1), root / "six_nodes.csv")
     half_hourly_csv(root / "half_hourly.csv")
     return root
@@ -259,6 +265,15 @@ BAD_INPUT_CASES = {
                       "non-numeric value"),
     "truncated_checkpoint": (["eval", "{root}/truncated.stag", "--synth-steps", "60"],
                              "truncated or corrupt checkpoint"),
+    "eval_appended_checkpoint": (["eval", "{root}/appended.stag", "--synth-steps", "60"],
+                                 "29 bytes after the last record"),
+    "train_csv_node_named_twice": (["train", *TINY_FLAGS, "--data", "{root}/twice.csv",
+                                    "--out", "{root}/o"],
+                                   "header column 5: duplicate node name 'a'"),
+    "train_csv_node_unnamed": (["train", *TINY_FLAGS, "--data", "{root}/unnamed.csv",
+                                "--out", "{root}/o"], "header column 3: empty node name"),
+    "train_config_key_twice": (["train", "--config", "{root}/twice.txt", "--out", "{root}/o"],
+                               "twice.txt:3: duplicate key 'ts'"),
     "eval_v1_checkpoint": (["eval", str(FIXTURES / "checkpoint_v1.stag"), "--synth-steps", "60"],
                            UPGRADE_HINT),
     "predict_older_v2_checkpoint": (["predict", str(FIXTURES / "checkpoint_v2_gates.stag"),

@@ -80,6 +80,19 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match=r"row 4: non-finite .* column 'b'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("timestamp,a,a", "header column 3: duplicate node name 'a'"),
+        ("timestamp,,b", "header column 2: empty node name"),
+        ("timestamp,a, ", "header column 3: empty node name"),
+    ])
+    def test_header_names_each_node_once(self, tmp_path, header, message):
+        path = write_csv(tmp_path, [
+            "2024-01-01T00:00:00+00:00,1,2",
+            "2024-01-01T01:00:00+00:00,3,4",
+        ], header=header)
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = write_csv(tmp_path, [
             "2024-01-01T00:00:00+00:00,1,2",

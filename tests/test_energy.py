@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from spikestag import autograd as ag
-from spikestag import dsf, mssa, obs
+from spikestag import dsf, mssa, obs, spiking
 from spikestag import model as model_module
+from spikestag.autograd import Tensor
 from spikestag.data import make_windows, synth_generate
 from spikestag.energy import OpCounter, OpCounts, estimate_energy
+from spikestag.errors import ContractError
 from spikestag.model import ForecastModel, ModelConfig
 
 TINY_W4 = ModelConfig(n_nodes=6, t_in=12, horizon=2, ts=2, d1=8, d2=8, h_dim=12, d_k=8,
@@ -121,6 +123,52 @@ def test_hop_events_count_every_gathered_spike(graph, monkeypatch):
             ("mssa.hop2", "mssa.hop1", model.graph.samples_semiglobal, model.config.d2)):
         events = sum(float(seen[src][..., j, :].sum()) for s in sets for j in s)
         assert counter.counts.layers[layer].ac_ops == events * width + seen[layer].size
+
+
+@pytest.mark.parametrize("kernel", ["lif_linear", "encode_sequence"])
+def test_spiking_kernel_reports_its_output_once(kernel, monkeypatch):
+    reported = []
+    monkeypatch.setattr(OpCounter, "spikes",
+                        lambda self, layer, tensor: reported.append((layer, tensor)))
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 3, 4)))
+    lif = spiking.LifParams(u_th=0.5)
+    with OpCounter():
+        if kernel == "lif_linear":
+            out = spiking.lif_linear(x, Tensor(np.ones((4, 2))), lif, layer="x")
+        else:
+            out = spiking.encode_sequence(x, 3, lif, "x")
+    assert len(reported) == 1
+    assert reported[0][0] == "x" and reported[0][1] is out
+
+
+def test_parts_not_the_ablation_letter_decide_the_forward():
+    """A W4 model whose config is swapped to W1 after construction still
+    predicts and counts as the W4 model it holds the parts of."""
+    model, batch = model_and_batch()
+
+    def predict_and_count():
+        counter = OpCounter()
+        with ag.no_grad():
+            model.forward(batch, counter=counter)
+        return model.predict(batch), [(k, vars(lc)) for k, lc in counter.counts.layers.items()]
+
+    pred, layers = predict_and_count()
+    model.config = replace(model.config, ablation="W1")
+    pred_w1, layers_w1 = predict_and_count()
+    np.testing.assert_array_equal(pred_w1, pred)
+    assert layers_w1 == layers and "gate" in dict(layers)
+
+
+def test_a_counter_counts_one_forward():
+    model, batch = model_and_batch()
+    counter = OpCounter()
+    with ag.no_grad():
+        model.forward(batch, counter=counter)
+        once = mac_ac(counter.counts)
+        with pytest.raises(ContractError, match="counts one forward"):
+            model.forward(batch, counter=counter)
+    assert mac_ac(counter.counts) == once and counter.counts.batch_elements == BATCH
+    assert ag.set_observer(None) is None
 
 
 def test_dense_fusion_macs_by_hand(counts):

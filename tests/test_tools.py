@@ -190,6 +190,18 @@ def test_upgrader_refusal_exits_2_and_writes_nothing(write_old, message, tmp_pat
     assert not (tmp_path / "new.stag").exists()
 
 
+def test_loc_module_lines_sum_to_the_src_total():
+    done = subprocess.run([sys.executable, str(TOOLS / "loc.py")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    counts = lambda line: [int(n.replace(",", "")) for n in line.split()[-3::2]]
+    src, tests, *modules = done.stdout.splitlines()
+    assert src.startswith("src/ ") and tests.startswith("tests/ ")
+    names = [line.split()[0] for line in modules]
+    assert names == sorted(f"src/{p.relative_to(TOOLS.parent / 'src').as_posix()}"
+                           for p in (TOOLS.parent / "src").rglob("*.py"))
+    assert [sum(col) for col in zip(*map(counts, modules))] == counts(src)
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["src"]], ids=["flag", "src"])
 def test_loc_refuses_a_root_without_src_and_tests(argv):
     done = subprocess.run([sys.executable, str(TOOLS / "loc.py"), *argv],

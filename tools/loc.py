@@ -3,6 +3,8 @@
 Prints, for `src/` and `tests/`, the raw line count of every `.py` file and
 the code lines among them: lines that hold a token other than a comment,
 with blank lines and docstrings (module, class and function) left out.
+After the two totals it prints the same two counts for each module under
+`src/`, so a change can say where its lines went.
 
     python3 tools/loc.py [ROOT]
 
@@ -49,13 +51,19 @@ def main(argv: list) -> int:
     if missing:
         print(f"error: {root} has no {' or '.join(missing)} to count", file=sys.stderr)
         return 2
+    modules = []
     for part in ("src", "tests"):
         raw = code = 0
         for path in sorted((root / part).rglob("*.py")):
             r, c = count(path.read_text())
             raw += r
             code += c
+            if part == "src":
+                modules.append((path.relative_to(root).as_posix(), r, c))
         print(f"{part + '/':7} raw {raw:6,}  code {code:6,}")
+    width = max((len(name) for name, _, _ in modules), default=0)
+    for name, r, c in modules:
+        print(f"  {name:{width}} raw {r:6,}  code {c:6,}")
     return 0
 
 
