@@ -415,7 +415,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    data = np.asarray(a.data.sum(axis=axis), dtype=a.data.dtype)
+    data = a.data.sum(axis=axis)
+    data = np.asarray(data, dtype=a.data.dtype)
     src_shape = a.data.shape
 
     def bw(g):

@@ -132,7 +132,7 @@ class OpCounter:
     # counting rules ---------------------------------------------------------
 
     def count_forward(self, model, b: int, t: int) -> OpCounts:
-        """Add the tallies of the forward just run, on `b` windows of `t` steps.
+        """Tally the operations of the forward just run, on `b` windows of `t` steps.
 
         Reads `model.config`, `model.graph`, the parts the model holds and
         the reported spike counts, which it then drops; also sets
