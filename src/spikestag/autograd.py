@@ -12,10 +12,11 @@ before a second backward.
 The op set is deliberately small, one code path per op: `add`, `sub`,
 `mul`, `matmul`, `affine`, `sigmoid`, `softmax`, `concat`, `tsum`, the
 gathers `take` and `gather_sum`, `reshape`, `transpose` and
-`broadcast_to`.  A slice along an axis is a `take` of an index range, and
-a mean is `tsum` times one over the count.  `affine` (a @ w with an optional
-bias) is the one flattened-GEMM kernel; `matmul` hands it every 2-d right
-operand and itself runs only the batched product.  `gather_sum` adds its k
+`broadcast_to`.  `transpose` and a `take` of an index range (a slice along
+an axis) are views of their input, and their gradients views of its
+gradient.  A mean is `tsum` times one over the count.  `affine` (a @ w
+with an optional bias) is the one flattened-GEMM kernel; `matmul` hands it
+every 2-d right operand and itself runs only the batched product.  `gather_sum` adds its k
 gathered slots into the output one slot at a time, so it never holds the
 (..., n, k, ...) array of all of them.  There is no general
 broadcasting engine; binary ops allow the usual numpy broadcast and
@@ -79,10 +80,10 @@ class Tensor:
     `data` is a numpy array: float32 or float64, or `bool` for spikes
     (given `dtype=bool`, or made by a LIF layer).  The constructor stores
     it row-major (C-contiguous); an op's result may be a strided view of
-    its input instead (`transpose` returns one, and `reshape` may), so code
-    that needs a layout makes it.  `grad` is lazily allocated during
-    backward and has the shape of `data` and its dtype, float32 for `bool`
-    data.
+    its input instead (`transpose` and a `take` of an index range return
+    one, and `reshape` may), so code that needs a layout makes it.  `grad`
+    is lazily allocated during backward and has the shape of `data` and its
+    dtype, float32 for `bool` data.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -170,8 +171,42 @@ def observe_spikes(layer: str, tensor: Tensor) -> None:
         _OBSERVER.spikes(layer, tensor)
 
 
-def _result(data, parents: tuple, backward_fn, op: str) -> Tensor:
-    out = Tensor.__new__(Tensor)
+class _View(Tensor):
+    """The output of an op that only views its input (`transpose`, a `take`
+    of an index range): its data is a view of its parent's data, and its
+    gradient goes straight to the parent, so its own backward has nothing
+    left to do.  A slice adds its gradient into the matching view of the
+    parent's gradient buffer; a view of all of the parent (`_inverse` maps
+    an array of the view's axes back to the parent's) hands it on in the
+    parent's axes, so a chain of views ends in one buffer, written in that
+    buffer's axis order."""
+
+    __slots__ = ("_view", "_inverse")
+
+    def _grad_buffer(self):
+        if self.grad is None:
+            self.grad = self._view(self._parents[0]._grad_buffer())
+        return self.grad
+
+    def _accum(self, g) -> None:
+        if self._inverse is None:
+            self._grad_buffer()[...] += g
+        else:
+            self._parents[0]._accum(self._inverse(g))
+
+    _accum_own = _accum
+
+
+def _viewing(a: Tensor, view, op: str, inverse=None) -> Tensor:
+    """The `_View` node of `view` (an array -> view-of-it function) on `a`;
+    `inverse` undoes a view that covers all of `a`."""
+    out = _result(view(a.data), (a,), lambda g: None, op, _View)
+    out._view, out._inverse = view, inverse
+    return out
+
+
+def _result(data, parents: tuple, backward_fn, op: str, cls=Tensor) -> Tensor:
+    out = cls.__new__(cls)
     out.data = data
     out.grad = None
     out._op = op
@@ -366,14 +401,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    data = np.transpose(a.data, axes)
-
-    def bw(g):
-        a._accum(np.transpose(g, inv))
-
-    return _result(data, (a,), bw, "transpose")
+    """A view of `a` with its axes permuted, whose gradient is the same view
+    of `a`'s (`_View`)."""
+    axes, inv = tuple(axes), tuple(np.argsort(axes))
+    return _viewing(a, lambda arr: np.transpose(arr, axes), "transpose",
+                    lambda arr: np.transpose(arr, inv))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -433,15 +465,21 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 def take(a: Tensor, indices, axis: int) -> Tensor:
     """Index-select along `axis` with an integer array (gather rows).
 
-    Output shape is a.shape[:axis] + indices.shape + a.shape[axis+1:].
+    Output shape is a.shape[:axis] + indices.shape + a.shape[axis+1:].  A
+    1-d run of consecutive indices is a slice: the output is a view of
+    `a`'s data, and its gradient a view of `a`'s (`_View`), so a slice
+    copies nothing, forward or backward.
     """
     indices = np.asarray(indices, dtype=np.intp)
-    if indices.size and (indices.min() < -a.data.shape[axis] or indices.max() >= a.data.shape[axis]):
-        raise ContractError(
-            f"take: index out of range for axis {axis} of extent {a.data.shape[axis]}"
-        )
-    data = np.take(a.data, indices, axis=axis)
+    extent = a.data.shape[axis]
+    if indices.size and (indices.min() < -extent or indices.max() >= extent):
+        raise ContractError(f"take: index out of range for axis {axis} of extent {extent}")
     ax = axis % a.data.ndim
+    if indices.ndim == 1 and indices.size and np.all(np.diff(indices % extent) == 1):
+        start = indices[0] % extent
+        index = (slice(None),) * ax + (slice(start, start + len(indices)),)
+        return _viewing(a, lambda arr: arr[index], "take")
+    data = np.take(a.data, indices, axis=axis)
 
     def bw(g):
         buf = a._grad_buffer()

@@ -23,9 +23,9 @@ header is exactly `{"config": dataclasses.asdict(config)}`, so config ints
 and floats round-trip exactly.  A load reads every record or refuses the
 file: a header config that `ModelConfig` refuses ("invalid config in
 checkpoint header: ..."), a record the config does not name, a missing or
-misshaped one, a non-finite value or bytes after the last record is a
-`CheckpointFormatError`, and a model whose graph leaves a local sample set
-empty is a `ContractError`.  A save refuses what the load would, with a
+misshaped one, a non-finite value, a record name or a header key given
+twice, or bytes after the last record is a `CheckpointFormatError`, and a
+model whose graph leaves a local sample set empty is a `ContractError`.  A save refuses what the load would, with a
 `ContractError`, and writes nothing then.
 
 Files of an older layout are recognised and refused, with a message naming
@@ -75,6 +75,8 @@ def _read_records(blob: bytes, off: int) -> dict:
         off += 2
         name = blob[off:off + nlen].decode("utf-8")
         off += nlen
+        if name in tensors:
+            raise CheckpointFormatError(f"record '{name}' appears twice")
         (rank,) = struct.unpack_from("<B", blob, off)
         off += 1
         dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
@@ -149,7 +151,18 @@ def _header(blob: bytes) -> tuple:
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported format version {version}")
     (header_len,) = struct.unpack_from("<I", blob, 8)
-    return json.loads(blob[12:12 + header_len].decode("utf-8")), 12 + header_len
+    header = json.loads(blob[12:12 + header_len].decode("utf-8"), object_pairs_hook=_unique_keys)
+    return header, 12 + header_len
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A header object from its (key, value) pairs; a key given twice is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CheckpointFormatError(f"header names the key '{key}' twice")
+        obj[key] = value
+    return obj
 
 
 def _parse(blob: bytes) -> tuple:

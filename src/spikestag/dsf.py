@@ -31,12 +31,15 @@ The forecast head reads only the final frame, so the attention readout is
 formed for that frame alone: its query is scored against all T' = T * ts key
 frames, O(T') per node instead of the O(T'^2) of scoring every frame, and
 the gate runs on the final frame of both branches.  Q/K/V still run their
-LIF recurrence over every frame, as `spiking.lif_linear` layers named
-`ssa.q`, `ssa.k` and `ssa.v`, which report their spikes for the energy
-module to count.
+LIF recurrence over every frame, as one `spiking.lif_linear` layer with
+three named column blocks: the `w_q`, `w_k` and `w_v` projections, named
+`ssa.q`, `ssa.k` and `ssa.v`.  The layer makes one GEMM, one frame loop and
+one backward for all three, and reports each block's spikes under its name
+for the energy module to count.  Q, K and V are views of its spikes, and
+their gradients land in its one gradient buffer (`qkv_spikes`).
 
 Without a tape the model feeds this block its frames in chunks (see
-`ForecastModel.forward`).  The LSTM and the Q/K/V LIF layers then carry
+`ForecastModel.forward`).  The LSTM and the Q/K/V LIF layer then carry
 their states from chunk to chunk in a `spiking.Carry`, each sizing its own
 state and `Carry.get` checking it, and attention keeps only the final query
 frame and the K and V spikes of every frame, as bool, reading out once the
@@ -370,29 +373,31 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     is shared by ssa_forward and the gradient checks.
     """
     nd = q.data.ndim
-    perm = tuple(range(nd - 3)) + (nd - 2, nd - 3, nd - 1)  # (..., N, T, d)
-    qt, kt, vt = (ag.transpose(t, perm) for t in (q, k, v))
-    scores = ag.mul(ag.matmul(qt, ag.transpose(kt, tuple(range(nd - 2)) + (nd - 1, nd - 2))),
+    lead = tuple(range(nd - 3))
+    perm = lead + (nd - 2, nd - 3, nd - 1)  # (..., N, T, d)
+    qt, vt = (ag.transpose(t, perm) for t in (q, v))
+    # K^T as one transpose, (..., N, d, T): its backward adds K's gradient
+    # where K keeps it, with no copy in between
+    scores = ag.mul(ag.matmul(qt, ag.transpose(k, lead + (nd - 2, nd - 1, nd - 3))),
                     1.0 / math.sqrt(q.shape[-1]))
     attn = ag.softmax(scores, axis=-1)
     out = ag.matmul(attn, vt)  # (..., N, T, d)
     return ag.transpose(out, perm)  # back to (..., T, N, d)
 
 
+QKV_LAYERS = ("ssa.q", "ssa.k", "ssa.v")
+
+
 def qkv_spikes(s: Tensor, params: SsaParams, lif: LifParams, carry: Carry | None = None) -> tuple:
     """Binary Q, K and V: LIF spikes of the projected input over every frame,
-    from `lif_linear` layers named `ssa.q`, `ssa.k` and `ssa.v`, which report
-    their spikes and, given `carry`, carry their LIF states under those names."""
-    if not ag.is_recording(s, params.w_q, params.w_k, params.w_v):
-        # one float32 copy of `bool` spikes for the three projections; a tape
-        # keeps the spikes as they are, so a taped call casts them per use
-        s = Tensor(ag.as_float(s.data))
-    # a loop, not a generator: a generator's frame would sit on the traced
-    # heap through all three layers, at the no-grad forward's peak
-    out = []
-    for name, w in (("q", params.w_q), ("k", params.w_k), ("v", params.w_v)):
-        out.append(lif_linear(s, w, lif, carry, f"ssa.{name}"))
-    return tuple(out)
+    from one `lif_linear` layer whose column blocks are the `w_q`, `w_k` and
+    `w_v` projections, named `ssa.q`, `ssa.k` and `ssa.v`: it reports their
+    spikes under those names and, given `carry`, carries one state for all
+    three.  Q, K and V are views of its spikes (`autograd.take` of a column
+    range), and their gradients views of its one gradient buffer."""
+    qkv = lif_linear(s, (params.w_q, params.w_k, params.w_v), lif, carry, QKV_LAYERS)
+    d_k = params.w_q.shape[1]
+    return tuple(ag.take(qkv, np.arange(i * d_k, (i + 1) * d_k), -1) for i in range(3))
 
 
 def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
@@ -425,10 +430,11 @@ def ssa_forward(s: Tensor, params: SsaParams, lif: LifParams,
     end = carry.states["ssa.frames"] = done + k.shape[1]
     k_all[:, done:end] = k.data
     v_all[:, done:end] = v.data
+    q_last = q_last.data.copy()     # not a view: the chunk's spikes go with q, k and v
     del q, k, v
     if end < carry.frames:
         return None
-    rows = [attention_core(Tensor(q_last.data[i:i + 1]), Tensor(k_all[i:i + 1]),
+    rows = [attention_core(Tensor(q_last[i:i + 1]), Tensor(k_all[i:i + 1]),
                            Tensor(v_all[i:i + 1])).data
             for i in range(len(k_all))]
     return Tensor(np.concatenate(rows))

@@ -8,7 +8,8 @@ use them as oracles: the fused kernels must reproduce their spikes and hidden
 states bit for bit and their gradients within float32 tolerance.
 `lif_kernel`, `lif_linear` and `lstm_recurrence` take the arguments of
 `spiking._lif`, `spiking.lif_linear` and `dsf._lstm`, so a test can patch
-them in for the fused kernels.
+them in for the fused kernels.  `input_grad` is the LIF backward in
+whole-array passes, the oracle of the blocked `spiking._input_grad`.
 
 `full_sequence_forward` is the model forward that runs spiking attention,
 the gate and the attention projection over every frame and then selects the
@@ -179,14 +180,50 @@ def lif_kernel(x: Tensor, lif: LifParams, steps: int | None = None, carry=None) 
     return encode_steps(x, steps, lif)
 
 
-def lif_linear(s: Tensor, w: Tensor, lif: LifParams, carry=None, layer: str = "") -> Tensor:
+def lif_linear(s: Tensor, w, lif: LifParams, carry=None, layer="") -> Tensor:
     """Per-step stand-in for `spiking.lif_linear` (no carried state): the
-    projection as its own `matmul` node, then one `lif_step` per frame; the
-    spikes are reported under `layer`, as the kernel reports them."""
+    projection as its own `matmul` node (of the weights' `concat` for a
+    tuple of column blocks), then one `lif_step` per frame; the spikes are
+    reported under `layer`, or each block under its name, as the kernel
+    reports them."""
     _no_carry(carry)
-    out = lif_over_frames(ag.matmul(s, w), lif)
-    ag.observe_spikes(layer, out)
+    if isinstance(w, Tensor):
+        out = lif_over_frames(ag.matmul(s, w), lif)
+        ag.observe_spikes(layer, out)
+        return out
+    out = lif_over_frames(ag.matmul(s, ag.concat(w, axis=-1)), lif)
+    start = 0
+    for name, block in zip(layer, w):
+        ag.observe_spikes(name, ag.take(out, np.arange(start, start + block.shape[1]), -1))
+        start += block.shape[1]
     return out
+
+
+def input_grad(g_s: np.ndarray, u_all: np.ndarray, spikes: np.ndarray, lif: LifParams,
+               steps: int | None = None, flush: bool = True) -> np.ndarray:
+    """`spiking._input_grad` in whole-array passes: every factor of dU_t =
+    a_t * dU_{t+1} + b_t formed for all frames before the backward loop,
+    the sum over sub-steps (with `steps`) and, unless `flush` is False, the
+    subnormal flush after it.  Writes a into `u_all`; returns a new array."""
+    axis = spikes.ndim - 3
+    sg = surrogate_grad(u_all - lif.u_th, lif.alpha)
+    a = u_all
+    a *= -lif.beta
+    a += lif.u_reset
+    a *= sg
+    keep = np.subtract(1.0, spikes, dtype=u_all.dtype)
+    keep *= lif.beta
+    a += keep
+    du = sg
+    du *= g_s
+    a_frames, du_frames = np.moveaxis(a, axis, 0), np.moveaxis(du, axis, 0)
+    for t in range(len(du_frames) - 2, -1, -1):
+        np.multiply(a_frames[t], du_frames[t + 1], out=a_frames[t])
+        du_frames[t] += a_frames[t]
+    du_x = du if steps is None else du.sum(axis=axis)
+    if flush:
+        du_x[np.abs(du_x) < np.finfo(du_x.dtype).tiny] = 0.0
+    return du_x
 
 
 def lstm_recurrence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, stride: int,

@@ -42,6 +42,43 @@ class TestForwardOps:
         out = ag.take(x, np.array([2, 0]), axis=0)
         np.testing.assert_array_equal(out.data, [[5.0, 6.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("indices", [[1, 2], [-2, -1], [2]], ids=["range", "negative", "one"])
+    def test_take_of_a_range_is_a_view_with_a_view_gradient(self, indices):
+        """A run of consecutive indices is a slice: a view of the input, and
+        what its consumers add lands in the input's gradient buffer, summed
+        with the gradient the input gets elsewhere."""
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        out = ag.take(x, indices, axis=0)
+        assert np.shares_memory(out.data, x.data)
+        np.testing.assert_array_equal(out.data, x.data[indices])
+        ag.backward(ag.add(ag.tsum(ag.mul(out, 3.0)), ag.tsum(x)))
+        want = np.ones((3, 2))
+        want[np.asarray(indices) % 3] += 3.0
+        np.testing.assert_array_equal(x.grad, want)
+
+    def test_transpose_is_a_view_whose_first_gradient_keeps_its_layout(self):
+        """A transpose's gradient is the same view of its input's: the first
+        one its plain input gets is a copy in the layout it arrives in, as
+        a copying backward makes it, and one through a slice lands in the
+        sliced input's buffer."""
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        out = ag.transpose(x, (2, 0, 1))
+        assert np.shares_memory(out.data, x.data)
+        g = np.arange(24.0).reshape(4, 2, 3)
+        ag.backward(ag.tsum(ag.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(x.grad, np.transpose(g, (1, 2, 0)))
+        assert np.transpose(x.grad, (2, 0, 1)).flags.c_contiguous
+        y = Tensor(np.ones((3, 4)), requires_grad=True)
+        view = ag.transpose(ag.take(y, [1, 2, 3], axis=1), (1, 0))
+        ag.backward(ag.tsum(ag.mul(view, 2.0)))
+        np.testing.assert_array_equal(y.grad, [[0.0, 2.0, 2.0, 2.0]] * 3)
+        assert y.grad.flags.c_contiguous
+
+    def test_take_of_other_indices_copies(self):
+        x = t([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        for indices in ([0, 2], [1, 0], [1, 1]):
+            assert not np.shares_memory(ag.take(x, indices, axis=0).data, x.data)
+
     def test_take_out_of_range(self):
         with pytest.raises(ContractError):
             ag.take(t([1.0, 2.0]), np.array([5]), axis=0)

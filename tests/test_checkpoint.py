@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 from dataclasses import asdict, fields, replace
@@ -378,6 +379,35 @@ class TestEveryRecordRead:
             tensors[f"lstm/{name}"] = p.data
         with pytest.raises(CheckpointFormatError, match="not read: lstm/wx, lstm/wh, lstm/b"):
             upgraded(tmp_path, write_v2(tmp_path / "both.stag", header, tensors))
+
+    def test_record_given_twice_refused(self, tmp_path):
+        """A second `head/b` record, of 7.0, with the count raised by one."""
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        off = 12 + header_len
+        (count,) = struct.unpack_from("<I", blob, off)
+        extra = io.BytesIO()
+        _write_records(extra, {"head/b": np.full(TINY.horizon, 7.0, dtype=np.float32)})
+        blob = blob[:off] + struct.pack("<I", count + 1) + blob[off + 4:] + extra.getvalue()[4:]
+        with pytest.raises(CheckpointFormatError, match="^record 'head/b' appears twice$"):
+            load_blob(tmp_path, blob)
+
+    @pytest.mark.parametrize("key", ["t_in", "config"])
+    def test_header_key_given_twice_refused(self, tmp_path, key):
+        blob = saved_blob(tmp_path, ForecastModel(TINY))
+        header, tensors = v2_parts(blob)
+        encoded = json.dumps(header)
+        if key == "config":
+            doubled = encoded[:-1] + ", " + encoded[1:]
+        else:
+            doubled = encoded.replace('"t_in": 6', '"t_in": 5, "t_in": 6')
+        assert json.loads(doubled) == header
+        path = tmp_path / "twice.stag"
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<II", 2, len(doubled)) + doubled.encode())
+            _write_records(fh, tensors)
+        with pytest.raises(CheckpointFormatError, match=f"^header names the key '{key}' twice$"):
+            load_model(path)
 
     def test_extra_record_of_v1_refused(self, tmp_path):
         tensors = _read_records(V1_FIXTURE.read_bytes(), 8)

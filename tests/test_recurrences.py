@@ -21,13 +21,14 @@ from spikestag import dsf, mssa, spiking
 from spikestag.autograd import Tensor
 from spikestag.data import make_windows, synth_generate
 from spikestag.dsf import LstmParams, lstm_forward
+from spikestag.energy import OpCounter
 from spikestag.errors import ContractError, ShapeError
 from spikestag.model import ForecastModel, ModelConfig, mse_loss
 from spikestag.spiking import Carry, LifParams, encode_sequence, lif_linear
 
 # float32 gradient agreement, |fused - oracle| / max|oracle|.  Observed maxima
 # over these tests: LIF 4.3e-7, LSTM 7.5e-7 (its weight gradients sum frame by
-# frame), a whole default-config model step (up to seven LIF layers, the LSTM
+# frame), a whole default-config model step (up to five LIF layers, the LSTM
 # and attention chained) 1.9e-6.
 LIF_GRAD_TOL = 1e-5
 LSTM_GRAD_TOL = 3e-5
@@ -208,15 +209,19 @@ class TestFusedLif:
         assert peak_off < s_bytes + 0.25 * u_bytes      # the spikes plus per-frame temporaries
         assert peak_on >= s_bytes + u_bytes             # the spikes plus U for the backward
 
-    def test_chain_backward_frees_each_layer(self):
-        # each layer's gradient and U go once its backward has run, so the
-        # peak stays near three float32 arrays of U's size (the top layer's
-        # gradient and two working arrays: the surrogate and 1 - S); keeping
-        # every layer's gradient until backward returns costs about seven.
-        # The `bool` spikes are held from the forward, so they are not in it
+    def test_chain_backward_frees_each_layer(self, monkeypatch):
+        # each layer's gradient and U go once its backward has run, and each
+        # backward writes dU over the gradient it gets, with its factors in
+        # block buffers, so the peak stays near one float32 array of U's
+        # size and the blocks: 1.6 measured, 3.3 with the factors in
+        # whole-array passes and dU in a new array; keeping every layer's
+        # gradient until backward returns costs about seven.  The `bool`
+        # spikes are held from the forward, so they are not in it
         rng = np.random.default_rng(52)
         x = Tensor(rng.uniform(-1, 2, size=(4, 64, 8, 16)).astype(np.float32), requires_grad=True)
         u_bytes = x.data.nbytes
+        # blocks of 8 of the 64 frames: at the default size all would be one
+        monkeypatch.setattr(spiking, "LIF_BLOCK_BYTES", u_bytes // 8)
 
         def chain():
             s = x
@@ -225,7 +230,7 @@ class TestFusedLif:
             assert 0.0 < s.data.mean() < 1.0
             return ag.tsum(s)
 
-        assert backward_peak(chain) < 3.5 * u_bytes
+        assert backward_peak(chain) < 2.5 * u_bytes
 
     def test_encoding_holds_spikes_and_membrane_only(self):
         # the frames are written in time order, so no reordered copy is kept
@@ -266,6 +271,29 @@ class TestLifLinear:
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
         assert 0.0 < results[0][0].mean() < 1.0
+
+    @pytest.mark.parametrize("shape", LIF_SHAPES)
+    def test_two_frame_blocks_change_no_bit(self, shape, monkeypatch):
+        """Currents, backward factors and ds products formed two frames at a
+        time give the bits of one block over all frames."""
+        rng = np.random.default_rng(85 + len(shape))
+        lif = random_lif(rng, u_reset=-0.2)
+        s = rng.random(shape) < 0.5
+        ws = [(rng.standard_normal((shape[-1], 3)) * 0.9).astype(np.float32) for _ in range(2)]
+        weight = rng.standard_normal(shape[:-1] + (6,)).astype(np.float32)
+        results = []
+        # two frames of the (..., T, N, 6) output; ds then takes at least
+        # two rows at a time
+        frame_bytes = 4 * 6 * np.prod(shape[:-3] + shape[-2:-1])
+        for budget in (spiking.LIF_BLOCK_BYTES, 2 * frame_bytes):
+            monkeypatch.setattr(spiking, "LIF_BLOCK_BYTES", budget)
+            leaves = [Tensor(s, requires_grad=True, dtype=bool)] + [
+                Tensor(w, requires_grad=True) for w in ws]
+            out = lif_linear(leaves[0], tuple(leaves[1:]), lif, layer=("a", "b"))
+            ag.backward(ag.tsum(ag.mul(out, Tensor(weight))))
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("overrides", LIF_PARAMS)
     def test_matches_per_step_oracle(self, overrides):
@@ -311,6 +339,167 @@ class TestLifLinear:
         u_bytes, s_bytes = 4 * out.data.size, out.data.nbytes
         assert out.data.dtype == bool
         assert u_bytes + s_bytes <= held < u_bytes + 1.25 * s_bytes
+
+
+class TestBlockedInputGrad:
+    """`spiking._input_grad`, which runs in blocks of as many frames (steps,
+    with `steps`) as fit in `LIF_BLOCK_BYTES`, against the whole-array
+    passes it replaced (`per_step.input_grad`), bit for bit, at frame
+    counts around a block of `BLOCK`."""
+
+    BLOCK = 8
+
+    @pytest.mark.parametrize("u_reset", [0.0, -0.2])
+    @pytest.mark.parametrize("steps", [None, 4], ids=["frames", "steps"])
+    @pytest.mark.parametrize("at", ["block-1", "block", "block+1", "one", "45"])
+    @pytest.mark.parametrize("last_only", [False, True], ids=["dense", "last_frame"])
+    def test_bit_identical_to_whole_array_passes(self, u_reset, steps, at, last_only,
+                                                 monkeypatch):
+        count = {"one": 1, "block-1": self.BLOCK - 1, "block": self.BLOCK,
+                 "block+1": self.BLOCK + 1, "45": 45}[at]
+        rng = np.random.default_rng(count + (steps or 0))
+        lif = LifParams(beta=0.5, u_th=0.6, u_reset=u_reset, alpha=2.0)
+        shape = (2, count, 3, 5) if steps is None else (2, count, steps, 3, 5)
+        # a block is BLOCK frames, or BLOCK steps of `steps` sub-steps each
+        monkeypatch.setattr(spiking, "LIF_BLOCK_BYTES", self.BLOCK * 4 * 2 * 3 * 5 * (steps or 1))
+        assert spiking._block_length(shape, 1, 4) == self.BLOCK
+        u = rng.uniform(-0.5, 1.5, size=shape).astype(np.float32)
+        spikes = u >= lif.u_th
+        g = rng.standard_normal(shape).astype(np.float32)
+        if last_only:
+            # the Q case: dU decays from the final frame back through the
+            # subnormal range, across block boundaries, so the flush acts
+            g[..., :-1, :, :] = 0.0
+            g *= 1e-36
+        want = per_step.input_grad(g.copy(), u.copy(), spikes, lif, steps)
+        got = spiking._input_grad(g.copy(), u.copy(), spikes, lif, steps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if last_only and at == "45" and steps is None:
+            raw = per_step.input_grad(g.copy(), u.copy(), spikes, lif, steps, flush=False)
+            # frames the flush acts on include a block's first frame, whose
+            # flush waits for the block before it
+            flushed = np.nonzero((raw != 0.0) & (np.abs(raw) < np.finfo(np.float32).tiny))[1]
+            assert set(range(45 - self.BLOCK, 0, -self.BLOCK)) & set(flushed.tolist()), flushed
+
+    def test_flush_waits_for_the_frame_before(self, monkeypatch):
+        """A block's first frame is flushed only after the frame before it,
+        in the block before, has read it: there a factor of -8 lifts the
+        subnormal dU of frame 1 to a normal -2^-125, which a flush in the
+        wrong order would have zeroed."""
+        lif = LifParams(beta=1.0, u_th=1.0, u_reset=-1.0, alpha=8.0)
+        # at U = u_th the surrogate is alpha / 2 = 4, so a = (u_reset - U) * 4
+        u = np.ones((1, 9, 1, 1), dtype=np.float32)
+        spikes = u >= lif.u_th
+        g = np.zeros_like(u)
+        g[0, 1] = 2.0 ** -130           # b = 4 g = 2^-128, below float32's tiny
+        monkeypatch.setattr(spiking, "LIF_BLOCK_BYTES", 8 * 4)     # blocks [1, 9) and [0, 1)
+        got = spiking._input_grad(g.copy(), u.copy(), spikes, lif)
+        want = per_step.input_grad(g.copy(), u.copy(), spikes, lif)
+        assert got.tobytes() == want.tobytes()
+        assert got[0, 0, 0, 0] == -(2.0 ** -125) and got[0, 1, 0, 0] == 0.0
+
+    def test_backward_holds_no_whole_array_temporary(self, monkeypatch):
+        """The blocked backward of a taped `_lif` allocates its block buffers
+        and nothing the size of U: the whole-array passes held the surrogate
+        and 1 - S (two arrays of U's size) at once, and measured 3.3 times
+        U's bytes here, the blocked backward 1.2."""
+        rng = np.random.default_rng(53)
+        x = Tensor(rng.uniform(-1, 2, size=(4, 256, 8, 32)).astype(np.float32), requires_grad=True)
+        u_bytes = x.data.nbytes
+        monkeypatch.setattr(spiking, "LIF_BLOCK_BYTES", u_bytes // 16)
+
+        def loss():
+            return ag.tsum(spiking._lif(x, LifParams()))
+
+        # the loss gradient (U's size) that `tsum` hands the node, the block
+        # buffers and numpy's ufunc buffers
+        assert backward_peak(loss) < 1.5 * u_bytes
+
+
+class TestFusedQkv:
+    """`dsf.qkv_spikes`, one `lif_linear` layer on the three weights, against
+    three `lif_linear` layers, whose backwards the model's tape runs in the
+    order Q, K, V."""
+
+    @staticmethod
+    def leaves(rng, lead=(2, 20, 3), k=6, d_k=4):
+        s = Tensor(rng.random(lead + (k,)) < 0.4, requires_grad=True, dtype=bool)
+        ws = [Tensor((rng.standard_normal((k, d_k)) * 1.2).astype(np.float32),
+                     requires_grad=True) for _ in range(3)]
+        return s, ws
+
+    def test_bit_identical_to_three_layers(self):
+        rng = np.random.default_rng(97)
+        lif = LifParams(beta=0.6, u_th=0.5, u_reset=-0.2)
+        s, ws = self.leaves(rng)
+        grads = [rng.standard_normal((2, 20, 3, 4)).astype(np.float32) for _ in range(3)]
+
+        three, counted = [], []
+        for fused in (False, True):
+            s.grad = None
+            for w in ws:
+                w.grad = None
+            with OpCounter() as counter:
+                if fused:
+                    qkv = dsf.qkv_spikes(s, dsf.SsaParams(*ws), lif)
+                else:
+                    qkv = tuple(lif_linear(s, w, lif, layer=name)
+                                for w, name in zip(ws, dsf.QKV_LAYERS))
+            counted.append(counter._seen)
+            if fused:
+                loss = ag.add(ag.add(*(ag.tsum(ag.mul(x, Tensor(g))) for x, g in
+                                       zip(qkv[:2], grads[:2]))),
+                              ag.tsum(ag.mul(qkv[2], Tensor(grads[2]))))
+                ag.backward(loss)
+                # Q, K and V are views of one spike buffer
+                assert all(x.data.base is x._parents[0].data for x in qkv)
+            else:
+                for x, g in zip(qkv, grads):
+                    x._backward(g.copy())
+            three.append([x.data for x in qkv] + [w.grad for w in ws] + [s.grad])
+        for got, want in zip(three[1], three[0]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert list(counted[1]) == list(counted[0]) == list(dsf.QKV_LAYERS)
+        for name in dsf.QKV_LAYERS:
+            (size, sums), (size_ref, sums_ref) = counted[1][name], counted[0][name]
+            assert size == size_ref and sums.tobytes() == sums_ref.tobytes()
+        assert 0.0 < three[1][0].mean() < 1.0
+
+    def test_gradients_land_in_one_buffer(self):
+        """Their gradients are views of the fused layer's one (..., 3 d_k)
+        buffer: the backward makes no float copy of Q's, K's or V's."""
+        rng = np.random.default_rng(98)
+        s, ws = self.leaves(rng)
+        q, k, v = dsf.qkv_spikes(s, dsf.SsaParams(*ws), LifParams(u_th=0.5))
+        seen = []
+        fused = q._parents[0]
+        backward = fused._backward
+
+        def spy(g):
+            seen.append((g, g.copy()))
+            backward(g)
+
+        fused._backward = spy
+        loss = ag.add(ag.add(ag.tsum(ag.mul(q, 2.0)), ag.tsum(k)), ag.tsum(ag.mul(v, 3.0)))
+        ag.backward(loss)
+        ((g, values),) = seen
+        assert g.shape == fused.shape and g.flags.c_contiguous
+        np.testing.assert_array_equal(values, np.repeat([2.0, 1.0, 3.0], 4) * np.ones(fused.shape))
+
+    def test_carry_splits_the_window_bit_for_bit(self):
+        rng = np.random.default_rng(99)
+        s, ws = self.leaves(rng, lead=(2, 23, 3))
+        lif = LifParams(beta=0.7, u_th=0.5)
+        params, x = dsf.SsaParams(*ws), s.data
+        with ag.no_grad():
+            whole = [t.data for t in dsf.qkv_spikes(Tensor(x, dtype=bool), params, lif)]
+            carry = Carry(23)
+            parts = [[t.data for t in dsf.qkv_spikes(Tensor(part, dtype=bool), params, lif, carry)]
+                     for part in np.split(x, [5, 16], axis=1)]
+        for i, want in enumerate(whole):
+            got = np.concatenate([part[i] for part in parts], axis=1)
+            assert got.tobytes() == want.tobytes()
+        assert list(carry.states) == ["+".join(dsf.QKV_LAYERS)]
 
 
 def traced_peak(fn):
@@ -581,7 +770,8 @@ class TestModelStep:
             runs.append((pred.data, spikes, grads))
         (pred, spikes, grads), (pred_ref, spikes_ref, grads_ref) = runs
         np.testing.assert_array_equal(pred, pred_ref)
-        assert len(spikes) == len(spikes_ref) == 7
+        # five LIF calls: two encoders, two hops and the one Q/K/V layer
+        assert len(spikes) == len(spikes_ref) == 5
         for s, s_ref in zip(spikes, spikes_ref):
             np.testing.assert_array_equal(s, s_ref)
         assert grads.keys() == grads_ref.keys()
@@ -604,7 +794,9 @@ class TestModelStep:
         # each spike encoder is one node on its input, each spike projection
         # and its LIF one node on the spikes and the weight, and the LSTM one
         # node on its spikes and fused weights that returns the frames read;
-        # the attention gain is one parameter leaf
+        # the attention gain is one parameter leaf; Q, K and V are one such
+        # node on three weights and three column slices of it, and attention
+        # transposes K once
         model, batch = small_batch(ModelConfig())
         _, loss = train_step(model, batch)
         assert len(ag._topo_order(loss)) == 82
@@ -635,7 +827,7 @@ class TestModelStep:
             finally:
                 tracemalloc.stop()
         f, rows = cfg.feature_width, cfg.batch_size * cfg.n_nodes
-        lif_widths = (f, cfg.d1, cfg.d2, cfg.h_dim) + (cfg.d_k,) * 3   # encoders, hops, Q/K/V
+        lif_widths = (f, cfg.d1, cfg.d2, cfg.h_dim, 3 * cfg.d_k)   # encoders, hops, Q/K/V
         floats = sum(lif_widths) + f + cfg.d1
         per_frame = (4 * floats + sum(lif_widths)) * rows
         lstm = (lstm_boundary_bytes(32 * cfg.ts, cfg.h_dim, rows)

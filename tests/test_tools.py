@@ -1,7 +1,8 @@
 """The scripts under `tools/` run on this checkout.
 
 `peak.py` and `kernels.py` run in subprocesses at small sizes and must exit
-0, `kernels.py` printing each backward's peak; `fingerprint.py`
+0, `peak.py` naming the node the step peaks in and `kernels.py` printing
+each backward's peak; `fingerprint.py`
 fingerprints W1-W4 on a tiny config in process, and its `--compare` must
 report a differing field.  `upgrade_checkpoint.py` runs in
 a subprocess on the older-layout fixtures and on files it must refuse,
@@ -62,6 +63,9 @@ def test_script_exits_0(argv):
     done = subprocess.run([sys.executable, str(TOOLS / argv[0]), *argv[1:]],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if argv[0] == "peak.py":
+        assert [line.split(":")[0].split()[:2] for line in done.stdout.splitlines()
+                if line.startswith("peak_node")] == [["peak_node", "lstm"]], done.stdout
     if argv[0] == "kernels.py":
         # five kernels for each of three configs, each with its backward's peak
         header, *rows = done.stdout.splitlines()
@@ -72,10 +76,20 @@ def test_script_exits_0(argv):
 def test_peak_reports_one_byte_per_held_spike():
     r = load_tool("peak").measure(4, 2, 8)
     cfg = ModelConfig()
-    # the seven LIF layers: two encoders, two hops, Q, K and V
-    widths = (cfg.feature_width, cfg.d1, cfg.d2, cfg.h_dim) + (cfg.d_k,) * 3
+    # the five LIF layers: two encoders, two hops and the one Q/K/V layer
+    widths = (cfg.feature_width, cfg.d1, cfg.d2, cfg.h_dim, 3 * cfg.d_k)
     assert r["spike_mb"] * 2**20 == 2 * 8 * cfg.ts * 4 * sum(widths)
     assert r["spike_mb"] < r["held_mb"]
+
+
+def test_peak_node_peaks_at_the_step_peak():
+    """The node `peak.py` names is the one inside whose backward the step
+    peaks: its own peak is the step's, above what was held as it began."""
+    r = load_tool("peak").measure(4, 2, 8)
+    node = r["peak_node"]
+    assert node is not None and node["peak_mb"] == r["peak_mb"]
+    assert 0 < node["held_mb"] < node["peak_mb"]
+    assert node["op"] == "lstm" and node["shape"] == (2, 8, 4, ModelConfig.h_dim)
 
 
 def test_peak_reports_the_lstm_h_and_c_stores():

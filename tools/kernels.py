@@ -10,8 +10,11 @@ sub-steps ts, nodes N, feature width f):
                    values, the shape of the DSF re-encoder;
   lif_linear hop1  `spiking.lif_linear` of (B, T*ts, N, f) gather sums (whole
                    numbers up to k1) through an (f, d1) weight, as hop 1;
-  lif_linear ssa.q `spiking.lif_linear` of (B, T*ts, N, h_dim) `bool` spikes
-                   through an (h_dim, d_k) weight, as each of Q, K and V;
+  lif_linear ssa.qkv
+                   `spiking.lif_linear` of (B, T*ts, N, h_dim) `bool` spikes
+                   through three (h_dim, d_k) weights as the column blocks of
+                   one (h_dim, 3*d_k) projection, as `dsf.qkv_spikes` calls
+                   it for Q, K and V;
   lstm             `dsf._lstm` on (B, T*ts, N, d2) `bool` spikes with the
                    stride W4 uses (ts).
 
@@ -67,13 +70,14 @@ def kernel_cases(cfg, rng):
     sums = leaf(rng.integers(0, cfg.k1 + 1, (b, t * ts, n, f)))
     w1 = leaf(rng.standard_normal((f, cfg.d1)) * 2.0 / f ** 0.5)
     re_encoded = leaf(rng.random((b, t * ts, n, cfg.h_dim)) < 0.3)
-    w_q = leaf(rng.standard_normal((cfg.h_dim, cfg.d_k)) * 2.0 / cfg.h_dim ** 0.5)
+    w_qkv = [leaf(rng.standard_normal((cfg.h_dim, cfg.d_k)) * 2.0 / cfg.h_dim ** 0.5)
+             for _ in range(3)]
     return [
         ("lif", potentials.shape, [potentials], lambda: spiking._lif(potentials, lif)),
         (f"lif steps={ts}", hidden.shape, [hidden], lambda: spiking._lif(hidden, lif, ts)),
         ("lif_linear hop1", sums.shape, [sums, w1], lambda: spiking.lif_linear(sums, w1, lif)),
-        ("lif_linear ssa.q", re_encoded.shape, [re_encoded, w_q],
-         lambda: spiking.lif_linear(re_encoded, w_q, lif)),
+        ("lif_linear ssa.qkv", re_encoded.shape, [re_encoded, *w_qkv],
+         lambda: spiking.lif_linear(re_encoded, tuple(w_qkv), lif, layer=dsf.QKV_LAYERS)),
         (f"lstm stride={ts}", spikes.shape, [spikes, p.wx, p.b, p.wh],
          lambda: dsf._lstm(spikes, p.wx, p.b, p.wh, ts)),
     ]
@@ -133,13 +137,13 @@ def main(argv=None) -> int:
     from spikestag.model import ModelConfig
 
     print(f"timing {Path(spikestag.__file__).parent}, median of {args.repeats}", file=sys.stderr)
-    print(f"{'config':<10} {'kernel':<16} {'input shape':<18} " + " ".join(
+    print(f"{'config':<10} {'kernel':<18} {'input shape':<18} " + " ".join(
         f"{column:>11}" for column in COLUMNS))
     for name, (overrides, _) in CONFIGS.items():
         rng = np.random.default_rng(1)
         for label, shape, leaves, call in kernel_cases(ModelConfig(**overrides), rng):
             r = time_case(leaves, call, args.repeats, rng)
-            print(f"{name:<10} {label:<16} {str(tuple(shape)):<18} " + " ".join(
+            print(f"{name:<10} {label:<18} {str(tuple(shape)):<18} " + " ".join(
                 f"{r[column]:11.2f}" for column in COLUMNS), flush=True)
     return 0
 

@@ -14,9 +14,13 @@ Also prints `spike_mb`, the bytes of the spikes (the outputs of the "lif"
 tape nodes) the taped forward holds for its backward, and `lstm_mb`, the
 bytes the "lstm" tape node holds for its backward: the arrays its backward
 closure keeps beyond its parents' data, which are the h and c entering each
-of its `dsf.LSTM_CHUNK`-frame chunks.  Also prints `maxrss_mb`, the
-process's peak resident set from `resource.getrusage` (where the platform
-has it), which counts everything: the interpreter, numpy, the model, and the
+of its `dsf.LSTM_CHUNK`-frame chunks.  Also prints `peak_node`: the op and
+output shape of the tape node inside whose backward the step peaks, the
+traced MiB held when that backward began and its peak, which is the step
+peak (each node's backward is wrapped to read its own peak; "none" if the
+step peaks elsewhere).  Also prints `maxrss_mb`, the process's peak
+resident set from `resource.getrusage` (where the platform has it), which
+counts everything: the interpreter, numpy, the model, and the
 heap that the allocator keeps mapped after the arrays in it are freed
 (`spikestag` raises glibc's trim threshold on import).  tracemalloc cannot see
 that kept heap, so only `maxrss_mb` shows it.
@@ -79,15 +83,47 @@ def measure(nodes: int, batch_size: int, t_in: int | None = None, ts: int | None
         spikes = sum(node.data.nbytes for node in tape if node._op == "lif")
         lstm = sum(saved_nbytes(node) for node in tape if node._op == "lstm")
         model.zero_grad()
-        ag.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak, peak_node = backward_by_node(loss, tape)
     finally:
         tracemalloc.stop()
     return {"nodes": nodes, "batch": batch_size, "lam": lam, "t_in": cfg.t_in, "ts": cfg.ts,
             "empty_local_sets": sum(not s for s in model.graph.samples_local),
             "no_grad_peak_mb": no_grad_peak / MB, "counted_peak_mb": counted_peak / MB,
             "held_mb": held / MB, "peak_mb": peak / MB, "spike_mb": spikes / MB,
-            "lstm_mb": lstm / MB, "maxrss_mb": maxrss_mb()}
+            "lstm_mb": lstm / MB, "maxrss_mb": maxrss_mb(), "peak_node": peak_node}
+
+
+def backward_by_node(loss, tape: list) -> tuple:
+    """`autograd.backward(loss)` under tracemalloc, with the backward of
+    every node of `tape` wrapped so that each one's traced peak is read on
+    its own.  Returns the traced peak since tracing began or its peak was
+    last reset, and the node inside whose backward that peak fell: its op,
+    output shape, the MiB held when its backward began and its peak, or
+    None if the peak fell outside every node's backward."""
+    from spikestag import autograd as ag
+
+    top = {"bytes": 0, "node": None}
+
+    def wrapped(node, backward):
+        def call(g):
+            top["bytes"] = max(top["bytes"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+            if peak > top["bytes"]:
+                top["bytes"] = peak
+                top["node"] = {"op": node._op, "shape": node.shape, "held_mb": held / MB,
+                               "peak_mb": peak / MB}
+            tracemalloc.reset_peak()
+        return call
+
+    for node in tape:
+        if node._backward is not None:
+            node._backward = wrapped(node, node._backward)
+    ag.backward(loss)
+    peak = max(top["bytes"], tracemalloc.get_traced_memory()[1])
+    return peak, top["node"] if peak == top["bytes"] else None
 
 
 def saved_nbytes(node) -> int:
@@ -131,6 +167,12 @@ def main(argv=None) -> int:
           f"held after forward {r['held_mb']:.1f} MB, step peak {r['peak_mb']:.1f} MB")
     print(f"spike_mb {r['spike_mb']:.2f}")
     print(f"lstm_mb {r['lstm_mb']:.2f}")
+    node = r["peak_node"]
+    if node is None:
+        print("peak_node none: the step peaks outside every node's backward")
+    else:
+        print(f"peak_node {node['op']} {tuple(node['shape'])}: held {node['held_mb']:.2f} MB, "
+              f"peak {node['peak_mb']:.2f} MB")
     if r["maxrss_mb"] is not None:
         print(f"maxrss_mb {r['maxrss_mb']:.1f}")
     return 0
